@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exhaustive
 from .errors import TooLargeForExact
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph, connected_components, sweep_profile
 from .spectral import DENSE_LIMIT, laplacian, spectrum
 
 EXACT_CAP = 24
@@ -80,7 +80,7 @@ def cheeger_exact(g: Graph, exact_cap: int = EXACT_CAP) -> CheegerReport:
 
 
 def _fiedler_order(sub: Graph) -> np.ndarray:
-    """Vertex order of the induced component by Fiedler value, stable."""
+    """Vertex order of a connected graph by Fiedler value, stable."""
     if sub.n <= 2:
         return np.arange(sub.n)
     lap = laplacian(sub)
@@ -99,44 +99,26 @@ def _fiedler_order(sub: Graph) -> np.ndarray:
     return np.argsort(fiedler, kind="stable")
 
 
-def _sweep_component(g: Graph, comp: tuple):
-    """Best sweep cut of one component; returns (ratio, witness)."""
-    sub, idx_map = induced_subgraph(g, comp)
-    order = _fiedler_order(sub)
-    n = sub.n
-    in_set = np.zeros(n, dtype=bool)
-    boundary = 0
-    best = (np.inf, ())
-    for k in range(n - 1):
-        v = int(order[k])
-        inside = sum(1 for w in sub.adjacency[v] if w != v and in_set[w])
-        boundary += sub.nonloop_degree(v) - 2 * inside
-        in_set[v] = True
-        size = min(k + 1, n - (k + 1))
-        ratio = boundary / size
-        if ratio < best[0]:
-            if k + 1 <= n // 2:
-                side = [idx_map[int(u)] for u in order[: k + 1]]
-            else:
-                side = [idx_map[int(u)] for u in order[k + 1:]]
-            best = (ratio, tuple(sorted(side)))
-    return best
-
-
 def cheeger_sweep(g: Graph, tol: float = 1e-9) -> CheegerReport:
     """Fiedler sweep upper bound on the Cheeger constant.
 
     On disconnected graphs the answer is exactly 0 (one component is the
-    witness), so the sweep runs only on connected inputs.
+    witness), so the sweep runs only on connected inputs. The first prefix
+    with the smallest ratio wins; its smaller side is the witness.
     """
     lower, upper = _bounds(g, tol)
     if g.n < 2:
         return CheegerReport(0.0, (), "sweep", lower, upper)
-    comps = connected_components(g)
-    if len(comps) > 1:
+    if len(connected_components(g)) > 1:
         return CheegerReport(0.0, _smallest_component(g), "sweep", lower, upper)
-    ratio, witness = _sweep_component(g, comps[0])
-    return CheegerReport(float(ratio), witness, "sweep", lower, upper)
+    n = g.n
+    order = _fiedler_order(g)
+    sizes = np.arange(1, n)
+    ratios = sweep_profile(g, order)[: n - 1] / np.minimum(sizes, n - sizes)
+    k = int(np.argmin(ratios)) + 1
+    side = order[:k] if k <= n // 2 else order[k:]
+    witness = tuple(sorted(int(v) for v in side))
+    return CheegerReport(float(ratios[k - 1]), witness, "sweep", lower, upper)
 
 
 def cheeger_sandwich_check(

@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import generators
-from .cheeger import cheeger_exact, cheeger_sweep
+from .cheeger import EXACT_CAP, cheeger_exact, cheeger_sweep
 from .decompose import KunParams, kun_partition
 from .errors import (
     BoxgapError,
@@ -33,8 +33,8 @@ from .errors import (
 )
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
 from .graph import BoxSpace, connected_components, read_manifest, write_manifest
-from .rewire import expanderize
-from .spectral import graph_spectrum, markov, spectrum
+from .rewire import alpha_feasible, expanderize
+from .spectral import DENSE_LIMIT, graph_spectrum, markov, spectrum
 from .zuk import delta_tau_spectrum, zuk_certificate
 
 EXIT_OK = 0
@@ -106,7 +106,7 @@ def cmd_spectrum(args) -> int:
         i, g = item
         delta_rep = graph_spectrum(g, tol=args.tol)
         comps = len(connected_components(g))
-        k_markov = g.n if g.n <= 512 else 8
+        k_markov = g.n if g.n <= DENSE_LIMIT else 8
         m_rep = spectrum(
             markov(g, box.d), k=k_markov, tol=args.tol, kernel_dim=0
         ) if g.n else None
@@ -198,19 +198,12 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _check_alpha_feasible(args, params) -> bool:
-    r = math.ceil(4.0 / params.C)
-    try:
-        limit = 1.0 / float(params.d) ** (r + 1)
-    except OverflowError:
-        limit = 0.0
-    return params.alpha < limit
-
-
 def cmd_expanderize(args) -> int:
     box = read_manifest(args.input)
     params = _params_for(args, box.d)
-    if not args.allow_infeasible_alpha and not _check_alpha_feasible(args, params):
+    if not args.allow_infeasible_alpha and not alpha_feasible(
+        params.alpha, params.C, params.d
+    ):
         r = math.ceil(4.0 / params.C)
         print(
             f"alpha={params.alpha} is not below 1/d^(r+1) for r={r}; the "
@@ -441,7 +434,7 @@ def _add_common(p, needs_input=True):
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--exact-cap", dest="exact_cap", type=int, default=24)
+    p.add_argument("--exact-cap", dest="exact_cap", type=int, default=EXACT_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exhaustive
-from .cheeger import inner_expansion_exact, second_eigenvalue, _fiedler_order
+from .cheeger import (
+    EXACT_CAP,
+    inner_expansion_exact,
+    second_eigenvalue,
+    _fiedler_order,
+)
 from .errors import IterationCap
 from .graph import (
     Graph,
@@ -30,11 +35,10 @@ from .graph import (
     boundary_size,
     connected_components,
     induced_subgraph,
+    sweep_profile,
     vertex_set,
 )
 from .spectral import power_iterate
-
-EXACT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -136,44 +140,30 @@ def level_set_cut(g: Graph, f, a: float, b: float) -> LevelSetCut:
         return LevelSetCut(t=t, vertices=u, boundary=boundary_size(g, u),
                            empty_band=True)
 
-    # Sweep from the largest value downward, keeping the boundary size of the
-    # growing super-level set incrementally.
+    # Sweep from the largest value downward. Tie group j of f-values ends at
+    # ends[j] and closes {f >= val}, the super-level set for t in [next, val).
     order = np.argsort(-vec, kind="stable")
-    values_desc = np.unique(vec)[::-1]
-    in_set = np.zeros(g.n, dtype=bool)
-    boundary = 0
-    idx = 0
-    best = None  # (boundary, size, t, vertices)
-    for j, val in enumerate(values_desc):
-        while idx < g.n and vec[order[idx]] >= val:
-            v = int(order[idx])
-            inside = sum(1 for w in g.adjacency[v] if w != v and in_set[w])
-            boundary += g.nonloop_degree(v) - 2 * inside
-            in_set[v] = True
-            idx += 1
-        # Current set is {f >= val}, the level set for t in [next, val).
-        nxt = values_desc[j + 1] if j + 1 < len(values_desc) else -math.inf
-        lo = max(a, nxt)
-        hi = min(b, val)
-        if lo >= hi:
-            continue
-        size = int(in_set.sum())
-        key = (boundary, size)
-        if best is None or key < (best[0], best[1]):
-            best = (boundary, size, (lo + hi) / 2.0, tuple(np.flatnonzero(in_set)))
-    assert best is not None
+    desc = vec[order]
+    ends = np.append(np.flatnonzero(desc[1:] != desc[:-1]), g.n - 1)
+    lo = np.maximum(a, np.append(desc[ends[:-1] + 1], -math.inf))
+    hi = np.minimum(b, desc[ends])
+    inside = np.flatnonzero(lo < hi)
+    boundaries = sweep_profile(g, order)[ends[inside]]
+    # Sizes grow with j, so the first minimal boundary is the (|∂U|, |U|) min.
+    j = inside[np.argmin(boundaries)]
+    boundary = int(boundaries.min())
     # Thresholds above the largest value empty the set; that trivial witness
     # wins only when no actual level set matches its zero boundary.
-    max_f = float(values_desc[0])
-    if max_f < b and best[0] > 0:
+    max_f = float(desc[0])
+    if max_f < b and boundary > 0:
         return LevelSetCut(
             t=(max(a, max_f) + b) / 2.0, vertices=(), boundary=0,
             empty_band=False,
         )
     return LevelSetCut(
-        t=best[2],
-        vertices=tuple(int(v) for v in best[3]),
-        boundary=best[0],
+        t=float((lo[j] + hi[j]) / 2.0),
+        vertices=tuple(sorted(int(v) for v in order[: ends[j] + 1])),
+        boundary=boundary,
         empty_band=False,
     )
 
@@ -283,48 +273,23 @@ def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP)
     if len(region) <= exact_cap:
         return exhaustive.min_sparse_subset(g, region, c)
 
-    live = set(region)
+    # Prefixes of each component's Fiedler order and of its reverse (the
+    # suffixes); the full prefix is the whole component. Only the smallest
+    # passing prefix of each is materialized.
     sub, idx_map = induced_subgraph(g, region)
     candidates = []
     for comp in connected_components(sub):
-        comp_orig = tuple(sorted(idx_map[v] for v in comp))
-        ext_total = sum(
-            1
-            for v in comp_orig
-            for w in g.adjacency[v]
-            if w != v and w not in live
-        )
-        whole_boundary = boundary_size(g, comp_orig)
-        if len(comp_orig) < len(region) and whole_boundary < c * len(comp_orig):
-            candidates.append((len(comp_orig), comp_orig))
-        if len(comp) < 2:
-            continue
-        comp_sub, comp_map = induced_subgraph(g, comp_orig)
-        order = _fiedler_order(comp_sub)
-        in_set = np.zeros(comp_sub.n, dtype=bool)
-        internal = 0
-        ext_prefix = 0
-        for k in range(comp_sub.n - 1):
-            v = int(order[k])
-            inside = sum(1 for w in comp_sub.adjacency[v] if w != v and in_set[w])
-            internal += comp_sub.nonloop_degree(v) - 2 * inside
-            orig_v = comp_map[v]
-            ext_prefix += sum(
-                1 for w in g.adjacency[orig_v] if w != orig_v and w not in live
-            )
-            in_set[v] = True
-            prefix = tuple(sorted(comp_map[int(u)] for u in order[: k + 1]))
-            suffix = tuple(sorted(comp_map[int(u)] for u in order[k + 1:]))
-            b_prefix = internal + ext_prefix
-            b_suffix = internal + (ext_total - ext_prefix)
-            if len(prefix) < len(region) and b_prefix < c * len(prefix):
-                candidates.append((len(prefix), prefix))
-            if len(suffix) < len(region) and b_suffix < c * len(suffix):
-                candidates.append((len(suffix), suffix))
+        comp_sub, comp_map = induced_subgraph(g, [idx_map[v] for v in comp])
+        order = [comp_map[int(v)] for v in _fiedler_order(comp_sub)]
+        sizes = np.arange(1, len(order) + 1)
+        for seq in (order, order[::-1]):
+            passing = (sweep_profile(g, seq) < c * sizes) & (sizes < len(region))
+            if passing.any():
+                size = int(np.argmax(passing)) + 1
+                candidates.append((size, tuple(sorted(seq[:size]))))
     if not candidates:
         return None
-    candidates.sort(key=lambda sc: (sc[0], sc[1]))
-    return candidates[0][1]
+    return min(candidates)[1]
 
 
 @dataclass

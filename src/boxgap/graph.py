@@ -14,6 +14,8 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DegreeExceeded, DuplicateEdge, VertexOutOfRange
 
 VertexSet = tuple  # sorted tuple of vertex indices
@@ -144,6 +146,34 @@ def boundary_edges(g: Graph, s) -> list:
 def boundary_size(g: Graph, s) -> int:
     """|∂s|: the number of edges crossing between s and its complement."""
     return len(boundary_edges(g, s))
+
+
+def sweep_profile(g: Graph, order) -> np.ndarray:
+    """Boundary sizes of every prefix of a vertex order.
+
+    ``order`` is a sequence of distinct vertices of g; the result b has
+    b[k] = |∂{order[0], ..., order[k]}|. The boundary is ambient, so edges
+    from an ordered vertex to a vertex outside ``order`` count, and loops
+    are ignored. With every unordered vertex ranked len(order), a non-loop
+    edge crosses prefix k exactly when min rank <= k < max rank, so one
+    difference array over edge ranks gives all prefixes in
+    O(n + edges at the ordered vertices).
+    """
+    order = np.asarray(order, dtype=np.int64)
+    m = len(order)
+    rank = np.full(g.n, m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    degrees = [len(g.adjacency[v]) for v in order]
+    lo = np.repeat(np.arange(m), degrees)
+    hi = rank[np.fromiter(
+        (w for v in order for w in g.adjacency[v]), dtype=np.int64,
+        count=len(lo),
+    )]
+    # Each crossing edge once, from its lower-ranked end; loops have lo == hi.
+    keep = lo < hi
+    diff = (np.bincount(lo[keep], minlength=m + 1)
+            - np.bincount(hi[keep], minlength=m + 1))
+    return np.cumsum(diff[:m])
 
 
 def ball(g: Graph, center: int, r: int) -> VertexSet:

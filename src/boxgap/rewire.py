@@ -18,8 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cheeger import cheeger_exact, inner_expansion_exact, second_eigenvalue
-from .decompose import EXACT_CAP, KunParams, kun_partition
+from .cheeger import (
+    EXACT_CAP,
+    cheeger_exact,
+    inner_expansion_exact,
+    second_eigenvalue,
+)
+from .decompose import KunParams, kun_partition
 from .errors import HypothesisFailed, InsufficientSeparatedEdges
 from .generators import ApproxIsoWitness, WitnessEntry
 from .graph import (
@@ -31,6 +36,19 @@ from .graph import (
     induced_subgraph,
     vertex_set,
 )
+
+
+def alpha_feasible(alpha: float, c_inner: float, d: int) -> bool:
+    """Whether alpha < 1/d^(r+1) with r = ceil(4 / c_inner).
+
+    This is the threshold below which the separated-edge selection has a
+    feasibility certificate. A power too large for a float is infeasible.
+    """
+    r = math.ceil(4.0 / c_inner)
+    try:
+        return alpha < 1.0 / float(d) ** (r + 1)
+    except OverflowError:
+        return False
 
 
 def select_separated_edges(g: Graph, piece, r: int, count: int) -> list:
@@ -163,10 +181,6 @@ def rewire_piece(
             raise HypothesisFailed(witness, value, c_inner)
         hypothesis_verified = True
     r = math.ceil(4.0 / c_inner)
-    try:
-        feasible = alpha < 1.0 / g.degree_bound ** (r + 1)
-    except OverflowError:
-        feasible = False
 
     edits = []
     adj = [set(a) for a in g.adjacency]
@@ -255,7 +269,7 @@ def rewire_piece(
         boundary_before=len(bedges),
         alpha=alpha,
         C=c_inner,
-        alpha_feasible=feasible,
+        alpha_feasible=alpha_feasible(alpha, c_inner, g.degree_bound),
         hypothesis_verified=hypothesis_verified,
         budget_edits_ok=units <= alpha * len(piece),
         budget_removed_ok=len(removed_vertices) <= (alpha / c_inner) * len(piece),

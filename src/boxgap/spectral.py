@@ -168,12 +168,23 @@ def spectrum(
     )
 
 
-def graph_spectrum(g: Graph, k: int | None = None, tol: float = 1e-9) -> SpectrumReport:
-    """Laplacian spectrum with the kernel pinned to the component count."""
+def pinned_spectrum(
+    g: Graph, op: SymmetricOperator, k: int | None = None, tol: float = 1e-9
+) -> SpectrumReport:
+    """Spectrum of an operator on g, kernel pinned to g's component count.
+
+    k defaults to every eigenvalue up to DENSE_LIMIT vertices and to the
+    kernel plus four above that.
+    """
     comps = len(connected_components(g))
     if k is None:
         k = g.n if g.n <= DENSE_LIMIT else min(g.n, comps + 4)
-    return spectrum(laplacian(g), k=k, tol=tol, kernel_dim=min(comps, k))
+    return spectrum(op, k=k, tol=tol, kernel_dim=min(comps, k))
+
+
+def graph_spectrum(g: Graph, k: int | None = None, tol: float = 1e-9) -> SpectrumReport:
+    """Laplacian spectrum with the kernel pinned to the component count."""
+    return pinned_spectrum(g, laplacian(g), k, tol)
 
 
 @dataclass

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DisconnectedLink, EdgeWithoutTriangle, EmptyLink
-from .graph import Graph, connected_components
+from .graph import Graph
 from .spectral import (
     SpectrumReport,
     SymmetricOperator,
     _operator,
     laplacian,
-    spectrum,
+    pinned_spectrum,
 )
 
 
@@ -212,9 +212,7 @@ def delta_tau(g: Graph) -> SymmetricOperator:
 
 def delta_tau_spectrum(g: Graph, tol: float = 1e-9) -> SpectrumReport:
     """Spectrum of the triangle-weighted Laplacian, kernel from components."""
-    comps = len(connected_components(g))
-    k = g.n if g.n <= 512 else min(g.n, comps + 4)
-    return spectrum(delta_tau(g), k=k, tol=tol, kernel_dim=min(comps, k))
+    return pinned_spectrum(g, delta_tau(g), tol=tol)
 
 
 def sandwich_check(
