@@ -18,7 +18,7 @@ import numpy as np
 from . import exhaustive
 from .errors import TooLargeForExact
 from .graph import Graph, connected_components, sweep_profile
-from .spectral import DENSE_LIMIT, laplacian, spectrum
+from .spectral import DENSE_LIMIT, iterative_eigenpairs, laplacian, spectrum
 
 EXACT_CAP = 24
 
@@ -50,14 +50,12 @@ def second_eigenvalue(g: Graph, tol: float = 1e-9) -> float:
     return float(rep.eigenvalues[1])
 
 
-def _bounds(g: Graph, tol: float = 1e-9):
-    lam = second_eigenvalue(g, tol)
+def _bounds(g: Graph, lam: float):
     lam = max(lam, 0.0)
     return lam / 2.0, math.sqrt(2.0 * g.degree_bound * lam)
 
 
-def _smallest_component(g: Graph) -> tuple:
-    comps = connected_components(g)
+def _smallest_component(comps) -> tuple:
     return min(comps, key=lambda c: (len(c), c))
 
 
@@ -67,36 +65,29 @@ def cheeger_exact(g: Graph, exact_cap: int = EXACT_CAP) -> CheegerReport:
     Disconnected graphs short-circuit to h = 0 with the smallest component
     as witness; connected graphs above the cap raise TooLargeForExact.
     """
-    lower, upper = _bounds(g)
+    lower, upper = _bounds(g, second_eigenvalue(g))
     if g.n < 2:
         return CheegerReport(0.0, (), "exact", lower, upper)
     comps = connected_components(g)
     if len(comps) > 1:
-        return CheegerReport(0.0, _smallest_component(g), "exact", lower, upper)
+        return CheegerReport(0.0, _smallest_component(comps), "exact", lower, upper)
     if g.n > exact_cap:
         raise TooLargeForExact(g.n, exact_cap)
     ratio, witness = exhaustive.min_ratio_subset(g, range(g.n), g.n // 2)
     return CheegerReport(float(ratio), witness, "exact", lower, upper)
 
 
-def _fiedler_order(sub: Graph) -> np.ndarray:
-    """Vertex order of a connected graph by Fiedler value, stable."""
-    if sub.n <= 2:
-        return np.arange(sub.n)
+def _fiedler_order(sub: Graph, tol: float = 1e-9):
+    """Laplacian lambda_2 and stable Fiedler order of a connected graph."""
+    if sub.n < 2:
+        return 0.0, np.arange(sub.n)
     lap = laplacian(sub)
     if sub.n <= DENSE_LIMIT:
-        _, vecs = np.linalg.eigh(lap.dense())
-        fiedler = vecs[:, 1]
+        vals, vecs = np.linalg.eigh(lap.dense())
     else:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        sigma = float(np.abs(lap.matrix).sum(axis=1).max()) + 1.0
-        shifted = sp.identity(sub.n, format="csr") * sigma - lap.matrix
-        mu, vecs = spla.eigsh(shifted, k=2, which="LA")
-        order = np.argsort(sigma - mu)
-        fiedler = vecs[:, order[1]]
-    return np.argsort(fiedler, kind="stable")
+        vals, vecs = iterative_eigenpairs(lap, 2, tol)
+    order = np.arange(2) if sub.n == 2 else np.argsort(vecs[:, 1], kind="stable")
+    return float(vals[1]), order
 
 
 def cheeger_sweep(g: Graph, tol: float = 1e-9) -> CheegerReport:
@@ -106,19 +97,28 @@ def cheeger_sweep(g: Graph, tol: float = 1e-9) -> CheegerReport:
     witness), so the sweep runs only on connected inputs. The first prefix
     with the smallest ratio wins; its smaller side is the witness.
     """
-    lower, upper = _bounds(g, tol)
-    if g.n < 2:
-        return CheegerReport(0.0, (), "sweep", lower, upper)
-    if len(connected_components(g)) > 1:
-        return CheegerReport(0.0, _smallest_component(g), "sweep", lower, upper)
+    comps = connected_components(g)
+    if len(comps) > 1:
+        lower, upper = _bounds(g, second_eigenvalue(g, tol))
+        return CheegerReport(0.0, _smallest_component(comps), "sweep", lower, upper)
+    lam, order = _fiedler_order(g, tol)
+    lower, upper = _bounds(g, lam)
     n = g.n
-    order = _fiedler_order(g)
+    if n < 2:
+        return CheegerReport(0.0, (), "sweep", lower, upper)
     sizes = np.arange(1, n)
     ratios = sweep_profile(g, order)[: n - 1] / np.minimum(sizes, n - sizes)
     k = int(np.argmin(ratios)) + 1
     side = order[:k] if k <= n // 2 else order[k:]
     witness = tuple(sorted(int(v) for v in side))
     return CheegerReport(float(ratios[k - 1]), witness, "sweep", lower, upper)
+
+
+def cheeger_report(g: Graph, tol: float = 1e-9,
+                   exact_cap: int = EXACT_CAP) -> CheegerReport:
+    """Exact report if n < 2, n <= exact_cap or g is disconnected, else sweep."""
+    exact = g.n < 2 or g.n <= exact_cap or len(connected_components(g)) > 1
+    return cheeger_exact(g, exact_cap) if exact else cheeger_sweep(g, tol)
 
 
 def cheeger_sandwich_check(
@@ -131,10 +131,8 @@ def cheeger_sandwich_check(
     witnessed cut and the sweep cut itself achieves the sqrt(2 d lambda)
     bound.
     """
-    lower, upper = _bounds(g, tol)
-    exact_possible = g.n < 2 or len(connected_components(g)) > 1 or g.n <= exact_cap
-    rep = cheeger_exact(g, exact_cap) if exact_possible else cheeger_sweep(g, tol)
-    return lower - tol <= rep.h <= upper + tol
+    rep = cheeger_report(g, tol, exact_cap)
+    return rep.lower_bound - tol <= rep.h <= rep.upper_bound + tol
 
 
 def inner_expansion_exact(g: Graph, piece, exact_cap: int = EXACT_CAP):

@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import generators
-from .cheeger import EXACT_CAP, cheeger_exact, cheeger_sweep
+from .cheeger import EXACT_CAP, cheeger_report
 from .decompose import KunParams, kun_partition
 from .errors import (
     BoxgapError,
@@ -138,12 +138,7 @@ def cmd_cheeger(args) -> int:
 
     def analyze(item):
         i, g = item
-        connected = len(connected_components(g)) <= 1
-        if not connected or g.n <= args.exact_cap:
-            rep = cheeger_exact(g, exact_cap=args.exact_cap)
-        else:
-            rep = cheeger_sweep(g, tol=args.tol)
-        return i, g.n, rep
+        return i, g.n, cheeger_report(g, tol=args.tol, exact_cap=args.exact_cap)
 
     results = _pmap(analyze, list(enumerate(box.graphs)), args.workers)
     rows = []

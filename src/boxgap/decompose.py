@@ -280,7 +280,7 @@ def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP)
     candidates = []
     for comp in connected_components(sub):
         comp_sub, comp_map = induced_subgraph(g, [idx_map[v] for v in comp])
-        order = [comp_map[int(v)] for v in _fiedler_order(comp_sub)]
+        order = [comp_map[int(v)] for v in _fiedler_order(comp_sub)[1]]
         sizes = np.arange(1, len(order) + 1)
         for seq in (order, order[::-1]):
             passing = (sweep_profile(g, seq) < c * sizes) & (sizes < len(region))

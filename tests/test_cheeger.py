@@ -128,6 +128,13 @@ def test_sweep_uses_iterative_fiedler_above_dense_limit():
     assert bg.boundary_size(g, rep.witness) / len(rep.witness) == rep.h
 
 
+def test_iterative_reports_do_not_depend_on_call_order():
+    g = bg.triangular_torus(40)  # 1600 vertices, lambda_2 repeated
+    first = (bg.graph_spectrum(g), bg.cheeger_sweep(g))
+    bg.graph_spectrum(bg.margulis_graph(24))
+    assert (bg.graph_spectrum(g), bg.cheeger_sweep(g)) == first
+
+
 def test_inner_expansion_ambient():
     # C_20 living inside a graph with a pendant vertex: arcs through the
     # attachment pay for the extra edge, arcs avoiding it do not.

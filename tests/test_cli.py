@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import boxgap as bg
 from boxgap.cli import main
+from boxgap.errors import NoConvergence
 
 
 def make_box(tmp_path, graphs, d, name="box"):
@@ -203,17 +206,51 @@ def test_approx_iso_corrupted_witness_exit_2(tmp_path):
     ]) == 2
 
 
+def _bodies(out):
+    """Every result file's lines except the config hash, which records
+    --workers."""
+    return {
+        p.name: [ln for ln in p.read_text().splitlines() if "config_hash" not in ln]
+        for p in sorted(out.iterdir()) if p.name != "run_metadata.json"
+    }
+
+
 def test_workers_match_serial(tmp_path):
+    # The two torus copies take the iterative eigensolver path.
+    torus = bg.triangular_torus(40)
     manifest = make_box(
-        tmp_path, [bg.complete_graph(n) for n in (4, 5, 6, 7)], d=6
+        tmp_path, [bg.complete_graph(n) for n in (4, 5, 6, 7)] + [torus, torus],
+        d=6,
     )
-    out1, out2 = tmp_path / "s", tmp_path / "p"
-    assert main(["spectrum", "--input", manifest, "--out", str(out1)]) == 0
-    assert main(["spectrum", "--input", manifest, "--out", str(out2),
-                 "--workers", "4"]) == 0
-    a = (out1 / "summary.csv").read_text().splitlines()[1:]
-    b = (out2 / "summary.csv").read_text().splitlines()[1:]
-    assert a == b
+    for cmd in ("spectrum", "cheeger"):
+        out1, out2 = tmp_path / f"{cmd}1", tmp_path / f"{cmd}2"
+        assert main([cmd, "--input", manifest, "--out", str(out1),
+                     "--workers", "1"]) == 0
+        assert main([cmd, "--input", manifest, "--out", str(out2),
+                     "--workers", "2"]) == 0
+        assert _bodies(out1) == _bodies(out2)
+        rows = read_csv(out1 / "summary.csv")[1:]
+        assert rows[4].split(",")[1:] == rows[5].split(",")[1:]
+
+
+@pytest.mark.parametrize("fault", ["gives-up", "wrong-vector"])
+def test_solver_failure_is_numerical_exit(tmp_path, monkeypatch, fault):
+    real_eigsh = spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        if fault == "gives-up":
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                           np.zeros((0, 0)))
+        vals, vecs = real_eigsh(*args, **kwargs)
+        return vals, vecs[np.random.default_rng(1).permutation(len(vecs))]
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    g = bg.triangular_torus(40)  # above the dense-solve limit
+    with pytest.raises(NoConvergence):
+        bg.cheeger_sweep(g)
+    manifest = make_box(tmp_path, [g], d=6)
+    assert main(["cheeger", "--input", manifest,
+                 "--out", str(tmp_path / "o")]) == 3
 
 
 def test_metadata_written_separately(tmp_path):

@@ -1,8 +1,8 @@
 """The prefix-boundary sweep and its three callers against brute recounts.
 
 Every oracle recomputes boundaries with ``boundary_size`` one set at a time.
-Graphs stay far below the dense-solve limit, so Fiedler orders are
-deterministic and the oracles can reuse them.
+Fiedler orders come from ``_fiedler_order``, which returns lambda_2 and the
+order from one deterministic eigensolve; the oracles reuse the order.
 """
 
 import numpy as np
@@ -62,7 +62,7 @@ def test_cheeger_sweep_is_best_fiedler_prefix():
     for _ in range(30):
         g = _connected_random_graph(rng)
         n = g.n
-        order = [int(v) for v in _fiedler_order(g)]
+        order = [int(v) for v in _fiedler_order(g)[1]]
         ratios = [
             b / min(k + 1, n - k - 1)
             for k, b in enumerate(_recount(g, order)[: n - 1])
@@ -81,7 +81,7 @@ def _sparse_cut_candidates(g, c, region):
     found = []
     for comp in bg.connected_components(sub):
         comp_sub, comp_map = bg.induced_subgraph(g, [idx_map[v] for v in comp])
-        order = [comp_map[int(v)] for v in _fiedler_order(comp_sub)]
+        order = [comp_map[int(v)] for v in _fiedler_order(comp_sub)[1]]
         for k in range(1, len(order) + 1):
             for side in (order[:k], order[k:]):
                 if (side and len(side) < len(region)
