@@ -42,8 +42,9 @@ class CheegerReport:
 
 
 def second_eigenvalue(g: Graph, tol: float = 1e-9) -> float:
-    """Second-smallest Laplacian eigenvalue, multiplicity counted."""
-    if g.n < 2:
+    """Second-smallest Laplacian eigenvalue, multiplicity counted (exactly 0
+    for a disconnected graph)."""
+    if g.n < 2 or len(connected_components(g)) > 1:
         return 0.0
     rep = spectrum(laplacian(g), k=2 if g.n > DENSE_LIMIT else g.n, tol=tol,
                    kernel_dim=1)

@@ -2,19 +2,25 @@
 
 Graphs are simple undirected graphs with a recorded degree bound; loops are
 permitted only when explicitly requested (they count 1 toward the degree and
-are ignored by boundaries, distances and Laplacians). Vertex subsets are plain
-sorted tuples of indices. Disconnected graphs are first class throughout;
-distance across components is treated as infinite and never compared.
+are ignored by boundaries, distances and Laplacians). Each graph also carries
+its 0/1 adjacency as a sparse CSR matrix, ``Graph.matrix``, built once on first
+use; it is the only place where edges become arrays, and the Laplacians,
+triangle weights and connected components all read it. Loops are left out of
+it. Vertex subsets are plain sorted tuples of indices. Disconnected graphs are
+first class throughout; distance across components is treated as infinite and
+never compared.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import DegreeExceeded, DuplicateEdge, VertexOutOfRange
 
@@ -28,6 +34,8 @@ class Graph:
     ``adjacency[x]`` is the sorted tuple of neighbors of ``x``; symmetry and
     the degree bound are validated at construction time. A loop at ``x`` is
     recorded as a single occurrence of ``x`` in its own adjacency list.
+    ``matrix`` is the same adjacency as an n x n CSR matrix of float 0/1
+    entries with sorted indices and loops excluded, cached on first access.
     """
 
     n: int
@@ -62,6 +70,14 @@ class Graph:
 
     def nonloop_degree(self, v: int) -> int:
         return len(self.adjacency[v]) - (1 if v in self.adjacency[v] else 0)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        indptr = np.cumsum([0, *map(self.nonloop_degree, range(self.n))])
+        cols = [v for u, a in enumerate(self.adjacency) for v in a if v != u]
+        return sp.csr_matrix(
+            (np.ones(len(cols)), cols, indptr), shape=(self.n, self.n)
+        )
 
     def label_of(self, u: int, v: int):
         if self.edge_labels is None:
@@ -203,24 +219,11 @@ def ball_of_set(g: Graph, s, r: int) -> VertexSet:
 
 def connected_components(g: Graph) -> list:
     """Vertex sets of the connected components, each sorted, in order of
-    smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    dq.append(v)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    smallest member (csgraph numbers components in that order)."""
+    count, labels = _csgraph_components(g.matrix, directed=False)
+    members = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=count))
+    return [tuple(c.tolist()) for c in np.split(members, ends)[:-1]]
 
 
 def induced_subgraph(g: Graph, s):

@@ -125,29 +125,6 @@ class RewireResult:
         return d
 
 
-def _components_of(adj, vertices):
-    comp_id = {}
-    sizes = []
-    for start in sorted(vertices):
-        if start in comp_id:
-            continue
-        cid = len(sizes)
-        stack = [start]
-        comp_id[start] = cid
-        size = 0
-        while stack:
-            x = stack.pop()
-            size += 1
-            for y in adj[x]:
-                if y in comp_id:
-                    continue
-                if y in vertices:
-                    comp_id[y] = cid
-                    stack.append(y)
-        sizes.append(size)
-    return comp_id, sizes
-
-
 def rewire_piece(
     g: Graph,
     piece,
@@ -195,6 +172,17 @@ def rewire_piece(
         adj[v].add(u)
         edits.append({"op": "add", "edge": [min(u, v), max(u, v)]})
 
+    def piece_components():
+        # Component index and size per piece vertex; once its boundary is
+        # removed, the piece is closed under adj.
+        pos = {v: i for i, v in enumerate(piece)}
+        sub = build_graph(len(piece), [
+            (pos[u], pos[v]) for u in piece for v in adj[u] if u < v
+        ], g.degree_bound)
+        comps = connected_components(sub)
+        comp_id = {piece[i]: cid for cid, comp in enumerate(comps) for i in comp}
+        return comp_id, [len(comp) for comp in comps]
+
     removed_vertices = ()
     new_piece = piece
     if bedges:
@@ -205,7 +193,7 @@ def rewire_piece(
             remove_edge(*e)
         # Larger-component endpoint of each removed interior edge, measured
         # in the piece after all removals; ties go to the smaller index.
-        comp_id, sizes = _components_of(adj, set(piece))
+        comp_id, sizes = piece_components()
         plus = {}
         for u, v in f_edges:
             if comp_id[u] == comp_id[v]:
@@ -217,7 +205,7 @@ def rewire_piece(
         for (x, _), e in zip(bedges, f_edges):
             add_edge(x, plus[e])
         # Fragments stranded from their e+ side are deleted outright.
-        comp_id, _ = _components_of(adj, set(piece))
+        comp_id, _ = piece_components()
         stranded = set()
         for u, v in f_edges:
             e_plus = plus[(u, v)]

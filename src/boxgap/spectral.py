@@ -40,32 +40,15 @@ class SymmetricOperator:
         return float(vec @ (self.matrix @ vec))
 
 
-def _operator(n, rows, cols, vals) -> SymmetricOperator:
-    mat = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
-    )
-    mat.sum_duplicates()
-    asym = abs(mat - mat.T)
-    if asym.nnz and asym.max() > 0:
-        raise ValueError("operator entries are not symmetric")
-    return SymmetricOperator(n=n, matrix=mat)
+def _weighted_laplacian(w: sp.csr_matrix) -> SymmetricOperator:
+    """diag(row sums of w) - w for a symmetric, zero-diagonal weight matrix."""
+    lap = sp.diags(w.sum(axis=1).A1) - w
+    return SymmetricOperator(n=w.shape[0], matrix=sp.csr_matrix(lap))
 
 
 def laplacian(g: Graph) -> SymmetricOperator:
-    """Graph Laplacian: diagonal degree (loops excluded), -1 per edge."""
-    rows, cols, vals = [], [], []
-    for u in range(g.n):
-        deg = g.nonloop_degree(u)
-        if deg:
-            rows.append(u)
-            cols.append(u)
-            vals.append(float(deg))
-        for v in g.adjacency[u]:
-            if v != u:
-                rows.append(u)
-                cols.append(v)
-                vals.append(-1.0)
-    return _operator(g.n, rows, cols, vals)
+    """Graph Laplacian diag(deg) - A, with A = g.matrix (loops excluded)."""
+    return _weighted_laplacian(g.matrix)
 
 
 def markov(g: Graph, d: int | None = None) -> SymmetricOperator:
@@ -146,6 +129,9 @@ def spectrum(
     Krylov residuals cannot separate a near-zero cluster reliably. The
     iterative path can list a repeated eigenvalue once (torus m=48: its 6-fold
     lambda_2); a connected graph's gap, the entry above its simple kernel, holds.
+    ``pinned_spectrum`` solves a disconnected graph per component, so its
+    kernel is counted once per component; a repeated eigenvalue inside one
+    component can still be listed once.
     """
     n = op.n
     if k is None:
@@ -180,12 +166,33 @@ def pinned_spectrum(
     """Spectrum of an operator on g, kernel pinned to g's component count.
 
     k defaults to every eigenvalue up to DENSE_LIMIT vertices and to the
-    kernel plus four above that.
+    kernel plus four above that. Above DENSE_LIMIT a disconnected g is solved
+    one component at a time and the values merged, which is exact because
+    the operator is block-diagonal over components.
     """
-    comps = len(connected_components(g))
+    comps = connected_components(g)
     if k is None:
-        k = g.n if g.n <= DENSE_LIMIT else min(g.n, comps + 4)
-    return spectrum(op, k=k, tol=tol, kernel_dim=min(comps, k))
+        k = g.n if g.n <= DENSE_LIMIT else min(g.n, len(comps) + 4)
+    kernel_dim = min(len(comps), k)
+    if g.n <= DENSE_LIMIT or len(comps) == 1 or k > g.n:
+        return spectrum(op, k=k, tol=tol, kernel_dim=kernel_dim)
+    # The operator is block-diagonal over components: solve each block and
+    # merge, so Lanczos sees one simple kernel per block and the kernel of g
+    # keeps its full multiplicity.
+    parts = []
+    for comp in comps:
+        idx = np.asarray(comp)
+        block = SymmetricOperator(n=len(comp), matrix=op.matrix[idx][:, idx])
+        parts.append(spectrum(block, k=min(k, len(comp)), tol=tol, kernel_dim=1))
+    evs = sorted(v for part in parts for v in part.eigenvalues)[:k]
+    return SpectrumReport(
+        eigenvalues=evs,
+        kernel_dim=kernel_dim,
+        gap=evs[kernel_dim] if kernel_dim < k else 0.0,
+        method="iterative" if any(p.method == "iterative" for p in parts)
+        else "exact-dense",
+        tol=tol,
+    )
 
 
 def graph_spectrum(g: Graph, k: int | None = None, tol: float = 1e-9) -> SpectrumReport:

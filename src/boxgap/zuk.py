@@ -13,16 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DisconnectedLink, EdgeWithoutTriangle, EmptyLink
 from .graph import Graph
 from .spectral import (
     SpectrumReport,
     SymmetricOperator,
-    _operator,
+    _weighted_laplacian,
     laplacian,
     pinned_spectrum,
 )
+
+
+def _triangle_weights(g: Graph) -> sp.csr_matrix:
+    """tau(u, v), the common neighbours of each edge, as (A @ A) * A."""
+    a = g.matrix
+    return sp.csr_matrix((a @ a).multiply(a))
 
 
 def triangle_counts(g: Graph):
@@ -33,17 +40,12 @@ def triangle_counts(g: Graph):
     incident edges, which is twice the number of triangles containing x.
     Loops are ignored.
     """
-    neigh = [set(a) - {u} for u, a in enumerate(g.adjacency)]
-    tau_edge = {}
-    tau_vertex = np.zeros(g.n, dtype=np.int64)
-    for u in range(g.n):
-        for v in g.adjacency[u]:
-            if v <= u:
-                continue
-            t = len((neigh[u] & neigh[v]) - {u, v})
-            tau_edge[(u, v)] = t
-            tau_vertex[u] += t
-            tau_vertex[v] += t
+    w = _triangle_weights(g)
+    # 1 + tau on every edge u < v, so edges in no triangle stay listed.
+    upper = sp.triu(g.matrix + w, 1, format="csr").tocoo()
+    tau = (upper.data - 1).astype(np.int64).tolist()
+    tau_edge = dict(zip(zip(upper.row.tolist(), upper.col.tolist()), tau))
+    tau_vertex = w.sum(axis=1).A1.astype(np.int64)
     return tau_edge, tau_vertex
 
 
@@ -172,10 +174,11 @@ def zuk_certificate(g: Graph, subset=None, tol: float = 1e-9) -> ZukCertificate:
     otherwise. With subset = all vertices a valid certificate claims the
     full gap for the triangle-weighted Laplacian.
     """
-    links = [link_graph(g, x) for x in range(g.n)]
-    for link in links:
-        if not link.connected:
-            raise DisconnectedLink(link.base)
+    links = []
+    for x in range(g.n):
+        links.append(link_graph(g, x))
+        if not links[x].connected:
+            raise DisconnectedLink(x)
     vertices = tuple(sorted(subset)) if subset is not None else tuple(range(g.n))
     lam = {x: link_lambda1(links[x], tol) for x in vertices}
     min_lambda = min(lam.values()) if lam else 0.0
@@ -195,19 +198,7 @@ def zuk_certificate(g: Graph, subset=None, tol: float = 1e-9) -> ZukCertificate:
 
 def delta_tau(g: Graph) -> SymmetricOperator:
     """Triangle-weighted Laplacian: edge (x, y) carries weight tau(x, y)."""
-    tau_edge, tau_vertex = triangle_counts(g)
-    rows, cols, vals = [], [], []
-    for x in range(g.n):
-        if tau_vertex[x]:
-            rows.append(x)
-            cols.append(x)
-            vals.append(float(tau_vertex[x]))
-    for (u, v), t in tau_edge.items():
-        if t:
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((-float(t), -float(t)))
-    return _operator(g.n, rows, cols, vals)
+    return _weighted_laplacian(_triangle_weights(g))
 
 
 def delta_tau_spectrum(g: Graph, tol: float = 1e-9) -> SpectrumReport:

@@ -89,9 +89,27 @@ def test_connected_components():
     assert bg.connected_components(bg.build_graph(3, [], 1)) == [(0,), (1,), (2,)]
 
 
+def brute_components(g):
+    """Independent oracle: BFS from each unseen vertex in index order."""
+    seen, comps = set(), []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            frontier = [v for u in frontier for v in g.adjacency[u] if v not in comp]
+            comp.update(frontier)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
 def test_component_sizes_partition(small_corpus):
-    for g in small_corpus:
+    loops = bg.build_graph(5, [(0, 0), (0, 1), (2, 3), (3, 3)], 3, allow_loops=True)
+    for g in [*small_corpus, loops, bg.build_graph(0, [], 1)]:
         comps = bg.connected_components(g)
+        assert comps == brute_components(g)
+        assert all(type(v) is int for c in comps for v in c)
         assert sum(len(c) for c in comps) == g.n
         seen = set()
         for c in comps:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import boxgap as bg
+from boxgap.cheeger import second_eigenvalue
 from boxgap.errors import DegreeBoundTooSmall
+from boxgap.spectral import DENSE_LIMIT
 
 from conftest import random_bounded_graph
 
@@ -101,6 +103,20 @@ def test_gap_of_union_is_min_of_component_gaps():
     gap1 = bg.graph_spectrum(g1).gap
     gap2 = bg.graph_spectrum(g2).gap
     assert abs(bg.graph_spectrum(union).gap - min(gap1, gap2)) < 1e-9
+
+    # Above DENSE_LIMIT the kernel of a union must keep its multiplicity.
+    torus = bg.triangular_torus(24)
+    union = bg.disjoint_union(torus, torus)
+    assert union.n > DENSE_LIMIT
+    rep = bg.graph_spectrum(union)
+    assert abs(rep.gap - bg.graph_spectrum(torus).gap) < 1e-9
+    assert rep.kernel_dim == 2
+    assert sum(abs(v) < 1e-9 for v in rep.eigenvalues) == 2
+    dt_rep = bg.delta_tau_spectrum(union)
+    assert dt_rep.kernel_dim == 2
+    assert abs(dt_rep.gap - bg.delta_tau_spectrum(torus).gap) < 1e-9
+    assert second_eigenvalue(union) == 0.0
+    assert bg.cheeger_sandwich_check(union)
 
 
 def test_markov_is_contraction():

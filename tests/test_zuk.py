@@ -66,14 +66,34 @@ def test_link_graph_triangle_free():
     assert not link.connected
 
 
+def brute_operators(g):
+    """Independent oracle: Laplacian and Δτ from triplets, τ by set
+    intersection of neighbourhoods (loops dropped)."""
+    neigh = [set(a) - {u} for u, a in enumerate(g.adjacency)]
+    lap = np.zeros((g.n, g.n))
+    dt = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        for v in neigh[u]:
+            tau = len(neigh[u] & neigh[v])
+            lap[u, u] += 1
+            lap[u, v] -= 1
+            dt[u, u] += tau
+            dt[u, v] -= tau
+    return lap, dt
+
+
 def test_link_degree_equals_tau(small_corpus):
-    for g in small_corpus:
+    loops = bg.build_graph(5, [(0, 0), (0, 1), (2, 3), (3, 3)], 3, allow_loops=True)
+    for g in [*small_corpus, loops]:
         te, _ = bg.triangle_counts(g)
         for x in range(g.n):
             link = bg.link_graph(g, x)
             for i, y in enumerate(link.vertices):
                 key = (min(x, y), max(x, y))
                 assert link.tau_edge[i] == te[key]
+        lap, dt = brute_operators(g)
+        assert np.array_equal(bg.laplacian(g).dense(), lap)
+        assert np.array_equal(bg.delta_tau(g).dense(), dt)
 
 
 def test_link_nu_is_probability():
