@@ -1,9 +1,15 @@
 """Batch front-end: load or generate graph sequences, run analyses, emit
 machine-readable reports.
 
-Outputs are deterministic given the seed: JSON files are written with sorted
-keys, the CSV summaries are plain tables, and every output embeds a hash of
-the resolved configuration. Wall-clock metadata goes to a separate
+Each subcommand registers only the flags it reads (``_COMMANDS``). The
+per-graph commands (spectrum, cheeger, decompose, zuk, expanderize) share one
+report loop, ``_report``: the command supplies ``analyze(i, item)``, which
+returns the graph's JSON payload and its summary row, and the loop writes
+``{command}_{i:04d}.json`` and ``summary.csv``.
+
+Outputs are deterministic given the inputs and flags: JSON files are written
+with sorted keys, the CSV summaries are plain tables, and every output embeds
+a hash of the resolved configuration. Wall-clock metadata goes to a separate
 run_metadata.json so reruns stay byte-identical. Exit codes: 0 success
 (including negative findings), 1 I/O failure, 2 validation failure, 3
 numerical failure.
@@ -19,20 +25,19 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import generators
 from .cheeger import EXACT_CAP, cheeger_report
 from .decompose import KunParams, kun_partition
-from .errors import (
-    BoxgapError,
-    DisconnectedLink,
-    EmptyLink,
-    NoConvergence,
-    NotAnIsomorphism,
-)
+from .errors import BoxgapError, DisconnectedLink, EmptyLink, NoConvergence
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
-from .graph import BoxSpace, connected_components, read_manifest, write_manifest
+from .graph import (
+    BoxSpace,
+    ball,
+    connected_components,
+    read_manifest,
+    write_manifest,
+)
 from .rewire import alpha_feasible, expanderize
 from .spectral import DENSE_LIMIT, graph_spectrum, markov, spectrum
 from .zuk import delta_tau_spectrum, zuk_certificate
@@ -87,11 +92,20 @@ def _prepare(args):
     return h
 
 
-def _pmap(fn, items, workers):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _report(args, name, items, analyze, header) -> str:
+    """Write {name}_{i:04d}.json for each item and summary.csv, one row per
+    item, where analyze(i, item) returns (JSON payload, summary row).
+
+    Returns the configuration hash, for any further files of the command.
+    """
+    h = _prepare(args)
+    rows = []
+    for i, item in enumerate(items):
+        payload, row = analyze(i, item)
+        _write_json(os.path.join(args.out, f"{name}_{i:04d}.json"), payload, h)
+        rows.append(row)
+    _write_csv(os.path.join(args.out, "summary.csv"), header, rows, h)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -100,102 +114,61 @@ def _pmap(fn, items, workers):
 
 def cmd_spectrum(args) -> int:
     box = read_manifest(args.input)
-    h = _prepare(args)
 
-    def analyze(item):
-        i, g = item
+    def analyze(i, g):
         delta_rep = graph_spectrum(g, tol=args.tol)
-        comps = len(connected_components(g))
         k_markov = g.n if g.n <= DENSE_LIMIT else 8
         m_rep = spectrum(
             markov(g, box.d), k=k_markov, tol=args.tol, kernel_dim=0
         ) if g.n else None
-        dt_rep = delta_tau_spectrum(g, tol=args.tol)
         payload = {
             "index": i,
             "n": g.n,
-            "components": comps,
+            "components": len(connected_components(g)),
             "delta": delta_rep.to_dict(),
             "markov": m_rep.to_dict() if m_rep else None,
-            "delta_tau": dt_rep.to_dict(),
+            "delta_tau": delta_tau_spectrum(g, tol=args.tol).to_dict(),
         }
-        return payload
+        return payload, [i, g.n, delta_rep.gap]
 
-    results = _pmap(analyze, list(enumerate(box.graphs)), args.workers)
-    rows = []
-    for res in results:
-        _write_json(
-            os.path.join(args.out, f"spectrum_{res['index']:04d}.json"), res, h
-        )
-        rows.append([res["index"], res["n"], res["delta"]["gap"]])
-    _write_csv(os.path.join(args.out, "summary.csv"), ["index", "n", "gap"], rows, h)
+    _report(args, "spectrum", box.graphs, analyze, ["index", "n", "gap"])
     return EXIT_OK
 
 
 def cmd_cheeger(args) -> int:
     box = read_manifest(args.input)
-    h = _prepare(args)
 
-    def analyze(item):
-        i, g = item
-        return i, g.n, cheeger_report(g, tol=args.tol, exact_cap=args.exact_cap)
+    def analyze(i, g):
+        rep = cheeger_report(g, tol=args.tol, exact_cap=args.exact_cap)
+        return {"index": i, "n": g.n, **rep.to_dict()}, [i, g.n, rep.h, rep.method]
 
-    results = _pmap(analyze, list(enumerate(box.graphs)), args.workers)
-    rows = []
-    for i, n, rep in results:
-        _write_json(
-            os.path.join(args.out, f"cheeger_{i:04d}.json"),
-            {"index": i, "n": n, **rep.to_dict()},
-            h,
-        )
-        rows.append([i, n, rep.h, rep.method])
-    _write_csv(
-        os.path.join(args.out, "summary.csv"), ["index", "n", "h", "method"], rows, h
-    )
+    _report(args, "cheeger", box.graphs, analyze, ["index", "n", "h", "method"])
     return EXIT_OK
-
-
-def _params_for(args, d) -> KunParams:
-    return KunParams(c=args.gap, d=d, alpha=args.alpha)
 
 
 def cmd_decompose(args) -> int:
     box = read_manifest(args.input)
-    params = _params_for(args, box.d)
-    h = _prepare(args)
+    params = KunParams(c=args.gap, d=box.d, alpha=args.alpha)
 
-    def analyze(item):
-        i, g = item
+    def analyze(i, g):
         decomp, cert = kun_partition(g, params, exact_cap=args.exact_cap)
-        return i, g.n, decomp, cert
+        payload = {
+            "index": i,
+            "n": g.n,
+            "params": params.to_dict(),
+            "decomposition": decomp.to_dict(),
+            "certificate": cert.to_dict(),
+        }
+        return payload, [i, g.n, cert.junk_ratio, len(decomp.pieces), cert.passed]
 
-    results = _pmap(analyze, list(enumerate(box.graphs)), args.workers)
-    rows = []
-    for i, n, decomp, cert in results:
-        _write_json(
-            os.path.join(args.out, f"decompose_{i:04d}.json"),
-            {
-                "index": i,
-                "n": n,
-                "params": params.to_dict(),
-                "decomposition": decomp.to_dict(),
-                "certificate": cert.to_dict(),
-            },
-            h,
-        )
-        rows.append([i, n, cert.junk_ratio, len(decomp.pieces), cert.passed])
-    _write_csv(
-        os.path.join(args.out, "summary.csv"),
-        ["index", "n", "junk_ratio", "pieces", "passed"],
-        rows,
-        h,
-    )
+    _report(args, "decompose", box.graphs, analyze,
+            ["index", "n", "junk_ratio", "pieces", "passed"])
     return EXIT_OK
 
 
 def cmd_expanderize(args) -> int:
     box = read_manifest(args.input)
-    params = _params_for(args, box.d)
+    params = KunParams(c=args.gap, d=box.d, alpha=args.alpha)
     if not args.allow_infeasible_alpha and not alpha_feasible(
         params.alpha, params.C, params.d
     ):
@@ -207,102 +180,43 @@ def cmd_expanderize(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    h = _prepare(args)
     result = expanderize(
         box, params, min_component=args.min_component, exact_cap=args.exact_cap
     )
-    graphs_dir = os.path.join(args.out, "graphs")
-    write_manifest(result.boxspace, graphs_dir)
+
+    def analyze(i, rep):
+        n = box.graphs[i].n
+        kept = len(result.witness.entries[i].vertices_x)
+        return rep.to_dict(), [i, n, kept, kept / n if n else 1.0]
+
+    h = _report(args, "expanderize", result.reports, analyze,
+                ["index", "n", "kept", "vertex_ratio"])
+    write_manifest(result.boxspace, os.path.join(args.out, "graphs"))
     _write_json(
         os.path.join(args.out, "witness.json"), result.witness.to_dict(), h
-    )
-    rows = []
-    for rep in result.reports:
-        _write_json(
-            os.path.join(args.out, f"expanderize_{rep.index:04d}.json"),
-            rep.to_dict(),
-            h,
-        )
-        entry = result.witness.entries[rep.index]
-        g = box.graphs[rep.index]
-        vr = len(entry.vertices_x) / g.n if g.n else 1.0
-        rows.append([rep.index, g.n, len(entry.vertices_x), vr])
-    _write_csv(
-        os.path.join(args.out, "summary.csv"),
-        ["index", "n", "kept", "vertex_ratio"],
-        rows,
-        h,
-    )
-    return EXIT_OK
-
-
-def cmd_rewire(args) -> int:
-    # Same pipeline as expanderize, reported per piece without emitting the
-    # output box space.
-    box = read_manifest(args.input)
-    params = _params_for(args, box.d)
-    h = _prepare(args)
-    result = expanderize(
-        box, params, min_component=args.min_component, exact_cap=args.exact_cap
-    )
-    rows = []
-    for rep in result.reports:
-        edits = [o["edits"] for o in rep.piece_outcomes]
-        _write_json(
-            os.path.join(args.out, f"rewire_{rep.index:04d}.json"),
-            {
-                "index": rep.index,
-                "piece_outcomes": rep.piece_outcomes,
-                "skipped_pieces": rep.skipped_pieces,
-                "edit_log": [e for log in edits for e in log],
-            },
-            h,
-        )
-        rows.append(
-            [rep.index, len(rep.piece_outcomes), len(rep.skipped_pieces)]
-        )
-    _write_csv(
-        os.path.join(args.out, "summary.csv"),
-        ["index", "pieces_rewired", "pieces_skipped"],
-        rows,
-        h,
     )
     return EXIT_OK
 
 
 def cmd_zuk(args) -> int:
     box = read_manifest(args.input)
-    h = _prepare(args)
 
-    def analyze(item):
-        i, g = item
+    def analyze(i, g):
         try:
-            cert = zuk_certificate(g, tol=args.tol)
-            return i, g.n, cert.to_dict()
+            cert = zuk_certificate(g, tol=args.tol).to_dict()
         except (DisconnectedLink, EmptyLink) as exc:
-            return i, g.n, {
+            cert = {
                 "valid": False,
                 "min_lambda": None,
                 "c": None,
                 "coverage": None,
                 "diagnostic": str(exc),
             }
+        payload = {"index": i, "n": g.n, **cert}
+        return payload, [i, g.n, cert["valid"], cert["min_lambda"], cert["c"]]
 
-    results = _pmap(analyze, list(enumerate(box.graphs)), args.workers)
-    rows = []
-    for i, n, cert in results:
-        _write_json(
-            os.path.join(args.out, f"zuk_{i:04d}.json"),
-            {"index": i, "n": n, **cert},
-            h,
-        )
-        rows.append([i, n, cert["valid"], cert["min_lambda"], cert["c"]])
-    _write_csv(
-        os.path.join(args.out, "summary.csv"),
-        ["index", "n", "valid", "min_lambda", "c"],
-        rows,
-        h,
-    )
+    _report(args, "zuk", box.graphs, analyze,
+            ["index", "n", "valid", "min_lambda", "c"])
     return EXIT_OK
 
 
@@ -348,8 +262,6 @@ def _generate_one(spec):
     if family == "glued_expander":
         x_prime = _generate_one(params["x_prime"])
         y = _generate_one(params["y"])
-        from .graph import ball
-
         t_set = ball(y, params.get("t_center", 0), params.get("t_radius", 0))
         return generators.glued_expander(x_prime, y, t_set, seed=seed).graph
     raise ValueError(f"unknown family {family!r}")
@@ -422,14 +334,42 @@ def cmd_approx_iso(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, needs_input=True):
-    if needs_input:
-        p.add_argument("--input", required=True, help="manifest or spec file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--exact-cap", dest="exact_cap", type=int, default=EXACT_CAP)
+# Each flag's definition; a subcommand registers only the flags it reads.
+_FLAGS = {
+    "--tol": dict(type=float, default=1e-9, help="eigensolver tolerance"),
+    "--exact-cap": dict(type=int, default=EXACT_CAP,
+                        help="largest vertex count for exhaustive scans"),
+    "--alpha": dict(type=float, required=True),
+    "--gap": dict(type=float, required=True, help="assumed Laplacian gap c"),
+    "--min-component": dict(type=int, default=0,
+                            help="drop output components smaller than this"),
+    "--allow-infeasible-alpha": dict(action="store_true",
+                                     help="run even when alpha >= 1/d^(r+1)"),
+    "--seed": dict(type=int, default=None,
+                   help="seed for specs that do not set their own"),
+    "--input2": dict(required=True, help="second manifest"),
+    "--witness": dict(required=True, help="witness JSON"),
+    "--tol-ratio": dict(type=float, default=0.05),
+}
+
+_PIPELINE = ("--exact-cap", "--alpha", "--gap")
+
+_COMMANDS = (
+    ("spectrum", cmd_spectrum, "Laplacian / Markov / triangle spectra",
+     ("--tol",)),
+    ("cheeger", cmd_cheeger, "exact or sweep Cheeger constants",
+     ("--tol", "--exact-cap")),
+    ("decompose", cmd_decompose, "level-set decomposition with certificates",
+     _PIPELINE),
+    ("expanderize", cmd_expanderize, "decompose, rewire and prune",
+     _PIPELINE + ("--min-component", "--allow-infeasible-alpha")),
+    ("zuk", cmd_zuk, "link-graph gap certificates", ("--tol",)),
+    ("generate", cmd_generate, "emit graphs from {family, params, seed}",
+     ("--seed",)),
+    ("sofic", cmd_sofic, "good-set count of a partial action", ()),
+    ("approx-iso", cmd_approx_iso, "verify a matched-subgraph witness",
+     ("--input2", "--witness", "--tol-ratio")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,53 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="boxgap", description="Spectral-gap analyses for graph sequences"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="Laplacian / Markov / triangle spectra")
-    _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("cheeger", help="exact or sweep Cheeger constants")
-    _add_common(p)
-    p.set_defaults(func=cmd_cheeger)
-
-    for name, fn in (
-        ("decompose", cmd_decompose),
-        ("rewire", cmd_rewire),
-        ("expanderize", cmd_expanderize),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--gap", type=float, required=True,
-                       help="assumed Laplacian gap c")
-        p.add_argument("--min-component", dest="min_component", type=int, default=0)
-        if name == "expanderize":
-            p.add_argument(
-                "--allow-infeasible-alpha",
-                action="store_true",
-                help="run even when alpha >= 1/d^(r+1)",
-            )
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("zuk", help="link-graph gap certificates")
-    _add_common(p)
-    p.set_defaults(func=cmd_zuk)
-
-    p = sub.add_parser("generate", help="emit graphs from {family, params, seed}")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("sofic", help="good-set count of a partial action")
-    _add_common(p)
-    p.set_defaults(func=cmd_sofic)
-
-    p = sub.add_parser("approx-iso", help="verify a matched-subgraph witness")
-    _add_common(p)
-    p.add_argument("--input2", required=True)
-    p.add_argument("--witness", required=True)
-    p.add_argument("--tol-ratio", dest="tol_ratio", type=float, default=0.05)
-    p.set_defaults(func=cmd_approx_iso)
-
+    for name, func, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", required=True, help="manifest or spec file")
+        p.add_argument("--out", required=True, help="output directory")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -495,15 +395,6 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except IsADirectoryError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NotAnIsomorphism as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValueError, KeyError, BoxgapError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

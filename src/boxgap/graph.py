@@ -6,9 +6,10 @@ are ignored by boundaries, distances and Laplacians). Each graph also carries
 its 0/1 adjacency as a sparse CSR matrix, ``Graph.matrix``, built once on first
 use; it is the only place where edges become arrays, and the Laplacians,
 triangle weights and connected components all read it. Loops are left out of
-it. Vertex subsets are plain sorted tuples of indices. Disconnected graphs are
-first class throughout; distance across components is treated as infinite and
-never compared.
+it. The connected components, ``Graph.components``, are likewise found once
+per graph. Vertex subsets are plain sorted tuples of indices. Disconnected
+graphs are first class throughout; distance across components is treated as
+infinite and never compared.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ class Graph:
         return sp.csr_matrix(
             (np.ones(len(cols)), cols, indptr), shape=(self.n, self.n)
         )
+
+    @cached_property
+    def components(self) -> tuple:
+        """Vertex sets of the connected components, each sorted, in order of
+        smallest member (csgraph numbers components in that order)."""
+        count, labels = _csgraph_components(self.matrix, directed=False)
+        members = np.argsort(labels, kind="stable")
+        ends = np.cumsum(np.bincount(labels, minlength=count))
+        return tuple(tuple(c.tolist()) for c in np.split(members, ends)[:-1])
 
     def label_of(self, u: int, v: int):
         if self.edge_labels is None:
@@ -218,12 +228,8 @@ def ball_of_set(g: Graph, s, r: int) -> VertexSet:
 
 
 def connected_components(g: Graph) -> list:
-    """Vertex sets of the connected components, each sorted, in order of
-    smallest member (csgraph numbers components in that order)."""
-    count, labels = _csgraph_components(g.matrix, directed=False)
-    members = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=count))
-    return [tuple(c.tolist()) for c in np.split(members, ends)[:-1]]
+    """``g.components`` as a fresh list."""
+    return list(g.components)
 
 
 def induced_subgraph(g: Graph, s):

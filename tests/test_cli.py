@@ -1,11 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import boxgap as bg
-from boxgap.cli import main
+from boxgap.cli import build_parser, main
 from boxgap.errors import NoConvergence
 
 
@@ -53,9 +55,51 @@ def test_spectrum_malformed_edge_line(tmp_path):
                  str(tmp_path / "o")]) == 2
 
 
-def test_missing_input_is_io_error(tmp_path):
-    assert main(["spectrum", "--input", str(tmp_path / "nope.json"),
+@pytest.mark.parametrize("kind", ["missing-file", "directory"])
+def test_missing_input_is_io_error(tmp_path, kind):
+    path = tmp_path / "nope.json"
+    if kind == "directory":
+        path.mkdir()
+    assert main(["spectrum", "--input", str(path),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    pipeline = {"--exact-cap", "--alpha", "--gap"}
+    expected = {
+        "spectrum": {"--tol"},
+        "zuk": {"--tol"},
+        "cheeger": {"--tol", "--exact-cap"},
+        "decompose": pipeline,
+        "expanderize": pipeline | {"--min-component", "--allow-infeasible-alpha"},
+        "generate": {"--seed"},
+        "sofic": set(),
+        "approx-iso": {"--input2", "--witness", "--tol-ratio"},
+    }
+    (sub,) = [a for a in build_parser()._actions if a.choices]
+    flags = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert flags == {k: v | {"--input", "--out"} for k, v in expected.items()}
+    for argv in (["rewire", "--alpha", "0.1", "--gap", "4.0"],
+                 ["spectrum", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", "m.json", "--out", "o"])
+        assert exc.value.code == 2
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in readme.split("```sh\n")[1:]:
+        body = block.split("```")[0].replace("\\\n", " ")
+        commands += [ln for ln in body.splitlines() if ln.startswith("boxgap ")]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.func)
 
 
 def test_cheeger_command(tmp_path):
@@ -121,15 +165,38 @@ def test_expanderize_identity_output_bytes(tmp_path):
     assert original == produced
     witness = json.loads((out / "witness.json").read_text())
     assert len(witness["entries"]) == 1
+    # The per-piece rewiring record lives in the per-index report.
+    report = json.loads((out / "expanderize_0000.json").read_text())
+    assert [o["piece"] for o in report["piece_outcomes"]] == [
+        list(range(6)), list(range(6, 12))
+    ]
+    assert all(o["edits"] == [] for o in report["piece_outcomes"])
+    assert report["skipped_pieces"] == []
+
+
+def _results(out):
+    """Every result file's bytes; run_metadata.json holds a timestamp."""
+    return {
+        p.name: p.read_bytes()
+        for p in sorted(out.iterdir()) if p.name != "run_metadata.json"
+    }
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    manifest = make_box(tmp_path, [bg.complete_graph(5)], d=4)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert main(["spectrum", "--input", manifest, "--out", str(out)]) == 0
-    for name in ("spectrum_0000.json", "summary.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # The two torus copies take the iterative eigensolver path.
+    torus = bg.triangular_torus(40)
+    manifest = make_box(
+        tmp_path, [bg.complete_graph(n) for n in (4, 5, 6, 7)] + [torus, torus],
+        d=6,
+    )
+    for cmd in ("spectrum", "cheeger", "zuk"):
+        out1, out2 = tmp_path / f"{cmd}1", tmp_path / f"{cmd}2"
+        for out in (out1, out2):
+            assert main([cmd, "--input", manifest, "--out", str(out)]) == 0
+        results = _results(out1)
+        assert f"{cmd}_0005.json" in results and results == _results(out2)
+        rows = read_csv(out1 / "summary.csv")[1:]
+        assert rows[4].split(",")[1:] == rows[5].split(",")[1:]
 
 
 def test_generate_command(tmp_path):
@@ -146,6 +213,27 @@ def test_generate_command(tmp_path):
     box = bg.read_manifest(str(out / "manifest.json"))
     assert box.sizes() == [16, 6, 6]
     assert "margulis" in box.labels[0]
+
+
+def test_generate_seed_flag(tmp_path):
+    glued = {"family": "glued_expander", "params": {
+        "x_prime": {"family": "margulis", "params": {"n": 4}},
+        "y": {"family": "cycle", "params": {"n": 6}},
+        "t_radius": 1,
+    }}
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps([glued, {**glued, "seed": 3}]))
+    out = tmp_path / "gen"
+    assert main(["generate", "--input", str(spath), "--out", str(out),
+                 "--seed", "7"]) == 0
+    box = bg.read_manifest(str(out / "manifest.json"))
+    y = bg.cycle_graph(6)
+    t_set = bg.ball(y, 0, 1)
+    for seed, g, label in zip((7, 3), box.graphs, box.labels):
+        assert g == bg.glued_expander(bg.margulis_graph(4), y, t_set,
+                                      seed=seed).graph
+        assert json.loads(label)["seed"] == seed
+    assert box.graphs[0] != box.graphs[1]
 
 
 def test_generate_then_expanderize_roundtrip(tmp_path):
@@ -204,33 +292,6 @@ def test_approx_iso_corrupted_witness_exit_2(tmp_path):
         "approx-iso", "--input", manifest, "--input2", manifest,
         "--witness", str(wpath), "--out", str(tmp_path / "o"),
     ]) == 2
-
-
-def _bodies(out):
-    """Every result file's lines except the config hash, which records
-    --workers."""
-    return {
-        p.name: [ln for ln in p.read_text().splitlines() if "config_hash" not in ln]
-        for p in sorted(out.iterdir()) if p.name != "run_metadata.json"
-    }
-
-
-def test_workers_match_serial(tmp_path):
-    # The two torus copies take the iterative eigensolver path.
-    torus = bg.triangular_torus(40)
-    manifest = make_box(
-        tmp_path, [bg.complete_graph(n) for n in (4, 5, 6, 7)] + [torus, torus],
-        d=6,
-    )
-    for cmd in ("spectrum", "cheeger"):
-        out1, out2 = tmp_path / f"{cmd}1", tmp_path / f"{cmd}2"
-        assert main([cmd, "--input", manifest, "--out", str(out1),
-                     "--workers", "1"]) == 0
-        assert main([cmd, "--input", manifest, "--out", str(out2),
-                     "--workers", "2"]) == 0
-        assert _bodies(out1) == _bodies(out2)
-        rows = read_csv(out1 / "summary.csv")[1:]
-        assert rows[4].split(",")[1:] == rows[5].split(",")[1:]
 
 
 @pytest.mark.parametrize("fault", ["gives-up", "wrong-vector"])

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import boxgap as bg
+import boxgap.graph as graph_mod
 from boxgap.errors import DegreeExceeded, DuplicateEdge, VertexOutOfRange
 
+from boxgap.cheeger import cheeger_report
+from boxgap.spectral import DENSE_LIMIT
 from conftest import random_bounded_graph
 
 
@@ -87,6 +90,25 @@ def test_connected_components():
     assert comps == [(0, 1, 2), (3, 4, 5)]
     assert bg.connected_components(bg.cycle_graph(4)) == [(0, 1, 2, 3)]
     assert bg.connected_components(bg.build_graph(3, [], 1)) == [(0,), (1,), (2,)]
+
+
+def test_components_found_once_per_graph(monkeypatch):
+    torus = bg.triangular_torus(17)
+    g = bg.disjoint_union(torus, torus)
+    assert g.n > DENSE_LIMIT
+    real = graph_mod._csgraph_components
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "_csgraph_components", counting)
+    assert cheeger_report(g).h == 0.0
+    assert bg.graph_spectrum(g).kernel_dim == 2
+    assert bg.delta_tau_spectrum(g).kernel_dim == 2
+    assert len(calls) == 1
+    assert bg.connected_components(g) == list(g.components)
 
 
 def brute_components(g):
