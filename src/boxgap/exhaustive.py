@@ -1,10 +1,26 @@
 """Vectorized exhaustive scans over vertex subsets of a small region.
 
-All subsets of a region of up to ~24 vertices are enumerated as bitmasks in
-chunks; boundary sizes are accumulated per edge with xor tricks. Boundaries
-are ambient: edges leaving the region count toward every subset containing
-their inner endpoint. Ties between equal-ratio subsets break toward smaller
-size, then the lexicographically smallest sorted vertex tuple.
+Boundaries are ambient: an edge leaving the region counts toward every
+subset containing its inner endpoint, and loops never count. The region's
+m <= ~24 vertices are the bits of a mask. The low L = min(CHUNK_BITS, m)
+bits index a subset A, the high bits a subset B, and one chunk holds the
+2**L subsets A ∪ B of one B. The scan rests on
+
+    |∂(A ∪ B)| = |∂A| + |∂B| - 2 |E(A, B)|.
+
+Once per scan it builds, each by adding one vertex at a time
+(|∂(A + i)| = |∂A| + deg(i) - 2 |N(i) ∩ A|), a table of |∂A| over the low
+subsets and one of |∂B| over the high subsets; it orders the low subsets
+by size (one stable argsort, one offset per size), and tabulates
+2 |N(v) ∩ A| in that order for each high vertex v. The chunks run in
+Gray-code order, so consecutive B differ in one vertex v and the running
+table |∂A| - 2 |E(A, B)| changes by that vertex's table: one pass per chunk.
+A minimum per size class then leaves a scalar check over at most L + 1
+sizes, and masks are built only inside the winning size class.
+
+Ties between equal-ratio subsets break toward smaller size, then the
+lexicographically smallest sorted vertex tuple, i.e. the largest
+bit-reversed mask.
 """
 
 from __future__ import annotations
@@ -15,54 +31,91 @@ from .graph import Graph, vertex_set
 
 CHUNK_BITS = 18  # subsets processed per chunk: 2**CHUNK_BITS
 
-_POP16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-)
-_REV16 = np.array(
-    [int(format(i, "016b")[::-1], 2) for i in range(1 << 16)], dtype=np.uint32
-)
-
-
-def _popcount32(masks: np.ndarray) -> np.ndarray:
-    return _POP16[masks & 0xFFFF] + _POP16[masks >> 16]
-
 
 def _bitrev32(masks: np.ndarray) -> np.ndarray:
     # Reversing all 32 bits preserves the ordering induced by reversing any
     # fixed lower n bits, which is all the tie-break needs.
-    return (_REV16[masks & 0xFFFF] << np.uint32(16)) | _REV16[masks >> 16]
+    x = masks.astype(np.uint32)
+    x = ((x >> 1) & 0x55555555) | ((x & 0x55555555) << 1)
+    x = ((x >> 2) & 0x33333333) | ((x & 0x33333333) << 2)
+    x = ((x >> 4) & 0x0F0F0F0F) | ((x & 0x0F0F0F0F) << 4)
+    x = ((x >> 8) & 0x00FF00FF) | ((x & 0x00FF00FF) << 8)
+    return (x >> 16) | (x << 16)
 
 
-def _region_data(g: Graph, region):
-    """Local edge list and per-vertex external degree for a region."""
-    vs = vertex_set(g, region)
-    pos = {v: i for i, v in enumerate(vs)}
-    internal = []
-    ext = np.zeros(len(vs), dtype=np.uint16)
-    for u in vs:
-        for w in g.adjacency[u]:
-            if w == u:
-                continue  # loops never cross
-            if w in pos:
-                if u < w:
-                    internal.append((pos[u], pos[w]))
-            else:
-                ext[pos[u]] += 1
-    return vs, internal, ext
+def _subset_sums(weights, dtype=np.int32) -> np.ndarray:
+    """t[S] = sum of weights[i] over the bits i of S, by doubling."""
+    t = np.empty(1 << len(weights), dtype=dtype)
+    t[0] = 0
+    for i, w in enumerate(weights):
+        np.add(t[: 1 << i], w, out=t[1 << i : 2 << i])
+    return t
 
 
-def _chunk_boundary(masks, internal, ext):
-    boundary = np.zeros(masks.shape, dtype=np.uint16)
-    for iu, iv in internal:
-        boundary += ((masks >> np.uint32(iu)) ^ (masks >> np.uint32(iv))).astype(
-            np.uint16
-        ) & np.uint16(1)
-    for i, e in enumerate(ext):
-        if e:
-            boundary += ((masks >> np.uint32(i)) & np.uint32(1)).astype(
-                np.uint16
-            ) * np.uint16(e)
-    return boundary
+def _boundary_table(deg, nbrs) -> np.ndarray:
+    """|∂S| for every subset S of len(deg) vertices, given their ambient
+    degrees and their neighbours among themselves as bitmasks."""
+    t = np.zeros(1 << len(deg), dtype=np.int32)
+    for i, (d, nb) in enumerate(zip(deg, nbrs)):
+        inner = _subset_sums([(nb >> j) & 1 for j in range(i)])
+        t[1 << i : 2 << i] = t[: 1 << i] + d - 2 * inner
+    return t
+
+
+class _Scan:
+    """One region's per-scan tables, and its chunks in Gray-code order."""
+
+    def __init__(self, g: Graph, region):
+        self.vs = vs = vertex_set(g, region)
+        pos = {v: i for i, v in enumerate(vs)}
+        deg, nbrs = [], []
+        for u in vs:
+            ws = [w for w in g.adjacency[u] if w != u]  # loops never cross
+            deg.append(len(ws))
+            nbrs.append(sum(1 << pos[w] for w in ws if w in pos))
+        self.m = m = len(vs)
+        self.low = low = min(CHUNK_BITS, m)
+        size = _subset_sums([1] * low, np.uint8)
+        self.order = np.argsort(size, kind="stable")  # by size, then mask
+        self.starts = np.concatenate(([0], np.cumsum(np.bincount(size))))
+        self.high_boundary = _boundary_table(
+            deg[low:], [nb >> low for nb in nbrs[low:]]
+        )
+        self.cut = _boundary_table(deg[:low], nbrs[:low])[self.order]
+        # 2|N(v) ∩ A| <= 2(m - 1) fits int8 for any region a scan can cover.
+        self.twice_cross = []
+        for nb in nbrs[low:]:
+            cross = _subset_sums([(nb >> j) & 1 for j in range(low)], np.int8)
+            self.twice_cross.append(2 * cross[self.order])
+
+    def chunks(self):
+        """Yield (h, |h|, |∂B|) for each chunk's high bits h; while a chunk
+        is current, self.cut holds |∂A| - 2|E(A, B)| for the low subsets A
+        in size order."""
+        for i in range(1 << (self.m - self.low)):
+            h = i ^ (i >> 1)
+            if i:
+                v = (i & -i).bit_length() - 1  # the one high vertex that flips
+                if (h >> v) & 1:
+                    self.cut -= self.twice_cross[v]
+                else:
+                    self.cut += self.twice_cross[v]
+            yield h, h.bit_count(), int(self.high_boundary[h])
+
+    def minima(self, top: int) -> list:
+        """Least self.cut in each low size class 0..top."""
+        end = self.starts[top + 1]
+        return np.minimum.reduceat(self.cut[:end], self.starts[: top + 1]).tolist()
+
+    def best_in_class(self, h: int, k: int, hit) -> tuple:
+        """(bit-reversed mask, mask) of the lexicographically smallest subset
+        of the current chunk with k low vertices for which hit(cut) holds."""
+        span = slice(self.starts[k], self.starts[k + 1])
+        low = self.order[span][hit(self.cut[span])]
+        masks = low.astype(np.uint32) | np.uint32(h << self.low)
+        rev = _bitrev32(masks)
+        i = int(np.argmax(rev))
+        return int(rev[i]), int(masks[i])
 
 
 def _mask_to_tuple(mask: int, vs) -> tuple:
@@ -75,58 +128,26 @@ def min_ratio_subset(g: Graph, region, max_size: int):
     The boundary is taken in g (ambient). Returns (ratio, witness_tuple) or
     (None, None) if max_size < 1.
     """
-    vs, internal, ext = _region_data(g, region)
-    m = len(vs)
-    if m == 0 or max_size < 1:
+    scan = _Scan(g, region)
+    if scan.m == 0 or max_size < 1:
         return None, None
-    best_ratio = np.inf
-    best_size = None
-    best_rev = None
-    best_mask = None
-    total = 1 << m
-    step = 1 << min(CHUNK_BITS, m)
-    for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.uint32)
-        if start == 0:
-            masks = masks[1:]  # skip the empty set
-        if masks.size == 0:
+    best = None  # ((ratio, size, -bit-reversed mask), mask)
+    for h, hs, hb in scan.chunks():
+        top = min(scan.low, max_size - hs)
+        if top < 0:
             continue
-        sizes = _popcount32(masks)
-        ok = sizes <= max_size
-        if not ok.any():
-            continue
-        masks = masks[ok]
-        sizes = sizes[ok]
-        boundary = _chunk_boundary(masks, internal, ext)
+        mins = scan.minima(top)
         # Ratios of small ints; IEEE division maps equal rationals to equal
-        # floats, so exact ties survive the float comparison below.
-        ratios = boundary.astype(np.float64) / sizes.astype(np.float64)
-        lo = ratios.min()
-        if lo > best_ratio:
+        # floats, so exact ties survive the float comparisons below.
+        sizes = range(1 if hs == 0 else 0, top + 1)  # k = 0 at h = 0 is empty
+        ratio, k = min(((mins[k] + hb) / (k + hs), k) for k in sizes)
+        if best is not None and (ratio, k + hs) > best[0][:2]:
             continue
-        cand = ratios == lo
-        cs = sizes[cand]
-        smin = cs.min()
-        if lo == best_ratio and smin > best_size:
-            continue
-        at_size = cand.copy()
-        at_size[cand] = cs == smin
-        rev = _bitrev32(masks[at_size])
-        k = int(np.argmax(rev))
-        cand_rev = int(rev[k])
-        cand_mask = int(masks[at_size][k])
-        if (
-            lo < best_ratio
-            or smin < best_size
-            or (smin == best_size and cand_rev > best_rev)
-        ):
-            best_ratio = lo
-            best_size = int(smin)
-            best_rev = cand_rev
-            best_mask = cand_mask
-    if best_mask is None:
-        return None, None
-    return float(best_ratio), _mask_to_tuple(best_mask, vs)
+        rev, mask = scan.best_in_class(h, k, lambda cut: cut == mins[k])
+        key = (ratio, k + hs, -rev)
+        if best is None or key < best[0]:
+            best = key, mask
+    return best[0][0], _mask_to_tuple(best[1], scan.vs)
 
 
 def min_sparse_subset(g: Graph, region, c: float):
@@ -135,47 +156,24 @@ def min_sparse_subset(g: Graph, region, c: float):
     Boundary in g (ambient). Ties at the minimal size break toward the
     lexicographically smallest vertex tuple. Returns a tuple or None.
     """
-    vs, internal, ext = _region_data(g, region)
-    m = len(vs)
-    if m <= 1:
+    scan = _Scan(g, region)
+    if scan.m <= 1:
         return None
-    best_size = None
-    best_rev = None
-    best_mask = None
-    total = 1 << m
-    full = total - 1
-    step = 1 << min(CHUNK_BITS, m)
-    for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.uint32)
-        if start == 0:
-            masks = masks[1:]
-        if masks.size and int(masks[-1]) == full:
-            masks = masks[:-1]  # proper subsets only
-        if masks.size == 0:
+    best = None  # ((size, -bit-reversed mask), mask)
+    for h, hs, hb in scan.chunks():
+        # proper subsets only, and none larger than the best so far
+        top = min(scan.low, (scan.m - 1 if best is None else best[0][0]) - hs)
+        if top < 0:
             continue
-        sizes = _popcount32(masks)
-        if best_size is not None:
-            keep = sizes <= best_size
-            if not keep.any():
-                continue
-            masks, sizes = masks[keep], sizes[keep]
-        boundary = _chunk_boundary(masks, internal, ext)
-        passing = boundary.astype(np.float64) < c * sizes.astype(np.float64)
-        if not passing.any():
+        mins = scan.minima(top)
+        sizes = range(1 if hs == 0 else 0, top + 1)  # k = 0 at h = 0 is empty
+        k = next((k for k in sizes if mins[k] + hb < c * (k + hs)), None)
+        if k is None:
             continue
-        masks, sizes = masks[passing], sizes[passing]
-        smin = int(sizes.min())
-        at = sizes == smin
-        rev = _bitrev32(masks[at])
-        k = int(np.argmax(rev))
-        cand_rev = int(rev[k])
-        cand_mask = int(masks[at][k])
-        if best_size is None or smin < best_size or (
-            smin == best_size and cand_rev > best_rev
-        ):
-            best_size = smin
-            best_rev = cand_rev
-            best_mask = cand_mask
-    if best_mask is None:
+        rev, mask = scan.best_in_class(h, k, lambda cut: cut + hb < c * (k + hs))
+        key = (k + hs, -rev)
+        if best is None or key < best[0]:
+            best = key, mask
+    if best is None:
         return None
-    return _mask_to_tuple(best_mask, vs)
+    return _mask_to_tuple(best[1], scan.vs)

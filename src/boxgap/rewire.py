@@ -118,9 +118,15 @@ class RewireResult:
     cheeger_evidence: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "new_graph"}
+        # The post-removal vertices go under "vertices", which leaves "piece"
+        # free for the piece's index in its decomposition.
+        d = {
+            "vertices" if k == "piece" else k: v
+            for k, v in self.__dict__.items()
+            if k != "new_graph"
+        }
         d["piece_before"] = list(self.piece_before)
-        d["piece"] = list(self.piece)
+        d["vertices"] = list(self.piece)
         d["removed_vertices"] = list(self.removed_vertices)
         return d
 

@@ -167,7 +167,8 @@ def test_expanderize_identity_output_bytes(tmp_path):
     assert len(witness["entries"]) == 1
     # The per-piece rewiring record lives in the per-index report.
     report = json.loads((out / "expanderize_0000.json").read_text())
-    assert [o["piece"] for o in report["piece_outcomes"]] == [
+    assert [o["piece"] for o in report["piece_outcomes"]] == [0, 1]
+    assert [o["vertices"] for o in report["piece_outcomes"]] == [
         list(range(6)), list(range(6, 12))
     ]
     assert all(o["edits"] == [] for o in report["piece_outcomes"])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 
@@ -32,6 +33,50 @@ def brute_min_sparse(g, region, c):
         if candidates:
             return min(candidates)
     return None
+
+
+def reference_scan(g, region):
+    """Ambient boundary and size of every subset mask of the region, one
+    xor pass per internal edge over all 2**m masks plus each vertex's edges
+    leaving the region."""
+    vs = sorted(set(region))
+    pos = {v: i for i, v in enumerate(vs)}
+    masks = np.arange(1 << len(vs), dtype=np.uint32)
+    boundary = np.zeros(masks.shape, dtype=np.int32)
+    size = np.zeros(masks.shape, dtype=np.int32)
+    for u in vs:
+        bit = (masks >> pos[u]) & 1
+        size += bit
+        for w in g.adjacency[u]:
+            if w not in pos:
+                boundary += bit
+            elif u < w:
+                boundary += ((masks >> pos[u]) ^ (masks >> pos[w])) & 1
+    return vs, masks, boundary, size
+
+
+def _lex_smallest(vs, masks):
+    return min(
+        tuple(vs[i] for i in range(len(vs)) if (mask >> i) & 1)
+        for mask in masks.tolist()
+    )
+
+
+def reference_min_ratio(scan, max_size):
+    vs, masks, boundary, size = scan
+    ok = (size >= 1) & (size <= max_size)
+    ratio = np.where(ok, boundary / np.maximum(size, 1), np.inf)
+    hit = ratio == ratio.min()
+    at = hit & (size == size[hit].min())
+    return float(ratio.min()), _lex_smallest(vs, masks[at])
+
+
+def reference_min_sparse(scan, c):
+    vs, masks, boundary, size = scan
+    hit = (size >= 1) & (size < len(vs)) & (boundary < c * size)
+    if not hit.any():
+        return None
+    return _lex_smallest(vs, masks[hit & (size == size[hit].min())])
 
 
 def test_min_ratio_matches_brute_force():
@@ -93,3 +138,57 @@ def test_lex_tie_break_across_chunks(monkeypatch):
         assert ratio == b_ratio and witness == b_set
         got = ex.min_sparse_subset(g, range(n), 1.2)
         assert got == brute_min_sparse(g, range(n), 1.2)
+
+
+def test_scans_at_the_cap_match_reference_kernel():
+    # 19-21 vertices with the default CHUNK_BITS, so every scan crosses at
+    # least two chunks; regions inside a larger graph have edges leaving them.
+    import boxgap.exhaustive as ex
+
+    rng = np.random.default_rng(59)
+    for n, m in ((19, 19), (21, 21), (26, 20), (32, 21)):
+        assert m > ex.CHUNK_BITS
+        # a Hamiltonian cycle plus random chords: no isolated vertex
+        d = int(rng.integers(1, 4))
+        chords = random_bounded_graph(rng, n, d, fill=1.0).edges()
+        cycle = ((v, (v + 1) % n) for v in range(n))
+        g = bg.build_graph(n, {tuple(sorted(e)) for e in (*cycle, *chords)}, d + 2)
+        region = sorted(int(v) for v in rng.choice(n, size=m, replace=False))
+        ref = reference_scan(g, region)
+        for cap in (m // 2, m):
+            assert min_ratio_subset(g, region, cap) == reference_min_ratio(ref, cap)
+        for c in (0.25, 0.6, 1.0, 1.8):
+            assert min_sparse_subset(g, region, c) == reference_min_sparse(ref, c)
+
+
+def test_scans_ignore_loops():
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        n = int(rng.integers(2, 11))
+        d = int(rng.integers(2, 5))
+        base = random_bounded_graph(rng, n, d)
+        loops = [(v, v) for v in range(n) if rng.random() < 0.5]
+        g = bg.build_graph(n, list(base.edges()) + loops, d + 1, allow_loops=True)
+        region = tuple(
+            int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                       replace=False)
+        )
+        cap = max(1, len(region) // 2)
+        ratio, witness = min_ratio_subset(g, region, cap)
+        b_ratio, _, b_set = brute_min_ratio(g, region, cap)
+        assert ratio == b_ratio and witness == b_set
+        for c in (0.3, 0.75, 1.5, 2.5):
+            assert min_sparse_subset(g, region, c) == brute_min_sparse(g, region, c)
+
+
+def test_scan_memory_is_bounded_by_the_chunk():
+    # One 24-vertex scan keeps chunk-sized tables; a single int32 table over
+    # all 2**24 subsets would take 64 MiB.
+    g = random_bounded_graph(np.random.default_rng(67), 24, 4)
+    tracemalloc.start()
+    try:
+        min_ratio_subset(g, range(24), 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
