@@ -66,14 +66,14 @@ def cheeger_exact(g: Graph, exact_cap: int = EXACT_CAP) -> CheegerReport:
     Disconnected graphs short-circuit to h = 0 with the smallest component
     as witness; connected graphs above the cap raise TooLargeForExact.
     """
-    lower, upper = _bounds(g, second_eigenvalue(g))
-    if g.n < 2:
-        return CheegerReport(0.0, (), "exact", lower, upper)
     comps = connected_components(g)
-    if len(comps) > 1:
-        return CheegerReport(0.0, _smallest_component(comps), "exact", lower, upper)
-    if g.n > exact_cap:
+    connected = g.n >= 2 and len(comps) == 1
+    if connected and g.n > exact_cap:
         raise TooLargeForExact(g.n, exact_cap)
+    lower, upper = _bounds(g, second_eigenvalue(g))
+    if not connected:
+        witness = _smallest_component(comps) if g.n >= 2 else ()
+        return CheegerReport(0.0, witness, "exact", lower, upper)
     ratio, witness = exhaustive.min_ratio_subset(g, range(g.n), g.n // 2)
     return CheegerReport(float(ratio), witness, "exact", lower, upper)
 

@@ -70,7 +70,7 @@ class _Scan:
         pos = {v: i for i, v in enumerate(vs)}
         deg, nbrs = [], []
         for u in vs:
-            ws = [w for w in g.adjacency[u] if w != u]  # loops never cross
+            ws = g.indices[g.indptr[u] : g.indptr[u + 1]].tolist()  # no loops
             deg.append(len(ws))
             nbrs.append(sum(1 << pos[w] for w in ws if w in pos))
         self.m = m = len(vs)

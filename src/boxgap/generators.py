@@ -152,8 +152,7 @@ def cayley_graph(group, gens) -> Graph:
     """Cayley graph of the left multiplication action, x ~ s x.
 
     The generating set must be symmetric (closed under inverse) and must not
-    contain the identity. Edge labels record the index of a generator
-    realizing each edge.
+    contain the identity.
     """
     gens = list(gens)
     elements = group.elements()
@@ -165,20 +164,12 @@ def cayley_graph(group, gens) -> Graph:
         if group.inverse(s) not in gen_set:
             raise NotSymmetric(s)
     edges = set()
-    labels = {}
-    for gi, s in enumerate(gens):
+    for s in gens:
         for x in elements:
-            y = group.multiply(s, x)
-            u, v = index[x], index[y]
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            if key not in edges:
-                edges.add(key)
-                labels[key] = f"g{gi}"
-    return build_graph(
-        len(elements), sorted(edges), max(len(gens), 1), edge_labels=labels
-    )
+            u, v = index[x], index[group.multiply(s, x)]
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    return build_graph(len(elements), sorted(edges), max(len(gens), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +297,7 @@ def glued_expander(
     room under an explicit bound d.
     """
     t_set = vertex_set(y, t_set)
-    movers = [v for v in range(y.n) if v not in set(t_set)]
+    movers = sorted(set(range(y.n)) - set(t_set))
     if len(movers) > x_prime.n:
         raise NotEnoughRoom(len(movers), x_prime.n)
     d_out = d if d is not None else max(x_prime.degree_bound, y.degree_bound) + 1
@@ -318,21 +309,17 @@ def glued_expander(
     targets = rng.permutation(x_prime.n)[: len(movers)]
     base = disjoint_union(x_prime, y, d_out)
     edges = list(base.edges())
-    labels = {}
     matched = set()
     bijection = []
     for v, tgt in zip(movers, targets):
         u = x_prime.n + v
         edges.append((u, int(tgt)))
-        labels[(min(u, int(tgt)), max(u, int(tgt)))] = "glue"
         matched.add(u)
         matched.add(int(tgt))
         bijection.append((u, int(tgt)))
     loops = tuple(v for v in range(base.n) if v not in matched)
-    for v in loops:
-        edges.append((v, v))
-        labels[(v, v)] = "glue"
-    graph = build_graph(base.n, edges, d_out, allow_loops=True, edge_labels=labels)
+    edges += [(v, v) for v in loops]
+    graph = build_graph(base.n, edges, d_out, allow_loops=True)
     ratio = len(t_set) / y.n if y.n else 0.0
     return GluedExpander(
         graph=graph,

@@ -2,12 +2,13 @@
 
 Graphs are simple undirected graphs with a recorded degree bound; loops are
 permitted only when explicitly requested (they count 1 toward the degree and
-are ignored by boundaries, distances and Laplacians). Each graph also carries
-its 0/1 adjacency as a sparse CSR matrix, ``Graph.matrix``, built once on first
-use; it is the only place where edges become arrays, and the Laplacians,
-triangle weights and connected components all read it. Loops are left out of
-it. The connected components, ``Graph.components``, are likewise found once
-per graph. Vertex subsets are plain sorted tuples of indices. Disconnected
+are ignored by boundaries, distances and Laplacians). A graph is stored once,
+as the CSR arrays ``indptr``/``indices`` of its loop-free adjacency plus the
+sorted tuple of looped vertices; this module is the only place where edges
+become arrays. Everything else is derived from those fields: ``matrix`` (a
+zero-copy sparse wrap that the Laplacians, triangle weights and components
+read), ``components`` and the tuple view ``adjacency`` are each built once on
+first use. Vertex subsets are plain sorted tuples of indices. Disconnected
 graphs are first class throughout; distance across components is treated as
 infinite and never compared.
 """
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,56 +30,77 @@ from .errors import DegreeExceeded, DuplicateEdge, VertexOutOfRange
 VertexSet = tuple  # sorted tuple of vertex indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Finite undirected graph with sorted adjacency lists.
+    """Finite undirected graph stored as CSR arrays.
 
-    ``adjacency[x]`` is the sorted tuple of neighbors of ``x``; symmetry and
-    the degree bound are validated at construction time. A loop at ``x`` is
-    recorded as a single occurrence of ``x`` in its own adjacency list.
-    ``matrix`` is the same adjacency as an n x n CSR matrix of float 0/1
-    entries with sorted indices and loops excluded, cached on first access.
+    Row x of ``indptr``/``indices`` (int32, read-only) lists the neighbours
+    of x other than x itself, sorted; ``loops`` is the sorted tuple of
+    vertices carrying a loop. Build graphs with ``build_graph``, which
+    validates symmetry and the degree bound. Two graphs are equal when they
+    have the same vertex count, edges, loops, degree bound and loop flag.
     """
 
     n: int
-    adjacency: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    loops: tuple
     degree_bound: int
     allows_loops: bool = False
-    edge_labels: tuple | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        for name in ("indptr", "indices"):
+            arr = np.asarray(getattr(self, name), dtype=np.int32)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def _key(self) -> tuple:
+        return (self.n, self.loops, self.degree_bound, self.allows_loops,
+                self.indptr.tobytes(), self.indices.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def nonloop_degree(self, v: int) -> int:
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
+        i = bisect_left(self.loops, v)
+        return self.nonloop_degree(v) + (self.loops[i : i + 1] == (v,))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
     def edges(self):
-        """Yield each edge once as (u, v) with u <= v."""
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                if u <= v:
-                    yield (u, v)
+        """Each edge once as (u, v) with u <= v, ordered by u then v."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = self.indices > rows
+        u, v = rows[upper], self.indices[upper]
+        at = np.searchsorted(u, self.loops)  # (x, x) goes first in row x
+        u, v = np.insert(u, at, self.loops), np.insert(v, at, self.loops)
+        return zip(u.tolist(), v.tolist())
 
     @property
     def num_edges(self) -> int:
-        loops = sum(1 for u in range(self.n) if u in self.adjacency[u])
-        return (sum(len(a) for a in self.adjacency) + loops) // 2
+        return len(self.indices) // 2 + len(self.loops)
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
-
-    def nonloop_degree(self, v: int) -> int:
-        return len(self.adjacency[v]) - (1 if v in self.adjacency[v] else 0)
+        deg = np.diff(self.indptr)
+        deg[np.asarray(self.loops, dtype=np.intp)] += 1
+        return int(deg.max(initial=0))
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        indptr = np.cumsum([0, *map(self.nonloop_degree, range(self.n))])
-        cols = [v for u, a in enumerate(self.adjacency) for v in a if v != u]
+        """The loop-free adjacency as an n x n CSR matrix of float 0/1
+        entries, sharing ``indptr`` and ``indices``."""
         return sp.csr_matrix(
-            (np.ones(len(cols)), cols, indptr), shape=(self.n, self.n)
+            (np.ones(len(self.indices)), self.indices, self.indptr),
+            shape=(self.n, self.n),
         )
 
     @cached_property
@@ -89,84 +112,98 @@ class Graph:
         ends = np.cumsum(np.bincount(labels, minlength=count))
         return tuple(tuple(c.tolist()) for c in np.split(members, ends)[:-1])
 
-    def label_of(self, u: int, v: int):
-        if self.edge_labels is None:
-            return None
-        key = (min(u, v), max(u, v))
-        for pair, lab in self.edge_labels:
-            if pair == key:
-                return lab
-        return None
-
-
-def _check_vertex(v: int, n: int) -> None:
-    if not 0 <= v < n:
-        raise VertexOutOfRange(v, n)
+    @cached_property
+    def adjacency(self) -> tuple:
+        """Sorted neighbour tuples per vertex, a loop listed once in its own
+        row, for callers that walk neighbours in Python."""
+        cols, ptr = self.indices.tolist(), self.indptr.tolist()
+        rows = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
+        for u in self.loops:
+            rows[u] = sorted(rows[u] + [u])
+        return tuple(map(tuple, rows))
 
 
 def vertex_set(g: Graph, vertices) -> VertexSet:
     """Normalize an iterable of vertices into a validated sorted tuple."""
     vs = sorted(set(int(v) for v in vertices))
     for v in vs:
-        _check_vertex(v, g.n)
+        if not 0 <= v < g.n:
+            raise VertexOutOfRange(v, g.n)
     return tuple(vs)
 
 
-def build_graph(n, edges, d, allow_loops=False, edge_labels=None) -> Graph:
+def build_graph(n, edges, d, allow_loops=False) -> Graph:
     """Build a validated graph from an edge list.
 
-    Raises VertexOutOfRange, DuplicateEdge or DegreeExceeded. The adjacency
-    lists come out sorted, so equal edge sets give equal graphs.
+    Raises VertexOutOfRange, DuplicateEdge or DegreeExceeded. The first
+    offending edge in input order decides between the first two: a vertex
+    out of range, a repeated edge in either orientation, or a loop that is
+    repeated or not allowed. Degrees are checked once every edge is valid.
+    Equal edge sets give equal graphs.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if d < 1:
         raise ValueError("degree bound must be positive")
-    adj = [set() for _ in range(n)]
-    loops = set()
-    for u, v in edges:
-        _check_vertex(u, n)
-        _check_vertex(v, n)
-        if u == v:
-            if not allow_loops:
-                raise DuplicateEdge((u, v))
-            if u in loops:
-                raise DuplicateEdge((u, v))
-            loops.add(u)
-            continue
-        if v in adj[u]:
-            raise DuplicateEdge((min(u, v), max(u, v)))
-        adj[u].add(v)
-        adj[v].add(u)
-    for u in loops:
-        adj[u].add(u)
-    for v in range(n):
-        if len(adj[v]) > d:
-            raise DegreeExceeded(v, len(adj[v]), d)
-    labels = None
-    if edge_labels:
-        items = edge_labels.items() if hasattr(edge_labels, "items") else edge_labels
-        labels = tuple(
-            sorted(((min(u, v), max(u, v)), str(lab)) for (u, v), lab in items)
-        )
+    edges = list(edges)
+    try:
+        e = np.array(edges, dtype=np.int64)
+    except OverflowError:  # a vertex past int64 is out of range all the same
+        e = np.array([[min(max(x, -1), n) for x in uv] for uv in edges], dtype=np.int64)
+    if e.size and e.shape[1:] != (2,):
+        raise ValueError("edges must be (u, v) pairs")
+    e = e.reshape(-1, 2)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    outside = (lo < 0) | (hi >= n)
+    # Every later copy of a key is bad; a key of an edge outside the range
+    # can only make a later edge bad, so the first bad edge is the same.
+    bad = np.ones(len(e), dtype=bool)
+    bad[np.unique(lo * n + hi, return_index=True)[1]] = False
+    bad |= outside | ((lo == hi) & (not allow_loops))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if outside[i]:
+            u, v = edges[i]
+            raise VertexOutOfRange(v if 0 <= u < n else u, n)
+        raise DuplicateEdge((int(lo[i]), int(hi[i])))
+    is_loop = lo == hi
+    loops = np.sort(lo[is_loop])
+    lo, hi = lo[~is_loop], hi[~is_loop]
+    keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+    rows, cols = np.divmod(keys, max(n, 1))
+    row_len = np.bincount(rows, minlength=n)
+    deg = row_len + np.bincount(loops, minlength=n)
+    if (deg > d).any():
+        v = int(np.argmax(deg > d))
+        raise DegreeExceeded(v, int(deg[v]), d)
     return Graph(
         n=n,
-        adjacency=tuple(tuple(sorted(a)) for a in adj),
+        indptr=np.concatenate(([0], np.cumsum(row_len))),
+        indices=cols,
+        loops=tuple(loops.tolist()),
         degree_bound=d,
-        allows_loops=allow_loops or bool(loops),
-        edge_labels=labels,
+        allows_loops=bool(allow_loops),
     )
+
+
+def _gather(g: Graph, vs: np.ndarray):
+    """(i, w) over the loop-free rows of the vertices vs, in order: w runs
+    through the sorted neighbours of vs[i]."""
+    starts = g.indptr[vs]
+    counts = g.indptr[vs + 1] - starts
+    i = np.repeat(np.arange(len(vs)), counts)
+    shift = starts - (np.cumsum(counts) - counts)
+    return i, g.indices[np.arange(len(i)) + shift[i]]
 
 
 def boundary_edges(g: Graph, s) -> list:
     """Edges of g with exactly one endpoint in s, as (inside, outside) pairs."""
-    sset = set(vertex_set(g, s))
-    out = []
-    for u in sorted(sset):
-        for v in g.adjacency[u]:
-            if v != u and v not in sset:
-                out.append((u, v))
-    return out
+    vs = np.array(vertex_set(g, s), dtype=np.int64)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[vs] = True
+    i, w = _gather(g, vs)
+    out = ~inside[w]
+    return list(zip(vs[i[out]].tolist(), w[out].tolist()))
 
 
 def boundary_size(g: Graph, s) -> int:
@@ -180,8 +217,8 @@ def sweep_profile(g: Graph, order) -> np.ndarray:
     ``order`` is a sequence of distinct vertices of g; the result b has
     b[k] = |∂{order[0], ..., order[k]}|. The boundary is ambient, so edges
     from an ordered vertex to a vertex outside ``order`` count, and loops
-    are ignored. With every unordered vertex ranked len(order), a non-loop
-    edge crosses prefix k exactly when min rank <= k < max rank, so one
+    are ignored. With every unordered vertex ranked len(order), an edge
+    crosses prefix k exactly when min rank <= k < max rank, so one
     difference array over edge ranks gives all prefixes in
     O(n + edges at the ordered vertices).
     """
@@ -189,13 +226,9 @@ def sweep_profile(g: Graph, order) -> np.ndarray:
     m = len(order)
     rank = np.full(g.n, m, dtype=np.int64)
     rank[order] = np.arange(m)
-    degrees = [len(g.adjacency[v]) for v in order]
-    lo = np.repeat(np.arange(m), degrees)
-    hi = rank[np.fromiter(
-        (w for v in order for w in g.adjacency[v]), dtype=np.int64,
-        count=len(lo),
-    )]
-    # Each crossing edge once, from its lower-ranked end; loops have lo == hi.
+    lo, w = _gather(g, order)
+    hi = rank[w]
+    # Each crossing edge once, from its lower-ranked end.
     keep = lo < hi
     diff = (np.bincount(lo[keep], minlength=m + 1)
             - np.bincount(hi[keep], minlength=m + 1))
@@ -204,7 +237,6 @@ def sweep_profile(g: Graph, order) -> np.ndarray:
 
 def ball(g: Graph, center: int, r: int) -> VertexSet:
     """All vertices at graph distance at most r from center."""
-    _check_vertex(center, g.n)
     return ball_of_set(g, (center,), r)
 
 
@@ -212,19 +244,16 @@ def ball_of_set(g: Graph, s, r: int) -> VertexSet:
     """All vertices at graph distance at most r from the set s."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    seen = set(vertex_set(g, s))
-    frontier = set(seen)
+    frontier = np.array(vertex_set(g, s), dtype=np.int64)
+    seen = np.zeros(g.n, dtype=bool)
+    seen[frontier] = True
     for _ in range(r):
-        if not frontier:
+        if not len(frontier):
             break
-        nxt = set()
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.add(v)
-        frontier = nxt
-    return tuple(sorted(seen))
+        _, w = _gather(g, frontier)
+        frontier = np.unique(w[~seen[w]])
+        seen[frontier] = True
+    return tuple(np.flatnonzero(seen).tolist())
 
 
 def connected_components(g: Graph) -> list:
@@ -238,13 +267,22 @@ def induced_subgraph(g: Graph, s):
     Returns (subgraph, index_map) where index_map[new_index] = old_index.
     """
     vs = vertex_set(g, s)
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = []
-    for u in vs:
-        for v in g.adjacency[u]:
-            if v in pos and u <= v:
-                edges.append((pos[u], pos[v]))
-    sub = build_graph(len(vs), edges, g.degree_bound, allow_loops=g.allows_loops)
+    old = np.array(vs, dtype=np.int64)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[old] = np.arange(len(vs))
+    i, w = _gather(g, old)
+    new = pos[w]
+    keep = new >= 0
+    row_len = np.bincount(i[keep], minlength=len(vs))
+    loops = pos[np.asarray(g.loops, dtype=np.int64)]
+    sub = Graph(
+        n=len(vs),
+        indptr=np.concatenate(([0], np.cumsum(row_len))),
+        indices=new[keep],
+        loops=tuple(loops[loops >= 0].tolist()),
+        degree_bound=g.degree_bound,
+        allows_loops=g.allows_loops,
+    )
     return sub, vs
 
 
@@ -314,7 +352,6 @@ def read_edge_list(path) -> Graph:
     except ValueError:
         raise ValueError(f"{path}:1: expected header 'n d'") from None
     edges = []
-    loops = False
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -325,10 +362,8 @@ def read_edge_list(path) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'u v'") from None
-        if u == v:
-            loops = True
         edges.append((u, v))
-    return build_graph(n, edges, d, allow_loops=loops)
+    return build_graph(n, edges, d, allow_loops=any(u == v for u, v in edges))
 
 
 def write_manifest(box: BoxSpace, directory, name="manifest.json") -> str:

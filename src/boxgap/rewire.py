@@ -30,6 +30,7 @@ from .generators import ApproxIsoWitness, WitnessEntry
 from .graph import (
     BoxSpace,
     Graph,
+    ball_of_set,
     boundary_edges,
     build_graph,
     connected_components,
@@ -64,9 +65,7 @@ def select_separated_edges(g: Graph, piece, r: int, count: int) -> list:
     if count == 0:
         return []
     q = {u for u, _ in boundary_edges(g, piece)}
-    excluded = set(q)
-    for u in q:
-        excluded.update(w for w in g.adjacency[u])
+    excluded = set(ball_of_set(g, q, 1))
     eligible = sorted(
         (u, v)
         for u in piece
@@ -74,26 +73,15 @@ def select_separated_edges(g: Graph, piece, r: int, count: int) -> list:
         if u < v and v in pset and u not in excluded and v not in excluded
     )
     selected = []
-    dist = [math.inf] * g.n
+    near = set()  # vertices within 2r - 1 of a selected edge
     for u, v in eligible:
-        if dist[u] < 2 * r or dist[v] < 2 * r:
+        if u in near or v in near:
             continue
         selected.append((u, v))
         if len(selected) == count:
             return selected
-        # Multi-source BFS from the new edge, capped at depth 2r - 1.
-        frontier = {u, v}
-        dist[u] = dist[v] = 0
-        for depth in range(1, 2 * r):
-            nxt = set()
-            for x in frontier:
-                for y in g.adjacency[x]:
-                    if dist[y] > depth:
-                        dist[y] = depth
-                        nxt.add(y)
-            if not nxt:
-                break
-            frontier = nxt
+        if r > 0:
+            near.update(ball_of_set(g, (u, v), 2 * r - 1))
     raise InsufficientSeparatedEdges(len(selected), count)
 
 
@@ -228,11 +216,9 @@ def rewire_piece(
                     adj[y].discard(x)
                 edits.append({"op": "remove_vertex", "vertex": x})
             removed_vertices = tuple(dropped)
-            new_piece = tuple(v for v in piece if v not in set(dropped))
+            new_piece = tuple(sorted(set(piece) - set(dropped)))
 
-    edge_list = sorted(
-        (u, v) for u in range(g.n) for v in adj[u] if u <= v
-    )
+    edge_list = [(u, v) for u in range(g.n) for v in adj[u] if u <= v]
     new_graph = build_graph(
         g.n, edge_list, g.degree_bound, allow_loops=g.allows_loops
     )

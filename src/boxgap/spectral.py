@@ -30,9 +30,6 @@ class SymmetricOperator:
     n: int
     matrix: sp.csr_matrix = field(compare=False)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 

@@ -66,10 +66,6 @@ class LinkGraph:
         t = np.asarray(self.tau_edge, dtype=np.float64)
         return t / self.tau_total if self.tau_total else t
 
-    def mu(self, i: int) -> float:
-        """Step weight 1/tau(base, y) out of link vertex y."""
-        return 1.0 / self.tau_edge[i]
-
 
 def link_graph(g: Graph, x: int) -> LinkGraph:
     """Link of x: neighbors of x with induced edges.
@@ -83,8 +79,6 @@ def link_graph(g: Graph, x: int) -> LinkGraph:
     deg = [0] * len(nbrs)
     for y in nbrs:
         for z in g.adjacency[y]:
-            if z == y or z == x:
-                continue
             if z in pos and y < z:
                 edges.append((pos[y], pos[z]))
                 deg[pos[y]] += 1

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import boxgap as bg
+import boxgap.cheeger as cheeger_mod
 from boxgap.errors import TooLargeForExact
 
 from conftest import bridged_k4_pair
@@ -60,10 +61,18 @@ def test_exact_witness_reproduces_h(small_corpus):
             assert bg.boundary_size(g, rep.witness) / len(rep.witness) == rep.h
 
 
-def test_exact_cap():
+def test_exact_cap(monkeypatch):
     g = bg.cycle_graph(25)
-    with pytest.raises(TooLargeForExact):
-        bg.cheeger_exact(g)
+
+    def no_eigensolve(graph):
+        raise AssertionError("eigensolve before the cap check")
+
+    # A connected graph over the cap is refused before any eigensolve.
+    with monkeypatch.context() as patch:
+        patch.setattr(cheeger_mod, "second_eigenvalue", no_eigensolve)
+        for big in (g, bg.margulis_graph(64)):
+            with pytest.raises(TooLargeForExact):
+                bg.cheeger_exact(big)
     rep = bg.cheeger_exact(g, exact_cap=25)
     assert rep.h == pytest.approx(2 / 12, abs=0)
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,62 @@ def test_build_cycle():
     assert g.adjacency == ((1, 3), (0, 2), (1, 3), (0, 2))
 
 
+def reference_build(n, edges, d, allow_loops=False):
+    """Independent oracle: the edge-by-edge set loop, returning the sorted
+    adjacency tuples (a loop listed once in its own row)."""
+    adj = [set() for _ in range(n)]
+    loops = set()
+    for u, v in edges:
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise VertexOutOfRange(x, n)
+        if u == v:
+            if not allow_loops or u in loops:
+                raise DuplicateEdge((u, v))
+            loops.add(u)
+            continue
+        if v in adj[u]:
+            raise DuplicateEdge((min(u, v), max(u, v)))
+        adj[u].add(v)
+        adj[v].add(u)
+    for u in loops:
+        adj[u].add(u)
+    for v in range(n):
+        if len(adj[v]) > d:
+            raise DegreeExceeded(v, len(adj[v]), d)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+def with_faults(rng, n, edges):
+    """A copy of an edge list, shuffled and partly reversed, with zero to
+    three injected faults at random places."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    for _ in range(int(rng.integers(0, 4))):
+        kind = rng.integers(0, 4)
+        at = int(rng.integers(0, len(edges) + 1))
+        if kind == 0:  # one or both endpoints out of range
+            bad, other = rng.choice([-1, -3, n, n + 2], size=2).tolist()
+            edge = (bad, other if rng.random() < 0.3 else int(rng.integers(0, n)))
+            edges.insert(at, edge if rng.random() < 0.5 else edge[::-1])
+        elif kind == 1 and edges:  # repeated edge, maybe reversed
+            u, v = edges[int(rng.integers(0, len(edges)))]
+            edges.insert(at, (v, u) if rng.random() < 0.5 else (u, v))
+        else:  # a loop, sometimes twice
+            x = int(rng.integers(0, n))
+            edges.insert(at, (x, x))
+            if kind == 3:
+                edges.insert(int(rng.integers(0, len(edges) + 1)), (x, x))
+    return edges
+
+
+def outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except (VertexOutOfRange, DuplicateEdge, DegreeExceeded) as exc:
+        return type(exc), exc.args, vars(exc)
+
+
 def test_build_errors():
     with pytest.raises(VertexOutOfRange):
         bg.build_graph(3, [(0, 3)], 2)
@@ -38,6 +97,100 @@ def test_build_errors():
     assert exc.value.vertex == 0
     with pytest.raises(DuplicateEdge):
         bg.build_graph(3, [(1, 1)], 2)  # loops only on request
+    with pytest.raises(VertexOutOfRange) as exc:
+        bg.build_graph(3, [(0, 1), (2, 2**70)], 2)  # past int64
+    assert exc.value.vertex == 2**70
+    # Random lists with injected faults raise what the reference raises.
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 16))
+        d = int(rng.integers(1, 6))
+        base = list(random_bounded_graph(rng, n, d).edges())
+        edges = with_faults(rng, n, base)
+        for bound in (d, max(1, d - 1)):  # the lower bound may overflow
+            for loops in (False, True):
+                want = outcome(reference_build, n, edges, bound, loops)
+                got = outcome(bg.build_graph, n, edges, bound, allow_loops=loops)
+                if isinstance(got, bg.Graph):
+                    got = got.adjacency
+                else:
+                    kinds.add(got[0])
+                assert got == want, (n, edges, bound, loops)
+    assert kinds == {VertexOutOfRange, DuplicateEdge, DegreeExceeded}
+
+
+def loop_graph():
+    return bg.build_graph(
+        8, [(0, 0), (0, 1), (1, 2), (2, 2), (3, 4), (4, 5), (5, 3), (6, 6)],
+        3, allow_loops=True,
+    )
+
+
+def oracle_sets(g):
+    """Neighbour sets read from the dense matrix plus the loops."""
+    adj = [set(np.flatnonzero(row).tolist()) for row in g.matrix.toarray()]
+    for x in g.loops:
+        adj[x].add(x)
+    return adj
+
+
+def oracle_ball(adj, s, r):
+    seen = set(s)
+    for _ in range(r):
+        seen |= {w for u in seen for w in adj[u]}
+    return tuple(sorted(seen))
+
+
+def test_core_matches_set_oracles(small_corpus):
+    rng = np.random.default_rng(13)
+    for g in [*small_corpus, loop_graph()]:
+        adj = oracle_sets(g)
+        pairs = sorted({(min(u, v), max(u, v)) for u in range(g.n) for v in adj[u]})
+        assert list(g.edges()) == pairs
+        assert all(type(x) is int for e in g.edges() for x in e)
+        assert g.adjacency == tuple(tuple(sorted(a)) for a in adj)
+        assert g.num_edges == len(pairs)
+        assert g.max_degree() == max((len(a) for a in adj), default=0)
+        for _ in range(6):
+            size = int(rng.integers(0, g.n + 1))
+            s = tuple(sorted(rng.choice(g.n, size=size, replace=False).tolist()))
+            assert graph_mod.boundary_edges(g, s) == [
+                (u, v) for u in s for v in sorted(adj[u]) if v not in s
+            ]
+            for r in range(4):
+                assert bg.ball_of_set(g, s, r) == oracle_ball(adj, s, r)
+            sub, idx = bg.induced_subgraph(g, s)
+            assert idx == s
+            pos = {v: i for i, v in enumerate(s)}
+            assert sub.adjacency == tuple(
+                tuple(sorted(pos[v] for v in adj[u] if v in pos)) for u in s
+            )
+            assert (sub.degree_bound, sub.allows_loops) == (
+                g.degree_bound, g.allows_loops)
+
+
+def test_equal_edge_sets_give_equal_graphs(small_corpus):
+    rng = np.random.default_rng(17)
+    for g in [*small_corpus, loop_graph()]:
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in g.edges()]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        again = bg.build_graph(g.n, edges, g.degree_bound, g.allows_loops)
+        assert again == g and hash(again) == hash(g)
+        looser = bg.build_graph(g.n, edges, g.degree_bound + 1, g.allows_loops)
+        assert looser != g
+    g = loop_graph()
+    fewer_loops = [e for e in g.edges() if e != (6, 6)]
+    assert bg.build_graph(8, fewer_loops, 3, allow_loops=True) != g
+    assert g != "graph"
+    assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+
+
+def test_only_graph_rewire_and_zuk_read_adjacency():
+    src = Path(graph_mod.__file__).parent
+    readers = {p.name for p in src.glob("*.py")
+               if re.search(r"\.adjacency\b", p.read_text())}
+    assert readers <= {"graph.py", "rewire.py", "zuk.py"}
 
 
 def test_loops_count_once_in_degree():
@@ -159,6 +312,12 @@ def test_edge_list_roundtrip(tmp_path):
     assert back.n == g.n
     assert back.degree_bound == g.degree_bound
     assert sorted(back.edges()) == sorted(g.edges())
+    # Loops and out-of-order input: rows in order, a loop first in its row.
+    g = bg.build_graph(4, [(2, 3), (1, 1), (3, 0), (0, 1), (0, 0), (3, 3), (1, 2)],
+                       3, allow_loops=True)
+    bg.write_edge_list(g, path)
+    assert path.read_bytes() == b"4 3\n0 0\n0 1\n0 3\n1 1\n1 2\n2 3\n3 3\n"
+    assert bg.read_edge_list(path) == g
 
 
 def test_edge_list_errors(tmp_path):

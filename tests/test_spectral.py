@@ -40,7 +40,7 @@ def test_markov_examples():
     assert np.allclose(evs, [0.25, 0.25, 1.0], atol=1e-12)
     g = bg.cycle_graph(5)
     ones = np.ones(5)
-    assert np.allclose(bg.markov(g).apply(ones), ones)
+    assert np.allclose(bg.markov(g).matrix @ ones, ones)
     edgeless = bg.build_graph(4, [], 3)
     assert np.array_equal(bg.markov(edgeless, 3).dense(), np.eye(4))
     with pytest.raises(DegreeBoundTooSmall):

@@ -49,7 +49,6 @@ def test_link_graph_k4():
     assert link.vertices == (1, 2, 3)
     assert link.connected
     assert np.allclose(link.nu, [1 / 3] * 3)
-    assert link.mu(0) == 0.5
 
 
 def test_link_graph_octahedron():
