@@ -176,6 +176,18 @@ def cayley_graph(group, gens) -> Graph:
 # Explicit families and gluings
 
 
+def _map_edges(nv: int, u: np.ndarray, images) -> np.ndarray:
+    """Each edge {u, v} once, for v over the image arrays of maps applied
+    to the vertices u, fixed points dropped, as a sorted (m, 2) array."""
+    u = np.tile(u, len(images))
+    v = np.concatenate(images)
+    keep = u != v
+    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+    keys = np.sort(lo * nv + hi)
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique hashes, slower here
+    return np.column_stack(np.divmod(keys, nv))
+
+
 def margulis_graph(n: int) -> Graph:
     """Expander family on the n x n torus, degree at most 8.
 
@@ -184,25 +196,19 @@ def margulis_graph(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    edges = set()
-    for x in range(n):
-        for y in range(n):
-            u = x * n + y
-            images = [
-                ((x + y) % n, y),
-                ((x - y) % n, y),
-                (x, (y + x) % n),
-                (x, (y - x) % n),
-                ((x + 1) % n, y),
-                ((x - 1) % n, y),
-                (x, (y + 1) % n),
-                (x, (y - 1) % n),
-            ]
-            for px, py in images:
-                v = px * n + py
-                if v != u:
-                    edges.add((min(u, v), max(u, v)))
-    return build_graph(n * n, sorted(edges), 8)
+    x, y = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    images = [
+        ((x + y) % n, y),
+        ((x - y) % n, y),
+        (x, (y + x) % n),
+        (x, (y - x) % n),
+        ((x + 1) % n, y),
+        ((x - 1) % n, y),
+        (x, (y + 1) % n),
+        (x, (y - 1) % n),
+    ]
+    edges = _map_edges(n * n, x * n + y, [px * n + py for px, py in images])
+    return build_graph(n * n, edges, 8)
 
 
 def complete_graph(n: int) -> Graph:
@@ -238,14 +244,10 @@ def triangular_torus(m: int) -> Graph:
     """Six-regular triangulated torus; every link is a 6-cycle."""
     if m < 4:
         raise ValueError("m must be at least 4 to keep neighbors distinct")
-    edges = set()
-    for x in range(m):
-        for y in range(m):
-            u = x * m + y
-            for dx, dy in ((1, 0), (0, 1), (1, 1)):
-                v = ((x + dx) % m) * m + (y + dy) % m
-                edges.add((min(u, v), max(u, v)))
-    return build_graph(m * m, sorted(edges), 6)
+    x, y = np.divmod(np.arange(m * m, dtype=np.int64), m)
+    images = [((x + dx) % m) * m + (y + dy) % m
+              for dx, dy in ((1, 0), (0, 1), (1, 1))]
+    return build_graph(m * m, _map_edges(m * m, x * m + y, images), 6)
 
 
 def glue_pair(g1: Graph, g2: Graph, v1: int, v2: int, d: int | None = None) -> Graph:

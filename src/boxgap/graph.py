@@ -4,19 +4,28 @@ Graphs are simple undirected graphs with a recorded degree bound; loops are
 permitted only when explicitly requested (they count 1 toward the degree and
 are ignored by boundaries, distances and Laplacians). A graph is stored once,
 as the CSR arrays ``indptr``/``indices`` of its loop-free adjacency plus the
-sorted tuple of looped vertices; this module is the only place where edges
-become arrays. Everything else is derived from those fields: ``matrix`` (a
+sorted tuple of looped vertices, and only this module builds those arrays.
+``build_graph`` takes either (u, v) pairs or an (m, 2) integer ndarray,
+which the generators and the edge-list reader pass without a Python list in
+between. Everything else is derived from those fields: ``matrix`` (a
 zero-copy sparse wrap that the Laplacians, triangle weights and components
 read), ``components`` and the tuple view ``adjacency`` are each built once on
 first use. Vertex subsets are plain sorted tuples of indices. Disconnected
 graphs are first class throughout; distance across components is treated as
 infinite and never compared.
+
+Edge-list files are parsed in one bulk ``np.loadtxt`` call when their text
+holds only digits, signs, spaces, tabs and newlines; any other text, and
+any body that call rejects, goes through a line loop that accepts the same
+files and names the offending line.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,21 +144,27 @@ def vertex_set(g: Graph, vertices) -> VertexSet:
 def build_graph(n, edges, d, allow_loops=False) -> Graph:
     """Build a validated graph from an edge list.
 
-    Raises VertexOutOfRange, DuplicateEdge or DegreeExceeded. The first
-    offending edge in input order decides between the first two: a vertex
-    out of range, a repeated edge in either orientation, or a loop that is
-    repeated or not allowed. Degrees are checked once every edge is valid.
-    Equal edge sets give equal graphs.
+    ``edges`` is an iterable of (u, v) pairs or an (m, 2) integer ndarray,
+    which is used as it is, with no Python list in between. Raises
+    VertexOutOfRange, DuplicateEdge or DegreeExceeded, with Python ints in
+    the payload. The first offending edge in input order decides between
+    the first two: a vertex out of range, a repeated edge in either
+    orientation, or a loop that is repeated or not allowed. Degrees are
+    checked once every edge is valid. Equal edge sets give equal graphs.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if d < 1:
         raise ValueError("degree bound must be positive")
-    edges = list(edges)
-    try:
-        e = np.array(edges, dtype=np.int64)
-    except OverflowError:  # a vertex past int64 is out of range all the same
-        e = np.array([[min(max(x, -1), n) for x in uv] for uv in edges], dtype=np.int64)
+    if isinstance(edges, np.ndarray):
+        given = e = edges.astype(np.int64, casting="safe", copy=False)
+    else:
+        given = list(edges)
+        try:
+            e = np.array(given, dtype=np.int64)
+        except OverflowError:  # a vertex past int64 is out of range all the same
+            e = np.array([[min(max(x, -1), n) for x in uv] for uv in given],
+                         dtype=np.int64)
     if e.size and e.shape[1:] != (2,):
         raise ValueError("edges must be (u, v) pairs")
     e = e.reshape(-1, 2)
@@ -163,7 +178,7 @@ def build_graph(n, edges, d, allow_loops=False) -> Graph:
     if bad.any():
         i = int(np.argmax(bad))
         if outside[i]:
-            u, v = edges[i]
+            u, v = (int(x) for x in given[i])
             raise VertexOutOfRange(v if 0 <= u < n else u, n)
         raise DuplicateEdge((int(lo[i]), int(hi[i])))
     is_loop = lo == hi
@@ -339,9 +354,33 @@ def write_edge_list(g: Graph, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def read_edge_list(path) -> Graph:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+# Text of only digits, signs, spaces, tabs and newlines: there the lines are
+# the pieces between newlines and the tokens the runs between spaces and
+# tabs, for Python and for np.loadtxt alike, so the bulk parse can accept
+# nothing that the line loop rejects.
+_PLAIN_TEXT = re.compile(r"[0-9 \t\n+-]*")
+
+
+def _parse_bulk(text):
+    """(n, d, edges) with edges an (m, 2) int64 array, or None when the line
+    loop must decide (and phrase the error)."""
+    if not _PLAIN_TEXT.fullmatch(text):
+        return None
+    head, _, body = text.partition("\n")
+    try:
+        n, d = map(int, head.split())
+        if not body or body.isspace():
+            return n, d, np.empty((0, 2), dtype=np.int64)
+        edges = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2,
+                           comments=None)
+    except ValueError:  # bad token, token count or int64 overflow
+        return None
+    return (n, d, edges) if edges.shape[1] == 2 else None
+
+
+def _parse_lines(path, text):
+    """(n, d, edges) with edges a list of int pairs, one line at a time."""
+    lines = text.splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
     head = lines[0].split()
@@ -363,7 +402,23 @@ def read_edge_list(path) -> Graph:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'u v'") from None
         edges.append((u, v))
-    return build_graph(n, edges, d, allow_loops=any(u == v for u, v in edges))
+    return n, d, edges
+
+
+def read_edge_list(path) -> Graph:
+    """Read an edge-list file. The body is parsed in one bulk call; any text
+    that call does not take goes through the line loop, which accepts the
+    same files and reports the error with its line number."""
+    with open(path) as fh:
+        text = fh.read()
+    parsed = _parse_bulk(text)
+    if parsed is not None:
+        n, d, edges = parsed
+        loops = bool((edges[:, 0] == edges[:, 1]).any())
+    else:
+        n, d, edges = _parse_lines(path, text)
+        loops = any(u == v for u, v in edges)
+    return build_graph(n, edges, d, allow_loops=loops)
 
 
 def write_manifest(box: BoxSpace, directory, name="manifest.json") -> str:

@@ -154,7 +154,6 @@ def rewire_piece(
     r = math.ceil(4.0 / c_inner)
 
     edits = []
-    adj = [set(a) for a in g.adjacency]
 
     def remove_edge(u, v):
         adj[u].discard(v)
@@ -179,7 +178,9 @@ def rewire_piece(
 
     removed_vertices = ()
     new_piece = piece
+    new_graph = g  # with no boundary edges nothing is edited
     if bedges:
+        adj = [set(a) for a in g.adjacency]
         f_edges = select_separated_edges(g, piece, r, len(bedges))
         for u, v_out in bedges:
             remove_edge(u, v_out)
@@ -217,11 +218,11 @@ def rewire_piece(
                 edits.append({"op": "remove_vertex", "vertex": x})
             removed_vertices = tuple(dropped)
             new_piece = tuple(sorted(set(piece) - set(dropped)))
+        edge_list = [(u, v) for u in range(g.n) for v in adj[u] if u <= v]
+        new_graph = build_graph(
+            g.n, edge_list, g.degree_bound, allow_loops=g.allows_loops
+        )
 
-    edge_list = [(u, v) for u in range(g.n) for v in adj[u] if u <= v]
-    new_graph = build_graph(
-        g.n, edge_list, g.degree_bound, allow_loops=g.allows_loops
-    )
     degree_ok = new_graph.max_degree() <= g.degree_bound
     if new_piece:
         assert not boundary_edges(new_graph, new_piece)

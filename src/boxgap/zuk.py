@@ -6,6 +6,14 @@ an edge equals the degree of y inside the link of x. The certificate checks
 the smallest positive eigenvalue of every link's random-walk Laplacian: when
 each link is connected and the minimum exceeds 1/2, the triangle-weighted
 Laplacian has a gap of at least c = 2 - 1/min.
+
+The certificate handles links in one batched pass over vertex chunks of
+LINK_CHUNK: the neighbour rows come from the CSR arrays, link adjacency from
+a ``searchsorted`` of the neighbour pairs in the sorted edge keys u * n + v,
+giving one (c, m, m) stack per link size m; connectivity is decided for the
+whole chunk before any of its links is solved, and each stack takes one
+``eigvalsh`` call. ``link_graph`` and ``link_lambda1`` run the same kernel on
+a batch of one.
 """
 
 from __future__ import annotations
@@ -67,49 +75,70 @@ class LinkGraph:
         return t / self.tau_total if self.tau_total else t
 
 
+LINK_CHUNK = 2048  # vertices whose links are stacked at once; bounds memory
+
+
+def _edge_keys(g: Graph) -> np.ndarray:
+    """u * n + v for every loop-free (u, v) of g, sorted (the CSR order)."""
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    return rows * g.n + g.indices
+
+
+def _link_stack(g: Graph, keys: np.ndarray, xs: np.ndarray, m: int):
+    """Links of the vertices xs, each of loop-free degree m.
+
+    Returns (nbrs, a): nbrs[k] is the sorted neighbour row of xs[k] and
+    a[k, i, j] whether nbrs[k, i] and nbrs[k, j] are adjacent, a (c, m, m)
+    boolean stack found by searching the pair keys in ``keys``.
+    """
+    nbrs = g.indices[g.indptr[xs][:, None] + np.arange(m)].astype(np.int64)
+    q = nbrs[:, :, None] * g.n + nbrs[:, None, :]
+    pos = np.minimum(np.searchsorted(keys, q), max(len(keys) - 1, 0))
+    return nbrs, keys[pos] == q
+
+
+def _links_connected(a: np.ndarray) -> np.ndarray:
+    """Per link of a (c, m, m) stack, whether it is connected; empty and
+    one-vertex links count as disconnected (the hypothesis fails there)."""
+    c, m, _ = a.shape
+    if m < 2:
+        return np.zeros(c, dtype=bool)
+    reach = (a | np.eye(m, dtype=bool)).astype(np.float64)
+    for _ in range((m - 1).bit_length()):  # paths of length up to 2^k
+        reach = (reach @ reach > 0).astype(np.float64)
+    return reach[:, 0, :].all(axis=1)
+
+
+def _link_spectra(a: np.ndarray):
+    """Two smallest eigenvalues of I - D^(-1/2) A D^(-1/2), the symmetric
+    form of the random-walk Laplacian, for every link of a (c, m, m) stack
+    whose links have no isolated vertex; one ``eigvalsh`` call."""
+    m = a.shape[1]
+    a = a.astype(np.float64)
+    dinv = 1.0 / np.sqrt(a.sum(axis=2))
+    sym = np.eye(m) - (dinv[:, :, None] * a) * dinv[:, None, :]
+    evs = np.linalg.eigvalsh(sym)
+    return evs[:, 0], evs[:, 1]
+
+
 def link_graph(g: Graph, x: int) -> LinkGraph:
     """Link of x: neighbors of x with induced edges.
 
     An empty or single-vertex link is recorded as disconnected, matching the
     convention that the certificate hypothesis fails there.
     """
-    nbrs = tuple(v for v in g.adjacency[x] if v != x)
-    pos = {v: i for i, v in enumerate(nbrs)}
-    edges = []
-    deg = [0] * len(nbrs)
-    for y in nbrs:
-        for z in g.adjacency[y]:
-            if z in pos and y < z:
-                edges.append((pos[y], pos[z]))
-                deg[pos[y]] += 1
-                deg[pos[z]] += 1
-    connected = _link_connected(len(nbrs), edges)
+    m = g.nonloop_degree(x)
+    nbrs, a = _link_stack(g, _edge_keys(g), np.array([x]), m)
+    i, j = np.nonzero(np.triu(a[0], 1))
+    deg = a[0].sum(axis=1)
     return LinkGraph(
         base=x,
-        vertices=nbrs,
-        edges=tuple(edges),
-        tau_edge=tuple(deg),
-        tau_total=sum(deg),
-        connected=connected,
+        vertices=tuple(nbrs[0].tolist()),
+        edges=tuple(zip(i.tolist(), j.tolist())),
+        tau_edge=tuple(deg.tolist()),
+        tau_total=int(deg.sum()),
+        connected=bool(_links_connected(a)[0]),
     )
-
-
-def _link_connected(n: int, edges) -> bool:
-    if n <= 1:
-        return False  # empty and singleton links fail the hypothesis
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
 
 
 def link_lambda1(link: LinkGraph, tol: float = 1e-9) -> float:
@@ -124,17 +153,13 @@ def link_lambda1(link: LinkGraph, tol: float = 1e-9) -> float:
         raise EmptyLink(link.base)
     if not link.connected:
         raise DisconnectedLink(link.base)
-    deg = np.asarray(link.tau_edge, dtype=np.float64)
-    a = np.zeros((m, m))
+    a = np.zeros((1, m, m), dtype=bool)
     for u, v in link.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    dinv = 1.0 / np.sqrt(deg)
-    sym = np.eye(m) - (dinv[:, None] * a) * dinv[None, :]
-    evs = np.linalg.eigvalsh(sym)
-    if abs(evs[0]) > 100 * tol:
+        a[0, u, v] = a[0, v, u] = True
+    lam0, lam1 = _link_spectra(a)
+    if abs(lam0[0]) > 100 * tol:
         raise DisconnectedLink(link.base)
-    return float(evs[1])
+    return float(lam1[0])
 
 
 @dataclass
@@ -165,16 +190,42 @@ def zuk_certificate(g: Graph, subset=None, tol: float = 1e-9) -> ZukCertificate:
 
     Every link of every vertex must be connected (the hypothesis covers the
     whole graph, not just the inspected subset); DisconnectedLink is raised
-    otherwise. With subset = all vertices a valid certificate claims the
-    full gap for the triangle-weighted Laplacian.
+    otherwise, at the first such vertex, before any eigensolve of its chunk.
+    A subset link whose kernel is not one-dimensional (|lambda_0| above
+    100 tol) also raises DisconnectedLink, at the first such subset vertex,
+    once every link is known to be connected. With subset = all vertices a
+    valid certificate claims the full gap for the triangle-weighted
+    Laplacian.
+
+    Links are handled LINK_CHUNK vertices at a time: per chunk, one stack of
+    adjacency matrices and one ``eigvalsh`` call per link size.
     """
-    links = []
-    for x in range(g.n):
-        links.append(link_graph(g, x))
-        if not links[x].connected:
-            raise DisconnectedLink(x)
     vertices = tuple(sorted(subset)) if subset is not None else tuple(range(g.n))
-    lam = {x: link_lambda1(links[x], tol) for x in vertices}
+    wanted = np.zeros(g.n, dtype=bool)
+    wanted[list(vertices)] = True
+    keys = _edge_keys(g)
+    size = np.diff(g.indptr)
+    lambda1 = np.zeros(g.n)
+    off_kernel = g.n  # first subset vertex with |lambda_0| > 100 tol
+    for lo in range(0, g.n, LINK_CHUNK):
+        xs = np.arange(lo, min(lo + LINK_CHUNK, g.n))
+        stacks = []
+        for m in np.unique(size[xs]):
+            ys = xs[size[xs] == m]
+            stacks.append((ys, _link_stack(g, keys, ys, int(m))[1]))
+        cut = [ys[~_links_connected(a)] for ys, a in stacks]
+        if any(len(ys) for ys in cut):
+            raise DisconnectedLink(int(np.concatenate(cut).min()))
+        for ys, a in stacks:
+            keep = wanted[ys]
+            if keep.any():
+                lam0, lam1 = _link_spectra(a[keep])
+                lambda1[ys[keep]] = lam1
+                bad = ys[keep][np.abs(lam0) > 100 * tol]
+                off_kernel = min(off_kernel, int(bad.min(initial=g.n)))
+    if off_kernel < g.n:
+        raise DisconnectedLink(off_kernel)
+    lam = dict(zip(vertices, lambda1[list(vertices)].tolist()))
     min_lambda = min(lam.values()) if lam else 0.0
     valid = bool(lam) and min_lambda > 0.5
     c = 2.0 - 1.0 / min_lambda if min_lambda > 0 else 0.0

@@ -99,6 +99,40 @@ def test_margulis_family_uniformity():
     assert g16 >= 0.5 * g8
 
 
+def loop_margulis(n):
+    """Oracle: the per-vertex loop the Margulis family was built with."""
+    edges = set()
+    for x in range(n):
+        for y in range(n):
+            u = x * n + y
+            for px, py in (((x + y) % n, y), ((x - y) % n, y), (x, (y + x) % n),
+                           (x, (y - x) % n), ((x + 1) % n, y), ((x - 1) % n, y),
+                           (x, (y + 1) % n), (x, (y - 1) % n)):
+                v = px * n + py
+                if v != u:
+                    edges.add((min(u, v), max(u, v)))
+    return bg.build_graph(n * n, sorted(edges), 8)
+
+
+def loop_torus(m):
+    """Oracle: the per-vertex loop the triangulated tori were built with."""
+    edges = set()
+    for x in range(m):
+        for y in range(m):
+            u = x * m + y
+            for dx, dy in ((1, 0), (0, 1), (1, 1)):
+                v = ((x + dx) % m) * m + (y + dy) % m
+                edges.add((min(u, v), max(u, v)))
+    return bg.build_graph(m * m, sorted(edges), 6)
+
+
+def test_array_generators_match_loops():
+    for n in range(2, 41):
+        assert bg.margulis_graph(n) == loop_margulis(n), n
+    for m in range(4, 31):
+        assert bg.triangular_torus(m) == loop_torus(m), m
+
+
 def test_glue_pair_k4s():
     g = bg.glue_pair(bg.complete_graph(4), bg.complete_graph(4), 0, 0, d=4)
     assert g.n == 8

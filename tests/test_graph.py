@@ -112,10 +112,20 @@ def test_build_errors():
             for loops in (False, True):
                 want = outcome(reference_build, n, edges, bound, loops)
                 got = outcome(bg.build_graph, n, edges, bound, allow_loops=loops)
+                array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+                as_array = outcome(bg.build_graph, n, array, bound, allow_loops=loops)
+                assert as_array == got
                 if isinstance(got, bg.Graph):
                     got = got.adjacency
                 else:
                     kinds.add(got[0])
+                    payload = list(as_array[2].values())
+                    while payload:  # the payload holds Python ints only
+                        x = payload.pop()
+                        if isinstance(x, tuple):
+                            payload += x
+                        else:
+                            assert type(x) is int, as_array
                 assert got == want, (n, edges, bound, loops)
     assert kinds == {VertexOutOfRange, DuplicateEdge, DegreeExceeded}
 
@@ -186,11 +196,11 @@ def test_equal_edge_sets_give_equal_graphs(small_corpus):
     assert not g.indptr.flags.writeable and not g.indices.flags.writeable
 
 
-def test_only_graph_rewire_and_zuk_read_adjacency():
+def test_only_graph_and_rewire_read_adjacency():
     src = Path(graph_mod.__file__).parent
     readers = {p.name for p in src.glob("*.py")
                if re.search(r"\.adjacency\b", p.read_text())}
-    assert readers <= {"graph.py", "rewire.py", "zuk.py"}
+    assert readers <= {"graph.py", "rewire.py"}
 
 
 def test_loops_count_once_in_degree():
@@ -328,6 +338,98 @@ def test_edge_list_errors(tmp_path):
     p.write_text("3 2\n0 1\n1 two\n")
     with pytest.raises(ValueError, match=":3:"):
         bg.read_edge_list(p)
+
+
+def reference_read(path):
+    """Oracle: the line-by-line reader that parsed every edge-list file
+    before the bulk parse."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError(f"{path}:1: expected header 'n d'")
+    try:
+        n, d = int(head[0]), int(head[1])
+    except ValueError:
+        raise ValueError(f"{path}:1: expected header 'n d'") from None
+    edges = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'u v'") from None
+        edges.append((u, v))
+    return bg.build_graph(n, edges, d, allow_loops=any(u == v for u, v in edges))
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except (ValueError, VertexOutOfRange, DuplicateEdge, DegreeExceeded) as exc:
+        return type(exc), exc.args
+
+
+# Lines the line loop rejects, or accepts in a form a bulk parser might
+# read differently: comments, underscores, signs, floats, int64 overflow,
+# token counts, other whitespace and line breaks, non-ASCII digits.
+BODY_FAULTS = [
+    "# 0 1", "0 1 # edge", "1_0 2", "+1 2", "0 +2", "-0 1", "01 002", "1.0 2",
+    "1e0 2", f"{2**63} 1", f"1 {-2**63 - 1}", f"0 {2**70}", "3", "1 2 3",
+    "1-2 3", "+-1 2", "- 1", "0\x0c1", "0 1\x0c2 3", "1\xa02", "\u0661 2",
+    "0\x0b1", "0 1\r", "0\r1", "\x1c", "", "  \t ", "0 n",
+]
+HEAD_FAULTS = ["", "3", "3 2 1", "+3 2", "3_0 2", "3.0 2", "three 2", "3\t2", " 3 2 "]
+
+
+def pad(rng):
+    return str(rng.choice(["", " ", "  ", "\t"]))
+
+
+def test_read_edge_list_matches_line_loop(tmp_path):
+    rng = np.random.default_rng(41)
+    path = tmp_path / "g.txt"
+    kinds = set()
+    for trial in range(400):
+        n = int(rng.integers(1, 14))
+        d = int(rng.integers(1, 6))
+        edges = list(random_bounded_graph(rng, n, d).edges())
+        if rng.random() < 0.2:
+            x = int(rng.integers(0, n))
+            edges.append((x, x))  # a loop, maybe over the degree bound
+        if rng.random() < 0.2 and edges:
+            edges.append(edges[int(rng.integers(len(edges)))][::-1])
+        lines = [f"{pad(rng)}{u}{pad(rng) or ' '}{v}{pad(rng)}" for u, v in edges]
+        faulty = trial % 2 == 1
+        extra = [pad(rng) for _ in range(int(rng.integers(0, 3)))]
+        if faulty:
+            extra += rng.choice(BODY_FAULTS, size=int(rng.integers(1, 3))).tolist()
+        for line in extra:
+            lines.insert(int(rng.integers(0, len(lines) + 1)), line)
+        head = f"{n} {d}"
+        if faulty and rng.random() < 0.2:
+            head = str(rng.choice(HEAD_FAULTS))
+        text = "\n".join([head, *lines]) + ("\n" if rng.random() < 0.8 else "")
+        path.write_bytes(text.encode())
+        want = read_outcome(reference_read, path)
+        got = read_outcome(bg.read_edge_list, path)
+        assert got == want, text
+        kinds.add(type(got) if isinstance(got, bg.Graph) else got[0])
+        if not faulty:
+            assert graph_mod._parse_bulk(text) is not None  # the bulk path ran
+    assert kinds == {bg.Graph, ValueError, VertexOutOfRange, DuplicateEdge,
+                     DegreeExceeded}
+    for text in ("", "\n", "3 2", "3 2\n", "3 2\n\n \n", "0 1\n", "3 2\n0\n",
+                 "3 2\n0 1 2\n1 2 0\n"):
+        path.write_bytes(text.encode())
+        want = read_outcome(reference_read, path)
+        assert read_outcome(bg.read_edge_list, path) == want
 
 
 def test_manifest_roundtrip(tmp_path):

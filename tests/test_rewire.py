@@ -1,6 +1,7 @@
 import pytest
 
 import boxgap as bg
+import boxgap.rewire as rewire_mod
 from boxgap.errors import HypothesisFailed, InsufficientSeparatedEdges
 
 from conftest import bridged_k4_pair
@@ -56,6 +57,21 @@ def test_rewire_identity_when_detached():
     assert sorted(res.new_graph.edges()) == sorted(g.edges())
     assert res.connected
     assert res.hypothesis_verified
+
+
+def test_rewire_whole_component_keeps_the_graph(monkeypatch):
+    """A piece without boundary edges is not edited, so the graph is
+    returned as it is, with no copy and no rebuild."""
+    g = bg.disjoint_union(bg.complete_graph(6), bg.cycle_graph(10))
+    want = bg.rewire_piece(g, range(6), c_inner=0.4, alpha=0.2)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("graph rebuilt")
+
+    monkeypatch.setattr(rewire_mod, "build_graph", no_rebuild)
+    got = bg.rewire_piece(g, range(6), c_inner=0.4, alpha=0.2)
+    assert got == want and got.new_graph is g
+    assert got.edits == [] and got.connected
 
 
 def test_rewire_pendant_cycle():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import boxgap as bg
+import boxgap.zuk as zuk_mod
 from boxgap.errors import DisconnectedLink, EdgeWithoutTriangle
 
 from conftest import random_triangle_graph
@@ -232,3 +233,113 @@ def test_certified_graphs_meet_their_gap():
         if cert.valid:
             rep = bg.delta_tau_spectrum(g)
             assert rep.gap >= cert.c - 1e-9
+
+
+def reference_certificate(g, subset=None, tol=1e-9):
+    """Per-link oracle: each link built by walking the neighbour tuples and
+    checked by a Python search, then one eigvalsh call per link; returns
+    per_vertex_lambda1 or raises what the per-link loop raises."""
+    nbrs = [tuple(v for v in g.adjacency[x] if v != x) for x in range(g.n)]
+    mats = []
+    for x in range(g.n):
+        pos = {v: i for i, v in enumerate(nbrs[x])}
+        a = np.zeros((len(pos), len(pos)))
+        for y in nbrs[x]:
+            for z in g.adjacency[y]:
+                if z in pos and z != y:
+                    a[pos[y], pos[z]] = 1.0
+        seen, stack = {0}, [0]
+        while stack and len(pos) > 1:
+            for j in np.flatnonzero(a[stack.pop()]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(pos) <= 1 or len(seen) < len(pos):
+            raise DisconnectedLink(x)
+        mats.append(a)
+    lam = {}
+    for x in (sorted(subset) if subset is not None else range(g.n)):
+        a = mats[x]
+        dinv = 1.0 / np.sqrt(a.sum(axis=1))
+        evs = np.linalg.eigvalsh(np.eye(len(a)) - (dinv[:, None] * a) * dinv[None, :])
+        if abs(evs[0]) > 100 * tol:
+            raise DisconnectedLink(x)
+        lam[x] = float(evs[1])
+    return lam
+
+
+def certificate_outcome(certify, g, **kwargs):
+    try:
+        got = certify(g, **kwargs)
+    except DisconnectedLink as exc:
+        return "DisconnectedLink", exc.vertex, exc.args
+    return got.per_vertex_lambda1 if isinstance(got, bg.ZukCertificate) else got
+
+
+def zuk_oracle_graphs(small_corpus):
+    rng = np.random.default_rng(31)
+    graphs = [*small_corpus, bg.octahedron(), bg.complete_graph(7)]
+    graphs += [bg.triangular_torus(m) for m in range(4, 13)]
+    for _ in range(12):
+        graphs.append(random_triangle_graph(rng, int(rng.integers(6, 30)), 6))
+    # Tori with one vertex or one edge removed: links of several sizes.
+    for m in (5, 7):
+        t = bg.triangular_torus(m)
+        drop = int(rng.integers(1, t.n))
+        graphs.append(bg.induced_subgraph(t, [v for v in range(t.n) if v != drop])[0])
+        edges = list(t.edges())
+        del edges[int(rng.integers(len(edges)))]
+        graphs.append(bg.build_graph(t.n, edges, 6))
+    # The first disconnected link lies past the first vertices.
+    graphs.append(bg.disjoint_union(bg.triangular_torus(5), bg.cycle_graph(5)))
+    graphs.append(bg.glue_pair(bg.octahedron(), bg.triangular_torus(5), 3, 7, d=7))
+    return graphs
+
+
+@pytest.mark.parametrize("chunk", [1, 5, None])
+def test_certificate_matches_per_link_oracle(small_corpus, monkeypatch, chunk):
+    """Byte-equal lambda_1 per vertex, and the same exception for the same
+    vertex, over whole graphs, subsets and chunk sizes that split them
+    (None keeps the module's chunk size)."""
+    if chunk is not None:
+        monkeypatch.setattr(zuk_mod, "LINK_CHUNK", chunk)
+    rng = np.random.default_rng(37)
+    outcomes = set()
+    for g in zuk_oracle_graphs(small_corpus):
+        subsets = [None]
+        if g.n:
+            subsets.append(tuple(rng.choice(g.n, size=int(rng.integers(0, g.n + 1)),
+                                            replace=False).tolist()))
+        for subset in subsets:
+            # At tol = 1e-18 the kernel check fails on some links, whose
+            # computed |lambda_0| lies between 1e-17 and 4e-16, and not others.
+            for tol in (1e-9, 1e-18):
+                kwargs = {"subset": subset, "tol": tol}
+                want = certificate_outcome(reference_certificate, g, **kwargs)
+                got = certificate_outcome(bg.zuk_certificate, g, **kwargs)
+                assert got == want, (g.n, subset, tol)
+                outcomes.add(type(got).__name__)
+    assert outcomes == {"dict", "tuple"}
+
+
+def test_certificate_eigensolves_once_per_link_size_and_chunk(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cert = bg.zuk_certificate(bg.triangular_torus(24))
+    assert calls == [(576, 6, 6)]
+    assert cert.min_lambda == pytest.approx(0.5, abs=1e-9)
+
+
+def test_link_graph_matches_certificate_kernel():
+    g = bg.triangular_torus(6)
+    cert = bg.zuk_certificate(g)
+    for x in range(g.n):
+        link = bg.link_graph(g, x)
+        assert link.edges == tuple(sorted(link.edges))
+        assert bg.link_lambda1(link) == cert.per_vertex_lambda1[x]
