@@ -21,7 +21,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -38,7 +37,7 @@ from .graph import (
     read_manifest,
     write_manifest,
 )
-from .rewire import alpha_feasible, expanderize
+from .rewire import alpha_feasible, expanderize, separation_radius
 from .spectral import DENSE_LIMIT, graph_spectrum, markov, spectrum
 from .zuk import delta_tau_spectrum, zuk_certificate
 
@@ -172,7 +171,7 @@ def cmd_expanderize(args) -> int:
     if not args.allow_infeasible_alpha and not alpha_feasible(
         params.alpha, params.C, params.d
     ):
-        r = math.ceil(4.0 / params.C)
+        r = separation_radius(params.C)
         print(
             f"alpha={params.alpha} is not below 1/d^(r+1) for r={r}; the "
             "separated-edge selection has no feasibility certificate "

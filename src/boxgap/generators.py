@@ -26,7 +26,6 @@ from .graph import (
     Graph,
     ball_of_set,
     build_graph,
-    disjoint_union,
     vertex_set,
 )
 
@@ -262,9 +261,11 @@ def glue_pair(g1: Graph, g2: Graph, v1: int, v2: int, d: int | None = None) -> G
         raise DegreeExceeded(v1, g1.degree(v1) + 1, d)
     if g2.degree(v2) >= d:
         raise DegreeExceeded(v2, g2.degree(v2) + 1, d)
-    base = disjoint_union(g1, g2, d)
-    edges = list(base.edges()) + [(v1, g1.n + v2)]
-    return build_graph(base.n, edges, d, allow_loops=base.allows_loops)
+    edges = np.concatenate(
+        (g1.edge_array(), g2.edge_array() + g1.n, [[v1, g1.n + v2]])
+    )
+    return build_graph(g1.n + g2.n, edges, d,
+                       allow_loops=g1.allows_loops or g2.allows_loops)
 
 
 @dataclass
@@ -309,24 +310,24 @@ def glued_expander(
                 raise NoDegreeHeadroom(v + off, g.degree(v), d_out)
     rng = np.random.default_rng(seed)
     targets = rng.permutation(x_prime.n)[: len(movers)]
-    base = disjoint_union(x_prime, y, d_out)
-    edges = list(base.edges())
-    matched = set()
-    bijection = []
-    for v, tgt in zip(movers, targets):
-        u = x_prime.n + v
-        edges.append((u, int(tgt)))
-        matched.add(u)
-        matched.add(int(tgt))
-        bijection.append((u, int(tgt)))
-    loops = tuple(v for v in range(base.n) if v not in matched)
-    edges += [(v, v) for v in loops]
-    graph = build_graph(base.n, edges, d_out, allow_loops=True)
+    sources = x_prime.n + np.array(movers, dtype=np.int64)
+    matched = np.zeros(x_prime.n + y.n, dtype=bool)
+    matched[sources] = matched[targets] = True
+    loops = np.flatnonzero(~matched)
+    edges = np.concatenate((
+        x_prime.edge_array(),
+        y.edge_array() + x_prime.n,
+        np.stack((sources, targets), axis=1),
+        np.stack((loops, loops), axis=1),
+    ))
+    graph = build_graph(len(matched), edges, d_out, allow_loops=True)
+    bijection = tuple(zip(sources.tolist(), targets.tolist()))
+    loops = tuple(loops.tolist())
     ratio = len(t_set) / y.n if y.n else 0.0
     return GluedExpander(
         graph=graph,
         seed=seed,
-        bijection=tuple(bijection),
+        bijection=bijection,
         loops=loops,
         alpha_ratio=ratio,
         warn_alpha=ratio >= 0.5,

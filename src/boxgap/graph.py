@@ -7,11 +7,12 @@ as the CSR arrays ``indptr``/``indices`` of its loop-free adjacency plus the
 sorted tuple of looped vertices, and only this module builds those arrays.
 ``build_graph`` takes either (u, v) pairs or an (m, 2) integer ndarray,
 which the generators and the edge-list reader pass without a Python list in
-between. Everything else is derived from those fields: ``matrix`` (a
-zero-copy sparse wrap that the Laplacians, triangle weights and components
-read), ``components`` and the tuple view ``adjacency`` are each built once on
-first use. Vertex subsets are plain sorted tuples of indices. Disconnected
-graphs are first class throughout; distance across components is treated as
+between, and ``edge_array`` gives the edges back in that form, so code that
+edits a graph works on the array and builds a new graph from it.
+``matrix`` (a zero-copy sparse wrap that the Laplacians, triangle weights
+and components read) and ``components`` are derived and built once on first
+use. Vertex subsets are plain sorted tuples of indices. Disconnected graphs
+are first class throughout; distance across components is treated as
 infinite and never compared.
 
 Edge-list files are parsed in one bulk ``np.loadtxt`` call when their text
@@ -45,9 +46,11 @@ class Graph:
 
     Row x of ``indptr``/``indices`` (int32, read-only) lists the neighbours
     of x other than x itself, sorted; ``loops`` is the sorted tuple of
-    vertices carrying a loop. Build graphs with ``build_graph``, which
-    validates symmetry and the degree bound. Two graphs are equal when they
-    have the same vertex count, edges, loops, degree bound and loop flag.
+    vertices carrying a loop. These arrays and ``loops`` are the whole
+    graph: ``edge_array`` and ``edges`` list its edges and ``has_edge``
+    searches row u. Build graphs with ``build_graph``, which validates
+    symmetry and the degree bound. Two graphs are equal when they have the
+    same vertex count, edges, loops, degree bound and loop flag.
     """
 
     n: int
@@ -79,20 +82,32 @@ class Graph:
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def degree(self, v: int) -> int:
-        i = bisect_left(self.loops, v)
-        return self.nonloop_degree(v) + (self.loops[i : i + 1] == (v,))
+        return self.nonloop_degree(v) + self.has_edge(v, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        if u == v:
+            i = bisect_left(self.loops, u)
+            return self.loops[i : i + 1] == (u,)
+        # A binary search in row u; bisect on the array beats np.searchsorted
+        # on a row slice for rows this short.
+        lo, hi = int(self.indptr[u]), int(self.indptr[u + 1])
+        i = bisect_left(self.indices, v, lo, hi)
+        return bool(i < hi and self.indices[i] == v)
+
+    def edge_array(self) -> np.ndarray:
+        """Each edge once as a row (u, v) with u <= v, ordered by u then v,
+        loops included: an (m, 2) int64 array that ``build_graph`` takes."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = self.indices > rows
+        u, v = rows[upper], self.indices[upper].astype(np.int64)
+        at = np.searchsorted(u, self.loops)  # (x, x) goes first in row x
+        return np.stack((np.insert(u, at, self.loops),
+                         np.insert(v, at, self.loops)), axis=1)
 
     def edges(self):
-        """Each edge once as (u, v) with u <= v, ordered by u then v."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        upper = self.indices > rows
-        u, v = rows[upper], self.indices[upper]
-        at = np.searchsorted(u, self.loops)  # (x, x) goes first in row x
-        u, v = np.insert(u, at, self.loops), np.insert(v, at, self.loops)
-        return zip(u.tolist(), v.tolist())
+        """``edge_array`` as (u, v) tuples of Python ints."""
+        e = self.edge_array()
+        return zip(e[:, 0].tolist(), e[:, 1].tolist())
 
     @property
     def num_edges(self) -> int:
@@ -120,16 +135,6 @@ class Graph:
         members = np.argsort(labels, kind="stable")
         ends = np.cumsum(np.bincount(labels, minlength=count))
         return tuple(tuple(c.tolist()) for c in np.split(members, ends)[:-1])
-
-    @cached_property
-    def adjacency(self) -> tuple:
-        """Sorted neighbour tuples per vertex, a loop listed once in its own
-        row, for callers that walk neighbours in Python."""
-        cols, ptr = self.indices.tolist(), self.indptr.tolist()
-        rows = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
-        for u in self.loops:
-            rows[u] = sorted(rows[u] + [u])
-        return tuple(map(tuple, rows))
 
 
 def vertex_set(g: Graph, vertices) -> VertexSet:
@@ -305,14 +310,9 @@ def disjoint_union(g1: Graph, g2: Graph, d: int | None = None) -> Graph:
     """Disjoint union with g2's vertices shifted by g1.n."""
     if d is None:
         d = max(g1.degree_bound, g2.degree_bound)
-    off = g1.n
-    edges = list(g1.edges()) + [(u + off, v + off) for u, v in g2.edges()]
-    return build_graph(
-        g1.n + g2.n,
-        edges,
-        d,
-        allow_loops=g1.allows_loops or g2.allows_loops,
-    )
+    edges = np.concatenate((g1.edge_array(), g2.edge_array() + g1.n))
+    return build_graph(g1.n + g2.n, edges, d,
+                       allow_loops=g1.allows_loops or g2.allows_loops)
 
 
 @dataclass

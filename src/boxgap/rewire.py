@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cheeger import (
     EXACT_CAP,
     cheeger_exact,
@@ -39,15 +41,19 @@ from .graph import (
 )
 
 
+def separation_radius(c_inner: float) -> int:
+    """r = ceil(4 / c_inner): the F-edges of a piece are picked 2r apart."""
+    return math.ceil(4.0 / c_inner)
+
+
 def alpha_feasible(alpha: float, c_inner: float, d: int) -> bool:
-    """Whether alpha < 1/d^(r+1) with r = ceil(4 / c_inner).
+    """Whether alpha < 1/d^(r+1) with r = separation_radius(c_inner).
 
     This is the threshold below which the separated-edge selection has a
     feasibility certificate. A power too large for a float is infeasible.
     """
-    r = math.ceil(4.0 / c_inner)
     try:
-        return alpha < 1.0 / float(d) ** (r + 1)
+        return alpha < 1.0 / float(d) ** (separation_radius(c_inner) + 1)
     except OverflowError:
         return False
 
@@ -61,20 +67,17 @@ def select_separated_edges(g: Graph, piece, r: int, count: int) -> list:
     in g. Raises InsufficientSeparatedEdges when fewer than count fit.
     """
     piece = vertex_set(g, piece)
-    pset = set(piece)
     if count == 0:
         return []
     q = {u for u, _ in boundary_edges(g, piece)}
-    excluded = set(ball_of_set(g, q, 1))
-    eligible = sorted(
-        (u, v)
-        for u in piece
-        for v in g.adjacency[u]
-        if u < v and v in pset and u not in excluded and v not in excluded
-    )
+    ok = np.zeros(g.n, dtype=bool)
+    ok[list(piece)] = True
+    ok[list(ball_of_set(g, q, 1))] = False
+    edges = g.edge_array()
+    lo, hi = edges[:, 0], edges[:, 1]
     selected = []
     near = set()  # vertices within 2r - 1 of a selected edge
-    for u, v in eligible:
+    for u, v in edges[ok[lo] & ok[hi] & (lo < hi)].tolist():  # loops left out
         if u in near or v in near:
             continue
         selected.append((u, v))
@@ -83,6 +86,14 @@ def select_separated_edges(g: Graph, piece, r: int, count: int) -> list:
         if r > 0:
             near.update(ball_of_set(g, (u, v), 2 * r - 1))
     raise InsufficientSeparatedEdges(len(selected), count)
+
+
+def _component_labels(g: Graph):
+    """Index of the component of every vertex, and each component's size."""
+    sizes = [len(c) for c in g.components]
+    label = np.empty(g.n, dtype=np.int64)
+    label[np.concatenate(g.components)] = np.repeat(np.arange(len(sizes)), sizes)
+    return label, sizes
 
 
 @dataclass
@@ -133,7 +144,7 @@ def rewire_piece(
     most half the piece has ambient boundary at least c_inner |T|) is
     verified exhaustively up to exact_cap vertices, raising HypothesisFailed
     with a witness; larger pieces carry hypothesis_verified = False. The
-    separation radius is r = ceil(4 / c_inner).
+    separation radius is r = separation_radius(c_inner).
     """
     piece = vertex_set(g, piece)
     if not piece:
@@ -151,77 +162,41 @@ def rewire_piece(
         if value is not None and value < c_inner:
             raise HypothesisFailed(witness, value, c_inner)
         hypothesis_verified = True
-    r = math.ceil(4.0 / c_inner)
-
+    r = separation_radius(c_inner)
     edits = []
-
-    def remove_edge(u, v):
-        adj[u].discard(v)
-        adj[v].discard(u)
-        edits.append({"op": "remove", "edge": [min(u, v), max(u, v)]})
-
-    def add_edge(u, v):
-        adj[u].add(v)
-        adj[v].add(u)
-        edits.append({"op": "add", "edge": [min(u, v), max(u, v)]})
-
-    def piece_components():
-        # Component index and size per piece vertex; once its boundary is
-        # removed, the piece is closed under adj.
-        pos = {v: i for i, v in enumerate(piece)}
-        sub = build_graph(len(piece), [
-            (pos[u], pos[v]) for u in piece for v in adj[u] if u < v
-        ], g.degree_bound)
-        comps = connected_components(sub)
-        comp_id = {piece[i]: cid for cid, comp in enumerate(comps) for i in comp}
-        return comp_id, [len(comp) for comp in comps]
-
     removed_vertices = ()
     new_piece = piece
     new_graph = g  # with no boundary edges nothing is edited
+
+    def rebuild(edges):
+        return build_graph(g.n, edges, g.degree_bound, allow_loops=g.allows_loops)
+
     if bedges:
-        adj = [set(a) for a in g.adjacency]
         f_edges = select_separated_edges(g, piece, r, len(bedges))
-        for u, v_out in bedges:
-            remove_edge(u, v_out)
-        for e in f_edges:
-            remove_edge(*e)
-        # Larger-component endpoint of each removed interior edge, measured
-        # in the piece after all removals; ties go to the smaller index.
-        comp_id, sizes = piece_components()
-        plus = {}
-        for u, v in f_edges:
-            if comp_id[u] == comp_id[v]:
-                plus[(u, v)] = min(u, v)
-            elif sizes[comp_id[u]] != sizes[comp_id[v]]:
-                plus[(u, v)] = u if sizes[comp_id[u]] > sizes[comp_id[v]] else v
-            else:
-                plus[(u, v)] = min(u, v)
-        for (x, _), e in zip(bedges, f_edges):
-            add_edge(x, plus[e])
-        # Fragments stranded from their e+ side are deleted outright.
-        comp_id, _ = piece_components()
-        stranded = set()
-        for u, v in f_edges:
-            e_plus = plus[(u, v)]
-            e_minus = v if e_plus == u else u
-            if comp_id[e_plus] != comp_id[e_minus]:
-                stranded.add(comp_id[e_minus])
+        cut = [(min(u, v), max(u, v)) for u, v in bedges] + f_edges
+        edits += [{"op": "remove", "edge": list(e)} for e in cut]
+        edges = g.edge_array()
+        edges = edges[~np.isin(edges @ (g.n, 1), np.array(cut) @ (g.n, 1))]
+        # With its boundary cut the piece is a union of components. Each
+        # removed interior edge (u < v) is rewired to its endpoint in the
+        # larger component; ties go to u.
+        label, size = _component_labels(rebuild(edges))
+        plus = [v if size[label[v]] > size[label[u]] else u for u, v in f_edges]
+        added = [(min(x, p), max(x, p)) for (x, _), p in zip(bedges, plus)]
+        edits += [{"op": "add", "edge": list(e)} for e in added]
+        edges = np.concatenate((edges, np.array(added, dtype=np.int64)))
+        new_graph = rebuild(edges)
+        # Fragments stranded from their e+ side are deleted outright; a
+        # fragment is a whole component, so its edges go with either end.
+        label, _ = _component_labels(new_graph)
+        stranded = [label[v if p == u else u]
+                    for (u, v), p in zip(f_edges, plus) if label[u] != label[v]]
         if stranded:
-            dropped = sorted(
-                x for x in piece if comp_id[x] in stranded
-            )
-            for x in dropped:
-                for y in list(adj[x]):
-                    adj[x].discard(y)
-                    adj[y].discard(x)
-                edits.append({"op": "remove_vertex", "vertex": x})
-            removed_vertices = tuple(dropped)
-            new_piece = tuple(sorted(set(piece) - set(dropped)))
-        edge_list = [(u, v) for u in range(g.n) for v in adj[u] if u <= v]
-        new_graph = build_graph(
-            g.n, edge_list, g.degree_bound, allow_loops=g.allows_loops
-        )
+            drop = np.isin(label, stranded)
+            removed_vertices = tuple(np.flatnonzero(drop).tolist())
+            edits += [{"op": "remove_vertex", "vertex": x} for x in removed_vertices]
+            new_piece = tuple(x for x in piece if not drop[x])
+            new_graph = rebuild(edges[~drop[edges[:, 0]]])
 
     degree_ok = new_graph.max_degree() <= g.degree_bound
     if new_piece:
@@ -327,18 +302,16 @@ def expanderize(
             else:
                 keep_local.extend(comp)
         kept = tuple(sorted(idx_map[v] for v in keep_local))
-        out_graph, kept_map = induced_subgraph(work, kept)
+        out_graph, _ = induced_subgraph(work, kept)
         out_graphs.append(out_graph)
-        matched = []
-        for a, b in out_graph.edges():
-            u, v = kept_map[a], kept_map[b]
-            if g.has_edge(u, v):
-                matched.append((min(u, v), max(u, v)))
+        # kept is sorted, so the mapped edges stay in (u, v) order, u <= v.
+        pairs = np.array(kept, dtype=np.int64)[out_graph.edge_array()]
+        matched = pairs[np.isin(pairs @ (g.n, 1), g.edge_array() @ (g.n, 1))]
         entries.append(
             WitnessEntry(
                 vertices_x=kept,
                 vertices_x2=tuple(range(len(kept))),
-                edges_x=tuple(sorted(matched)),
+                edges_x=tuple(map(tuple, matched.tolist())),
             )
         )
         reports.append(

@@ -4,6 +4,19 @@ import pytest
 import boxgap as bg
 
 
+def neighbour_rows(g):
+    """Oracle neighbour lists: the sorted neighbours of every vertex, read
+    from the sparse matrix in coordinate form, with a loop listed once in
+    its own row."""
+    adj = [set() for _ in range(g.n)]
+    coo = g.matrix.tocoo()
+    for u, v in zip(coo.row.tolist(), coo.col.tolist()):
+        adj[u].add(v)
+    for x in g.loops:
+        adj[x].add(x)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
 def random_bounded_graph(rng, n, d, fill=0.6):
     """Random simple graph on n vertices with max degree <= d."""
     edges = set()

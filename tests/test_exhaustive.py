@@ -6,7 +6,7 @@ import numpy as np
 import boxgap as bg
 from boxgap.exhaustive import min_ratio_subset, min_sparse_subset
 
-from conftest import random_bounded_graph
+from conftest import neighbour_rows, random_bounded_graph
 
 
 def brute_min_ratio(g, region, max_size):
@@ -40,6 +40,7 @@ def reference_scan(g, region):
     xor pass per internal edge over all 2**m masks plus each vertex's edges
     leaving the region."""
     vs = sorted(set(region))
+    adj = neighbour_rows(g)
     pos = {v: i for i, v in enumerate(vs)}
     masks = np.arange(1 << len(vs), dtype=np.uint32)
     boundary = np.zeros(masks.shape, dtype=np.int32)
@@ -47,7 +48,7 @@ def reference_scan(g, region):
     for u in vs:
         bit = (masks >> pos[u]) & 1
         size += bit
-        for w in g.adjacency[u]:
+        for w in adj[u]:
             if w not in pos:
                 boundary += bit
             elif u < w:

@@ -1,6 +1,3 @@
-import re
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -10,25 +7,25 @@ from boxgap.errors import DegreeExceeded, DuplicateEdge, VertexOutOfRange
 
 from boxgap.cheeger import cheeger_report
 from boxgap.spectral import DENSE_LIMIT
-from conftest import random_bounded_graph
+from conftest import neighbour_rows, random_bounded_graph
 
 
 def test_build_triangle():
     g = bg.build_graph(3, [(0, 1), (1, 2), (0, 2)], 2)
     assert g.n == 3
-    assert g.adjacency == ((1, 2), (0, 2), (0, 1))
+    assert neighbour_rows(g) == ((1, 2), (0, 2), (0, 1))
     assert g.num_edges == 3
 
 
 def test_build_edgeless():
     g = bg.build_graph(2, [], 3)
-    assert g.adjacency == ((), ())
+    assert neighbour_rows(g) == ((), ())
     assert g.num_edges == 0
 
 
 def test_build_cycle():
     g = bg.build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], 2)
-    assert g.adjacency == ((1, 3), (0, 2), (1, 3), (0, 2))
+    assert neighbour_rows(g) == ((1, 3), (0, 2), (1, 3), (0, 2))
 
 
 def reference_build(n, edges, d, allow_loops=False):
@@ -116,7 +113,7 @@ def test_build_errors():
                 as_array = outcome(bg.build_graph, n, array, bound, allow_loops=loops)
                 assert as_array == got
                 if isinstance(got, bg.Graph):
-                    got = got.adjacency
+                    got = neighbour_rows(got)
                 else:
                     kinds.add(got[0])
                     payload = list(as_array[2].values())
@@ -137,14 +134,6 @@ def loop_graph():
     )
 
 
-def oracle_sets(g):
-    """Neighbour sets read from the dense matrix plus the loops."""
-    adj = [set(np.flatnonzero(row).tolist()) for row in g.matrix.toarray()]
-    for x in g.loops:
-        adj[x].add(x)
-    return adj
-
-
 def oracle_ball(adj, s, r):
     seen = set(s)
     for _ in range(r):
@@ -155,11 +144,16 @@ def oracle_ball(adj, s, r):
 def test_core_matches_set_oracles(small_corpus):
     rng = np.random.default_rng(13)
     for g in [*small_corpus, loop_graph()]:
-        adj = oracle_sets(g)
+        adj = [set(row) for row in neighbour_rows(g)]
         pairs = sorted({(min(u, v), max(u, v)) for u in range(g.n) for v in adj[u]})
         assert list(g.edges()) == pairs
         assert all(type(x) is int for e in g.edges() for x in e)
-        assert g.adjacency == tuple(tuple(sorted(a)) for a in adj)
+        array = g.edge_array()
+        assert array.dtype == np.int64 and array.shape == (len(pairs), 2)
+        assert array.tolist() == [list(e) for e in pairs]
+        for u in range(g.n):
+            for v in range(g.n):
+                assert g.has_edge(u, v) is (v in adj[u]), (u, v)
         assert g.num_edges == len(pairs)
         assert g.max_degree() == max((len(a) for a in adj), default=0)
         for _ in range(6):
@@ -173,7 +167,7 @@ def test_core_matches_set_oracles(small_corpus):
             sub, idx = bg.induced_subgraph(g, s)
             assert idx == s
             pos = {v: i for i, v in enumerate(s)}
-            assert sub.adjacency == tuple(
+            assert neighbour_rows(sub) == tuple(
                 tuple(sorted(pos[v] for v in adj[u] if v in pos)) for u in s
             )
             assert (sub.degree_bound, sub.allows_loops) == (
@@ -194,13 +188,6 @@ def test_equal_edge_sets_give_equal_graphs(small_corpus):
     assert bg.build_graph(8, fewer_loops, 3, allow_loops=True) != g
     assert g != "graph"
     assert not g.indptr.flags.writeable and not g.indices.flags.writeable
-
-
-def test_only_graph_and_rewire_read_adjacency():
-    src = Path(graph_mod.__file__).parent
-    readers = {p.name for p in src.glob("*.py")
-               if re.search(r"\.adjacency\b", p.read_text())}
-    assert readers <= {"graph.py", "rewire.py"}
 
 
 def test_loops_count_once_in_degree():
@@ -276,13 +263,14 @@ def test_components_found_once_per_graph(monkeypatch):
 
 def brute_components(g):
     """Independent oracle: BFS from each unseen vertex in index order."""
+    adj = neighbour_rows(g)
     seen, comps = set(), []
     for start in range(g.n):
         if start in seen:
             continue
         comp, frontier = {start}, [start]
         while frontier:
-            frontier = [v for u in frontier for v in g.adjacency[u] if v not in comp]
+            frontier = [v for u in frontier for v in adj[u] if v not in comp]
             comp.update(frontier)
         seen |= comp
         comps.append(tuple(sorted(comp)))

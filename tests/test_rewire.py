@@ -1,10 +1,15 @@
+import math
+
+import numpy as np
 import pytest
 
 import boxgap as bg
 import boxgap.rewire as rewire_mod
+from boxgap.cheeger import second_eigenvalue
 from boxgap.errors import HypothesisFailed, InsufficientSeparatedEdges
+from boxgap.graph import boundary_edges
 
-from conftest import bridged_k4_pair
+from conftest import bridged_k4_pair, neighbour_rows
 
 
 def pendant_cycle(n=20):
@@ -25,13 +30,15 @@ def test_select_c20_two_edges():
     (a, b), (c, d) = f
 
     # distance between the two edges must be at least 2r = 4
+    adj = neighbour_rows(g)
+
     def graph_dist(u, v):
         frontier = {u}
         seen = {u}
         steps = 0
         while v not in seen:
             frontier = {
-                y for x in frontier for y in g.adjacency[x] if y not in seen
+                y for x in frontier for y in adj[x] if y not in seen
             }
             seen |= frontier
             steps += 1
@@ -147,6 +154,191 @@ def test_rewire_two_boundary_edges_mechanics():
     assert res.connected
     # vertex-removal budget honestly fails for the inflated constant
     assert not res.budget_removed_ok
+
+
+def reference_select(g, piece, r, count):
+    """Set oracle for select_separated_edges: eligible edges listed from the
+    neighbour rows, then the same greedy pass."""
+    pset = set(piece)
+    if count == 0:
+        return []
+    adj = neighbour_rows(g)
+    q = {u for u, _ in boundary_edges(g, piece)}
+    excluded = set(bg.ball_of_set(g, q, 1))
+    eligible = sorted(
+        (u, v) for u in piece for v in adj[u]
+        if u < v and v in pset and u not in excluded and v not in excluded
+    )
+    selected, near = [], set()
+    for u, v in eligible:
+        if u in near or v in near:
+            continue
+        selected.append((u, v))
+        if len(selected) == count:
+            return selected
+        near.update(bg.ball_of_set(g, (u, v), 2 * r - 1))
+    raise InsufficientSeparatedEdges(len(selected), count)
+
+
+def reference_rewire(g, piece, c_inner, alpha, exact_cap, verify):
+    """Set oracle for rewire_piece: the graph copied into per-vertex sets and
+    edited in place, its piece components found on a rebuilt subgraph."""
+    piece = bg.vertex_set(g, piece)
+    bedges = sorted(boundary_edges(g, piece))
+    if len(bedges) >= alpha * len(piece):
+        raise ValueError(
+            f"boundary {len(bedges)} not below alpha |P| = {alpha * len(piece):.3g}"
+        )
+    hypothesis_verified = False
+    if verify and len(piece) <= exact_cap:
+        value, witness = bg.inner_expansion_exact(g, piece, exact_cap)
+        if value is not None and value < c_inner:
+            raise HypothesisFailed(witness, value, c_inner)
+        hypothesis_verified = True
+    r = math.ceil(4.0 / c_inner)
+    adj = [set(a) for a in neighbour_rows(g)]
+    edits = []
+
+    def remove_edge(u, v):
+        adj[u].discard(v)
+        adj[v].discard(u)
+        edits.append({"op": "remove", "edge": [min(u, v), max(u, v)]})
+
+    def add_edge(u, v):
+        adj[u].add(v)
+        adj[v].add(u)
+        edits.append({"op": "add", "edge": [min(u, v), max(u, v)]})
+
+    def piece_components():
+        pos = {v: i for i, v in enumerate(piece)}
+        sub = bg.build_graph(len(piece), [
+            (pos[u], pos[v]) for u in piece for v in adj[u] if u < v
+        ], g.degree_bound)
+        comps = bg.connected_components(sub)
+        comp_id = {piece[i]: cid for cid, comp in enumerate(comps) for i in comp}
+        return comp_id, [len(comp) for comp in comps]
+
+    removed_vertices = ()
+    new_piece = piece
+    new_graph = g
+    if bedges:
+        f_edges = reference_select(g, piece, r, len(bedges))
+        for u, v_out in bedges:
+            remove_edge(u, v_out)
+        for e in f_edges:
+            remove_edge(*e)
+        comp_id, sizes = piece_components()
+        plus = {}
+        for u, v in f_edges:
+            if comp_id[u] == comp_id[v]:
+                plus[(u, v)] = min(u, v)
+            elif sizes[comp_id[u]] != sizes[comp_id[v]]:
+                plus[(u, v)] = u if sizes[comp_id[u]] > sizes[comp_id[v]] else v
+            else:
+                plus[(u, v)] = min(u, v)
+        for (x, _), e in zip(bedges, f_edges):
+            add_edge(x, plus[e])
+        comp_id, _ = piece_components()
+        stranded = set()
+        for u, v in f_edges:
+            e_plus = plus[(u, v)]
+            e_minus = v if e_plus == u else u
+            if comp_id[e_plus] != comp_id[e_minus]:
+                stranded.add(comp_id[e_minus])
+        if stranded:
+            dropped = sorted(x for x in piece if comp_id[x] in stranded)
+            for x in dropped:
+                for y in list(adj[x]):
+                    adj[x].discard(y)
+                    adj[y].discard(x)
+                edits.append({"op": "remove_vertex", "vertex": x})
+            removed_vertices = tuple(dropped)
+            new_piece = tuple(sorted(set(piece) - set(dropped)))
+        edge_list = [(u, v) for u in range(g.n) for v in adj[u] if u <= v]
+        new_graph = bg.build_graph(
+            g.n, edge_list, g.degree_bound, allow_loops=g.allows_loops
+        )
+    sub, _ = bg.induced_subgraph(new_graph, new_piece)
+    connected = len(bg.connected_components(sub)) == 1 if new_piece else False
+    if len(new_piece) <= exact_cap:
+        rep = bg.cheeger_exact(sub, exact_cap)
+        evidence = {"method": "exact", "value": rep.h, "witness": list(rep.witness)}
+    else:
+        evidence = {"method": "spectral", "value": second_eigenvalue(sub) / 2.0,
+                    "witness": None}
+    try:
+        feasible = alpha < 1.0 / float(g.degree_bound) ** (r + 1)
+    except OverflowError:
+        feasible = False
+    return bg.RewireResult(
+        new_graph=new_graph,
+        piece_before=piece,
+        piece=new_piece,
+        edits=edits,
+        edit_units=len(bedges),
+        removed_vertices=removed_vertices,
+        r=r,
+        boundary_before=len(bedges),
+        alpha=alpha,
+        C=c_inner,
+        alpha_feasible=feasible,
+        hypothesis_verified=hypothesis_verified,
+        budget_edits_ok=len(bedges) <= alpha * len(piece),
+        budget_removed_ok=len(removed_vertices) <= (alpha / c_inner) * len(piece),
+        degree_ok=new_graph.max_degree() <= g.degree_bound,
+        connected=connected,
+        cheeger_evidence=evidence,
+    )
+
+
+def random_piece_graph(rng):
+    """A cycle C_n (the piece, vertices 0..n-1) with outside vertices hung
+    on one or two cycle vertices, random chords and, sometimes, loops."""
+    n = int(rng.integers(8, 41))
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    outside = int(rng.integers(1, 4))
+    for k in range(outside):
+        for x in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
+            edges.add((int(x), n + k))
+    for _ in range(int(rng.integers(0, 4))):
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        edges.add((u, v))
+    loops = rng.random() < 0.3
+    if loops:
+        edges |= {(x, x) for x in rng.choice(n + outside, size=2).tolist()}
+    edges = sorted(edges)
+    deg = np.bincount(np.array(edges).ravel(), minlength=n + outside)
+    g = bg.build_graph(n + outside, edges, int(deg.max()), allow_loops=loops)
+    return g, tuple(range(n))
+
+
+def rewire_outcome(rewire, *args):
+    try:
+        res = rewire(*args)
+    except (HypothesisFailed, InsufficientSeparatedEdges, ValueError) as exc:
+        return type(exc), exc.args
+    return res.to_dict(), res.new_graph
+
+
+def test_rewire_matches_set_reference():
+    """rewire_piece on the edge array gives the edits, result and graph of
+    the set-editing construction, exceptions included."""
+    rng = np.random.default_rng(41)
+    rewired = dropped = 0
+    for _ in range(60):
+        g, piece = random_piece_graph(rng)
+        alpha = min(0.99, (len(boundary_edges(g, piece)) + 0.5) / len(piece))
+        exact_cap = int(rng.choice([8, 16]))
+        for c_inner in (0.5, 1, 2, 4, 8):
+            for verify in (True, False):
+                args = (g, piece, c_inner, alpha, exact_cap, verify)
+                want = rewire_outcome(reference_rewire, *args)
+                got = rewire_outcome(bg.rewire_piece, *args)
+                assert got == want, args
+                if isinstance(got[0], dict) and got[0]["edits"]:
+                    rewired += 1
+                    dropped += bool(got[0]["removed_vertices"])
+    assert rewired and dropped
 
 
 def test_rewire_degree_never_exceeds_bound():

@@ -7,7 +7,7 @@ import boxgap as bg
 import boxgap.zuk as zuk_mod
 from boxgap.errors import DisconnectedLink, EdgeWithoutTriangle
 
-from conftest import random_triangle_graph
+from conftest import neighbour_rows, random_triangle_graph
 
 
 def brute_triangles(g):
@@ -69,7 +69,7 @@ def test_link_graph_triangle_free():
 def brute_operators(g):
     """Independent oracle: Laplacian and Δτ from triplets, τ by set
     intersection of neighbourhoods (loops dropped)."""
-    neigh = [set(a) - {u} for u, a in enumerate(g.adjacency)]
+    neigh = [set(a) - {u} for u, a in enumerate(neighbour_rows(g))]
     lap = np.zeros((g.n, g.n))
     dt = np.zeros((g.n, g.n))
     for u in range(g.n):
@@ -239,13 +239,14 @@ def reference_certificate(g, subset=None, tol=1e-9):
     """Per-link oracle: each link built by walking the neighbour tuples and
     checked by a Python search, then one eigvalsh call per link; returns
     per_vertex_lambda1 or raises what the per-link loop raises."""
-    nbrs = [tuple(v for v in g.adjacency[x] if v != x) for x in range(g.n)]
+    adj = neighbour_rows(g)
+    nbrs = [tuple(v for v in adj[x] if v != x) for x in range(g.n)]
     mats = []
     for x in range(g.n):
         pos = {v: i for i, v in enumerate(nbrs[x])}
         a = np.zeros((len(pos), len(pos)))
         for y in nbrs[x]:
-            for z in g.adjacency[y]:
+            for z in adj[y]:
                 if z in pos and z != y:
                     a[pos[y], pos[z]] = 1.0
         seen, stack = {0}, [0]
