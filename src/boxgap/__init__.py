@@ -8,10 +8,12 @@ sofic verification and approximate-isomorphism accounting.
 
 from .cheeger import (
     CheegerReport,
+    Evidence,
     cheeger_exact,
     cheeger_sandwich_check,
     cheeger_sweep,
     inner_expansion_exact,
+    piece_evidence,
 )
 from .decompose import (
     Decomposition,

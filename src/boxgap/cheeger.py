@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exhaustive
 from .errors import TooLargeForExact
-from .graph import Graph, connected_components, sweep_profile
+from .graph import Graph, connected_components, induced_subgraph, sweep_profile
 from .spectral import DENSE_LIMIT, iterative_eigenpairs, laplacian, spectrum
 
 EXACT_CAP = 24
@@ -148,3 +148,23 @@ def inner_expansion_exact(g: Graph, piece, exact_cap: int = EXACT_CAP):
     if len(piece) < 2:
         return None, None
     return exhaustive.min_ratio_subset(g, piece, len(piece) // 2)
+
+
+@dataclass(frozen=True)
+class Evidence:
+    """A piece's inner expansion: an exact scan's value and witness tuple
+    (None and () below two vertices), or a spectral lower bound, no witness."""
+
+    method: str  # "exact" | "spectral"
+    value: float | None
+    witness: tuple | None
+
+
+def piece_evidence(g: Graph, piece, exact_cap: int = EXACT_CAP) -> Evidence:
+    """Exact scan up to exact_cap vertices, else the spectral bound. Depends
+    only on the CSR rows of the piece's own vertices (loops never count)."""
+    if len(piece) <= exact_cap:
+        value, witness = inner_expansion_exact(g, piece, exact_cap)
+        return Evidence("exact", value, () if witness is None else witness)
+    sub, _ = induced_subgraph(g, piece)
+    return Evidence("spectral", second_eigenvalue(sub) / 2.0, None)

@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exhaustive
-from .cheeger import (
-    EXACT_CAP,
-    inner_expansion_exact,
-    second_eigenvalue,
-    _fiedler_order,
-)
+from .cheeger import EXACT_CAP, _fiedler_order, piece_evidence
 from .errors import IterationCap
 from .graph import (
     Graph,
@@ -318,7 +313,8 @@ class PartitionCertificate:
     junk_ratio: float
     piece_sizes: list
     boundary_ratios: list
-    evidence: list  # per piece: {method, value, witness, conclusive, meets_C}
+    evidence: list  # per piece: {piece, method, value, witness, conclusive, meets_C}
+    records: list  # per piece: the Evidence behind evidence; not in to_dict
     inconclusive: list  # piece indices with positive spectral bound below C
     passed: bool
     alpha: float
@@ -342,10 +338,8 @@ def certify_partition(
 ) -> PartitionCertificate:
     """Measure junk fraction, boundary ratios and inner expansion per piece.
 
-    Pieces of at most exact_cap vertices get an exhaustive ambient scan
-    (conclusive either way); larger pieces get the spectral lower bound
-    lambda_2/2 of their induced subgraph, conclusive only when it already
-    meets C.
+    A piece's inner expansion is its ``piece_evidence``: an exact scan is
+    conclusive either way, a spectral bound only when it already meets C.
     """
     n = g.n or 1
     junk_ratio = len(decomp.junk) / n
@@ -353,53 +347,37 @@ def certify_partition(
     ratios = [
         boundary_size(g, p) / len(p) if p else 0.0 for p in decomp.pieces
     ]
+    records = [piece_evidence(g, piece, exact_cap) for piece in decomp.pieces]
     evidence = []
     inconclusive = []
     failed = junk_ratio >= params.alpha or any(
         r >= params.alpha for r in ratios
     )
-    for i, piece in enumerate(decomp.pieces):
-        if len(piece) <= exact_cap:
-            value, witness = inner_expansion_exact(g, piece, exact_cap)
-            # value None: the piece has no subset of at most half its size,
-            # so the expansion requirement is vacuously met (kept as None in
-            # the record; math.inf would not survive strict JSON).
-            meets = value is None or value >= params.C
-            evidence.append(
-                {
-                    "piece": i,
-                    "method": "exact",
-                    "value": value,
-                    "witness": list(witness) if witness else [],
-                    "conclusive": True,
-                    "meets_C": meets,
-                }
-            )
-            if not meets:
-                failed = True
-        else:
-            sub, _ = induced_subgraph(g, piece)
-            bound = second_eigenvalue(sub) / 2.0
-            meets = bound >= params.C
-            evidence.append(
-                {
-                    "piece": i,
-                    "method": "spectral",
-                    "value": bound,
-                    "witness": None,
-                    "conclusive": meets,
-                    "meets_C": meets,
-                }
-            )
-            if bound <= 0:
-                failed = True
-            elif not meets:
-                inconclusive.append(i)
+    for i, ev in enumerate(records):
+        exact = ev.method == "exact"
+        # value None: no subset of at most half the piece exists, so C is met
+        # vacuously (None, as math.inf would not survive strict JSON).
+        meets = ev.value is None or ev.value >= params.C
+        evidence.append(
+            {
+                "piece": i,
+                "method": ev.method,
+                "value": ev.value,
+                "witness": None if ev.witness is None else list(ev.witness),
+                "conclusive": exact or meets,
+                "meets_C": meets,
+            }
+        )
+        if not meets and (exact or ev.value <= 0):
+            failed = True
+        elif not meets:
+            inconclusive.append(i)
     return PartitionCertificate(
         junk_ratio=junk_ratio,
         piece_sizes=sizes,
         boundary_ratios=ratios,
         evidence=evidence,
+        records=records,
         inconclusive=inconclusive,
         passed=not failed,
         alpha=params.alpha,

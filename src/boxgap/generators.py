@@ -20,6 +20,7 @@ from .errors import (
     NoDegreeHeadroom,
     NotSymmetric,
     UnknownLabel,
+    VertexOutOfRange,
 )
 from .graph import (
     BoxSpace,
@@ -252,8 +253,9 @@ def triangular_torus(m: int) -> Graph:
 def glue_pair(g1: Graph, g2: Graph, v1: int, v2: int, d: int | None = None) -> Graph:
     """Disjoint union of two graphs plus one bridge edge (v1, v2).
 
-    The bridge endpoints need headroom under the degree bound d (default:
-    the larger of the two input bounds).
+    The bridge endpoints must be vertices of their graphs (VertexOutOfRange
+    otherwise) with headroom under the degree bound d (default: the larger
+    of the two input bounds).
     """
     if d is None:
         d = max(g1.degree_bound, g2.degree_bound)
@@ -518,14 +520,38 @@ class ApproxIsoReport:
         }
 
 
+_ISO_FAILURES = (
+    "edge endpoint not matched",
+    "not an edge on the left",
+    "not an edge on the right",
+)
+
+
+def _has_edges(g: Graph, pairs: np.ndarray) -> np.ndarray:
+    """Whether each row (u, v) of pairs, in either order, is an edge of g."""
+    return np.isin(np.sort(pairs, axis=1) @ (g.n, 1), g.edge_array() @ (g.n, 1))
+
+
+def _pair_array(pairs, n: int) -> np.ndarray:
+    """pairs as an (m, 2) int64 array; a value past int64 becomes n, which
+    is out of range all the same."""
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        clamped = [[min(max(x, -1), n) for x in uv] for uv in pairs]
+        return np.array(clamped, dtype=np.int64).reshape(-1, 2)
+
+
 def approx_iso_check(
     x: BoxSpace, x2: BoxSpace, witness: ApproxIsoWitness, tolerance: float = 0.05
 ) -> ApproxIsoReport:
     """Verify a matched-subgraph witness and report the four ratio sequences.
 
+    Witness vertices must lie in their graphs (VertexOutOfRange otherwise).
     Every listed edge must exist in x and, under the vertex map, in x2
-    (NotAnIsomorphism otherwise). The verdict requires all four ratios to
-    reach 1 - tolerance on the last quarter of the indices.
+    (NotAnIsomorphism for the first edge that fails). The verdict requires
+    all four ratios to reach 1 - tolerance on the last quarter of the
+    indices.
     """
     if not (len(x.graphs) == len(x2.graphs) == len(witness.entries)):
         raise ValueError("witness must align with both sequences")
@@ -534,16 +560,24 @@ def approx_iso_check(
         g, g2 = x.graphs[i], x2.graphs[i]
         if len(entry.vertices_x) != len(entry.vertices_x2):
             raise NotAnIsomorphism(i, None, "vertex lists differ in length")
-        vmap = dict(zip(entry.vertices_x, entry.vertices_x2))
-        if len(vmap) != len(entry.vertices_x):
+        if len(set(entry.vertices_x)) != len(entry.vertices_x):
             raise NotAnIsomorphism(i, None, "duplicate vertices in witness")
-        for u, v in entry.edges_x:
-            if u not in vmap or v not in vmap:
-                raise NotAnIsomorphism(i, (u, v), "edge endpoint not matched")
-            if not g.has_edge(u, v):
-                raise NotAnIsomorphism(i, (u, v), "not an edge on the left")
-            if not g2.has_edge(vmap[u], vmap[v]):
-                raise NotAnIsomorphism(i, (u, v), "not an edge on the right")
+        for vs, h in ((entry.vertices_x, g), (entry.vertices_x2, g2)):
+            bad = [v for v in vs if not 0 <= v < h.n]
+            if bad:
+                raise VertexOutOfRange(bad[0], h.n)
+        # image[w] is w's partner in x2, or -1 when w is unmatched; slot
+        # g.n stands for every endpoint outside g.
+        image = np.full(g.n + 1, -1, dtype=np.int64)
+        image[list(entry.vertices_x)] = entry.vertices_x2
+        edges = _pair_array(entry.edges_x, g.n)
+        mapped = image[np.where((edges >= 0) & (edges < g.n), edges, g.n)]
+        fails = np.stack(((mapped < 0).any(axis=1), ~_has_edges(g, edges),
+                          ~_has_edges(g2, mapped)), axis=1)
+        if fails.any():
+            k = int(np.argmax(fails.any(axis=1)))
+            reason = _ISO_FAILURES[int(np.argmax(fails[k]))]
+            raise NotAnIsomorphism(i, tuple(entry.edges_x[k]), reason)
         e_matched = len(entry.edges_x)
         ratios.append(
             {

@@ -48,9 +48,10 @@ class Graph:
     of x other than x itself, sorted; ``loops`` is the sorted tuple of
     vertices carrying a loop. These arrays and ``loops`` are the whole
     graph: ``edge_array`` and ``edges`` list its edges and ``has_edge``
-    searches row u. Build graphs with ``build_graph``, which validates
-    symmetry and the degree bound. Two graphs are equal when they have the
-    same vertex count, edges, loops, degree bound and loop flag.
+    searches row u; ``has_edge`` and the degrees raise VertexOutOfRange for
+    a vertex outside [0, n). Build graphs with ``build_graph``, which
+    validates symmetry and the degree bound. Two graphs are equal when they
+    have the same vertex count, edges, loops, degree bound and loop flag.
     """
 
     n: int
@@ -78,13 +79,20 @@ class Graph:
     def __hash__(self):
         return hash(self._key())
 
+    def _check(self, *vs) -> None:
+        for v in vs:
+            if not 0 <= v < self.n:
+                raise VertexOutOfRange(v, self.n)
+
     def nonloop_degree(self, v: int) -> int:
+        self._check(v)
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def degree(self, v: int) -> int:
         return self.nonloop_degree(v) + self.has_edge(v, v)
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check(u, v)
         if u == v:
             i = bisect_left(self.loops, u)
             return self.loops[i : i + 1] == (u,)

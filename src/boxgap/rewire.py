@@ -8,6 +8,11 @@ endpoint is wired to the far endpoint of its F-edge. Stranded fragments
 keeps degree at most d and, in the regime the construction targets, has
 Cheeger constant at least C/6; at small sizes that is verified exactly.
 
+The hypothesis check and the detached piece's Cheeger evidence both come
+from ``cheeger.piece_evidence``; the pipeline reuses the decomposition
+certificate's evidence while a piece's rows are unchanged, and a piece is
+measured again only after it has been rewired.
+
 The pipeline entry point runs the level-set decomposition, rewires every
 piece sequentially on a shared working graph, drops the junk part and tiny
 components, and emits a matched-subgraph witness relating input and output.
@@ -20,18 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheeger import (
-    EXACT_CAP,
-    cheeger_exact,
-    inner_expansion_exact,
-    second_eigenvalue,
-)
+from .cheeger import EXACT_CAP, Evidence, piece_evidence
 from .decompose import KunParams, kun_partition
 from .errors import HypothesisFailed, InsufficientSeparatedEdges
 from .generators import ApproxIsoWitness, WitnessEntry
 from .graph import (
     BoxSpace,
     Graph,
+    _gather,
     ball_of_set,
     boundary_edges,
     build_graph,
@@ -88,6 +89,12 @@ def select_separated_edges(g: Graph, piece, r: int, count: int) -> list:
     raise InsufficientSeparatedEdges(len(selected), count)
 
 
+def _rows(g: Graph, piece) -> tuple:
+    """The CSR rows of the piece's vertices, as bytes."""
+    vs = np.asarray(piece, dtype=np.int64)
+    return np.diff(g.indptr)[vs].tobytes(), _gather(g, vs)[1].tobytes()
+
+
 def _component_labels(g: Graph):
     """Index of the component of every vertex, and each component's size."""
     sizes = [len(c) for c in g.components]
@@ -137,6 +144,7 @@ def rewire_piece(
     alpha: float,
     exact_cap: int = EXACT_CAP,
     verify: bool = True,
+    evidence: Evidence | None = None,
 ) -> RewireResult:
     """Remove the piece's boundary and restore expansion by rewiring.
 
@@ -145,6 +153,7 @@ def rewire_piece(
     verified exhaustively up to exact_cap vertices, raising HypothesisFailed
     with a witness; larger pieces carry hypothesis_verified = False. The
     separation radius is r = separation_radius(c_inner).
+    evidence, if given, is ``piece_evidence(g, piece, exact_cap)``, precomputed.
     """
     piece = vertex_set(g, piece)
     if not piece:
@@ -156,12 +165,12 @@ def rewire_piece(
         raise ValueError(
             f"boundary {len(bedges)} not below alpha |P| = {alpha * len(piece):.3g}"
         )
-    hypothesis_verified = False
-    if verify and len(piece) <= exact_cap:
-        value, witness = inner_expansion_exact(g, piece, exact_cap)
-        if value is not None and value < c_inner:
-            raise HypothesisFailed(witness, value, c_inner)
-        hypothesis_verified = True
+    hypothesis_verified = verify and len(piece) <= exact_cap
+    if evidence is None and (hypothesis_verified or not bedges):
+        evidence = piece_evidence(g, piece, exact_cap)
+    if (hypothesis_verified and evidence.value is not None
+            and evidence.value < c_inner):
+        raise HypothesisFailed(evidence.witness, evidence.value, c_inner)
     r = separation_radius(c_inner)
     edits = []
     removed_vertices = ()
@@ -202,17 +211,11 @@ def rewire_piece(
     if new_piece:
         assert not boundary_edges(new_graph, new_piece)
 
-    sub, _ = induced_subgraph(new_graph, new_piece)
-    connected = len(connected_components(sub)) == 1 if new_piece else False
-    if len(new_piece) <= exact_cap:
-        rep = cheeger_exact(sub, exact_cap)
-        evidence = {"method": "exact", "value": rep.h, "witness": list(rep.witness)}
-    else:
-        evidence = {
-            "method": "spectral",
-            "value": second_eigenvalue(sub) / 2.0,
-            "witness": None,
-        }
+    # With no boundary left the piece is a union of components, and its inner
+    # expansion is its Cheeger constant; if unedited, it keeps its evidence.
+    connected = new_piece in new_graph.components
+    if bedges:
+        evidence = piece_evidence(new_graph, new_piece, exact_cap)
     units = len(bedges)
     return RewireResult(
         new_graph=new_graph,
@@ -231,7 +234,12 @@ def rewire_piece(
         budget_removed_ok=len(removed_vertices) <= (alpha / c_inner) * len(piece),
         degree_ok=degree_ok,
         connected=connected,
-        cheeger_evidence=evidence,
+        cheeger_evidence={
+            "method": evidence.method,
+            "value": 0.0 if evidence.value is None else evidence.value,
+            "witness": None if evidence.witness is None
+            else np.searchsorted(new_piece, evidence.witness).tolist(),
+        },
     )
 
 
@@ -282,9 +290,11 @@ def expanderize(
         skipped = []
         survivors = []
         for j, piece in enumerate(decomp.pieces):
+            same = work is g or _rows(work, piece) == _rows(g, piece)
             try:
                 res = rewire_piece(
-                    work, piece, params.C, params.alpha, exact_cap
+                    work, piece, params.C, params.alpha, exact_cap,
+                    evidence=cert.records[j] if same else None,
                 )
             except (HypothesisFailed, InsufficientSeparatedEdges, ValueError) as exc:
                 skipped.append({"piece": j, "reason": str(exc)})

@@ -295,6 +295,24 @@ def test_approx_iso_corrupted_witness_exit_2(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("vertices, edge", [
+    ((0, 1, 2, 3, 4, 6), (6, 0)),  # a vertex past the graph
+    ((-7, 0, 1, 2, 3, 4), (-7, 0)),  # a negative vertex
+])
+def test_approx_iso_witness_vertex_outside_graph_exit_2(tmp_path, vertices,
+                                                        edge):
+    manifest = make_box(tmp_path, [bg.cycle_graph(5)], d=2)
+    witness = bg.ApproxIsoWitness(entries=[
+        bg.WitnessEntry(vertices, vertices, (edge,))
+    ])
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(witness.to_dict()))
+    assert main([
+        "approx-iso", "--input", manifest, "--input2", manifest,
+        "--witness", str(wpath), "--out", str(tmp_path / "o"),
+    ]) == 2
+
+
 @pytest.mark.parametrize("fault", ["gives-up", "wrong-vector"])
 def test_solver_failure_is_numerical_exit(tmp_path, monkeypatch, fault):
     real_eigsh = spla.eigsh

@@ -8,6 +8,7 @@ from boxgap.errors import (
     NotAnIsomorphism,
     NotEnoughRoom,
     NotSymmetric,
+    VertexOutOfRange,
 )
 
 # Frozen spectral gaps of the torus family, measured with the dense solver
@@ -148,6 +149,12 @@ def test_glue_pair_single_vertices():
 def test_glue_pair_no_headroom():
     with pytest.raises(DegreeExceeded):
         bg.glue_pair(bg.complete_graph(4), bg.complete_graph(4), 0, 0)
+
+
+@pytest.mark.parametrize("v1, v2", [(2, -1), (-1, 0), (5, 0), (0, 4)])
+def test_glue_pair_vertex_out_of_range(v1, v2):
+    with pytest.raises(VertexOutOfRange):
+        bg.glue_pair(bg.cycle_graph(5), bg.complete_graph(4), v1, v2, d=4)
 
 
 def test_glue_pair_kills_margulis_gap():
@@ -305,6 +312,61 @@ def test_approx_iso_tail_verdict():
     rep = bg.approx_iso_check(box, box, bg.ApproxIsoWitness(entries), 0.01)
     assert rep.verdict  # last quarter is perfect
     assert rep.tail_start == 6
+
+
+def edge_loop_check(x, x2, witness):
+    """Oracle for approx_iso_check's edge test: one has_edge call per side
+    and witness edge, in order, on witnesses whose vertices are valid."""
+    for i, entry in enumerate(witness.entries):
+        vmap = dict(zip(entry.vertices_x, entry.vertices_x2))
+        for u, v in entry.edges_x:
+            if u not in vmap or v not in vmap:
+                raise NotAnIsomorphism(i, (u, v), "edge endpoint not matched")
+            if not x.graphs[i].has_edge(u, v):
+                raise NotAnIsomorphism(i, (u, v), "not an edge on the left")
+            if not x2.graphs[i].has_edge(vmap[u], vmap[v]):
+                raise NotAnIsomorphism(i, (u, v), "not an edge on the right")
+
+
+def test_approx_iso_first_failing_edge_matches_loop(small_corpus):
+    """The vectorized edge test raises for the same first failing edge, with
+    the same message, as the per-edge loop, and passes when it passes."""
+    rng = np.random.default_rng(7)
+    looped = bg.build_graph(5, [(0, 0), (0, 1), (1, 2), (3, 3), (3, 4)], 3,
+                            allow_loops=True)
+    outcomes = set()
+    for g in small_corpus + [looped]:
+        perm = rng.permutation(g.n)
+        kept = [(perm[u], perm[v]) for u, v in g.edges() if rng.random() < 0.9]
+        g2 = bg.build_graph(g.n, kept, g.degree_bound,
+                            allow_loops=g.allows_loops)
+        x = bg.BoxSpace(graphs=[g], d=g.degree_bound)
+        x2 = bg.BoxSpace(graphs=[g2], d=g.degree_bound)
+        for _ in range(20):
+            vs = sorted(rng.choice(g.n, size=int(rng.integers(0, g.n + 1)),
+                                   replace=False).tolist())
+            inside = [e for e in g.edges() if e[0] in vs and e[1] in vs]
+            junk = [tuple(rng.integers(-2, g.n + 2, size=2).tolist())
+                    for _ in range(3)]
+            pool = inside + junk + [(g.n + 2**70, 0)]
+            picks = rng.permutation(len(pool))[: int(rng.integers(0, 8))]
+            edges = tuple(pool[k] for k in picks)
+            entry = bg.WitnessEntry(tuple(vs), tuple(perm[vs].tolist()), edges)
+            witness = bg.ApproxIsoWitness([entry])
+            try:
+                edge_loop_check(x, x2, witness)
+                want = None
+            except NotAnIsomorphism as exc:
+                want = str(exc)
+            try:
+                bg.approx_iso_check(x, x2, witness)
+                got = None
+            except NotAnIsomorphism as exc:
+                got = str(exc)
+            assert got == want, (g.n, entry)
+            outcomes.add(want and want.rsplit(": ", 1)[1])
+    assert outcomes == {None, "edge endpoint not matched",
+                        "not an edge on the left", "not an edge on the right"}
 
 
 def test_witness_json_roundtrip():

@@ -197,6 +197,16 @@ def test_loops_count_once_in_degree():
     assert g.num_edges == 2
 
 
+def test_vertex_accessors_reject_out_of_range():
+    g = bg.cycle_graph(5)
+    calls = [lambda: g.degree(-1), lambda: g.degree(5),
+             lambda: g.nonloop_degree(-1), lambda: g.has_edge(0, -1),
+             lambda: g.has_edge(5, 0), lambda: g.has_edge(-7, -7)]
+    for call in calls:
+        with pytest.raises(VertexOutOfRange):
+            call()
+
+
 def test_boundary_size_examples():
     k4 = bg.complete_graph(4)
     assert bg.boundary_size(k4, (0,)) == 3

@@ -6,6 +6,7 @@ import pytest
 import boxgap as bg
 import boxgap.rewire as rewire_mod
 from boxgap.cheeger import second_eigenvalue
+from boxgap.decompose import certify_partition
 from boxgap.errors import HypothesisFailed, InsufficientSeparatedEdges
 from boxgap.graph import boundary_edges
 
@@ -329,12 +330,15 @@ def test_rewire_matches_set_reference():
         g, piece = random_piece_graph(rng)
         alpha = min(0.99, (len(boundary_edges(g, piece)) + 0.5) / len(piece))
         exact_cap = int(rng.choice([8, 16]))
+        evidence = bg.piece_evidence(g, piece, exact_cap)
         for c_inner in (0.5, 1, 2, 4, 8):
             for verify in (True, False):
                 args = (g, piece, c_inner, alpha, exact_cap, verify)
                 want = rewire_outcome(reference_rewire, *args)
                 got = rewire_outcome(bg.rewire_piece, *args)
                 assert got == want, args
+                given = rewire_outcome(bg.rewire_piece, *args, evidence)
+                assert given == want, args
                 if isinstance(got[0], dict) and got[0]["edits"]:
                     rewired += 1
                     dropped += bool(got[0]["removed_vertices"])
@@ -374,6 +378,81 @@ def test_expanderize_disjoint_k6s_identity():
     rep = bg.approx_iso_check(box, res.boxspace, res.witness, tolerance=0.0)
     assert rep.verdict
     assert all(v == 1.0 for r in rep.ratios for v in r.values())
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call is counted; returns the counts."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_expanderize_scans_each_untouched_piece_once(monkeypatch):
+    """Pieces the rewiring never touches keep the decomposition
+    certificate's scan: it serves as their hypothesis check and as their
+    Cheeger evidence, and no eigensolve is needed."""
+    import boxgap.cheeger as cheeger_mod
+    import boxgap.exhaustive as exhaustive_mod
+
+    k6 = bg.complete_graph(6)
+    g = bg.disjoint_union(bg.disjoint_union(k6, k6), bg.cycle_graph(8), d=5)
+    box = bg.BoxSpace(graphs=[g], d=5)
+    params = bg.KunParams(c=4, d=5, alpha=0.1)
+    want = bg.expanderize(box, params)
+    scans = count_calls(monkeypatch, exhaustive_mod, "min_ratio_subset")
+    solves = count_calls(monkeypatch, cheeger_mod, "second_eigenvalue")
+    res = bg.expanderize(box, params)
+    rep = res.reports[0]
+    assert rep.to_dict() == want.reports[0].to_dict()
+    assert rep.decomposition["pieces"] == [
+        list(range(6)), list(range(6, 12)), list(range(12, 20))
+    ]
+    assert [o["edits"] for o in rep.piece_outcomes] == [[], [], []]
+    assert len(scans) == 3 and solves == []
+    assert [o["cheeger_evidence"] for o in rep.piece_outcomes] == [
+        {"method": "exact", "value": 3.0, "witness": [0, 1, 2]},
+        {"method": "exact", "value": 3.0, "witness": [0, 1, 2]},
+        {"method": "exact", "value": 0.5, "witness": [0, 1, 2, 3]},
+    ]
+
+
+def test_expanderize_rescans_a_piece_whose_rows_changed(monkeypatch):
+    """Rewiring piece 0 removes its one boundary edge, which ends in piece
+    1, so piece 1's certificate scan is stale: piece 1 is scanned again, and
+    the report equals one made without any certificate evidence."""
+    import boxgap.exhaustive as exhaustive_mod
+
+    cycle = [(i, (i + 1) % 8) for i in range(8)]
+    k4 = [(u, v) for u in range(8, 12) for v in range(u + 1, 12)]
+    g = bg.build_graph(12, cycle + k4 + [(0, 8)], 4)
+    box = bg.BoxSpace(graphs=[g], d=4)
+    params = bg.KunParams(c=1, d=4, alpha=0.5)
+    decomp = bg.Decomposition(junk=(), pieces=[tuple(range(8)),
+                                               tuple(range(8, 12))], steps=[])
+
+    def fixed_partition(g, params, exact_cap):
+        return decomp, certify_partition(g, decomp, params, exact_cap)
+
+    monkeypatch.setattr(rewire_mod, "kun_partition", fixed_partition)
+    real_rewire = rewire_mod.rewire_piece
+    monkeypatch.setattr(rewire_mod, "rewire_piece",
+                        lambda *args, evidence=None: real_rewire(*args))
+    want = bg.expanderize(box, params).reports[0].to_dict()
+    monkeypatch.setattr(rewire_mod, "rewire_piece", real_rewire)
+    scans = count_calls(monkeypatch, exhaustive_mod, "min_ratio_subset")
+    got = bg.expanderize(box, params).reports[0].to_dict()
+    assert got == want
+    assert got["piece_outcomes"][0]["edit_units"] == 1
+    # the certificate (2), piece 0 after its rewiring, piece 1 once
+    assert len(scans) == 4
+    assert got["piece_outcomes"][1]["cheeger_evidence"] == {
+        "method": "exact", "value": 2.0, "witness": [0, 1]}
 
 
 def test_expanderize_drops_small_components():
