@@ -252,13 +252,21 @@ def replace_set(g: Graph, t_set, params: KunParams) -> ReplaceOutcome:
     )
 
 
-def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP):
+def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP,
+                    *, fiedler_orders: dict | None = None):
     """Smallest proper subset T of the region with |∂T| < c |T|, or None.
 
     Boundaries are ambient. Exhaustive and exact when the region has at most
     exact_cap vertices; above that, candidates come from Fiedler sweeps of
     the region's components (prefixes, suffixes and whole components), and
     the smallest passing candidate is returned.
+
+    ``fiedler_orders`` is an optional memo from a component's sorted vertex
+    tuple to its Fiedler order in ambient vertices. The induced subgraph,
+    and so the order, depends only on that vertex set, so a component found
+    there is not solved again. The memo is left holding exactly the
+    components of this region: a region that only shrinks between calls, as
+    in ``kun_partition``, never meets a dropped component again.
     """
     if c <= 0:
         raise ValueError("ratio must be positive")
@@ -271,17 +279,25 @@ def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP)
     # Prefixes of each component's Fiedler order and of its reverse (the
     # suffixes); the full prefix is the whole component. Only the smallest
     # passing prefix of each is materialized.
+    memo = fiedler_orders if fiedler_orders is not None else {}
+    orders = {}
     sub, idx_map = induced_subgraph(g, region)
     candidates = []
     for comp in connected_components(sub):
-        comp_sub, comp_map = induced_subgraph(g, [idx_map[v] for v in comp])
-        order = [comp_map[int(v)] for v in _fiedler_order(comp_sub)[1]]
+        key = tuple(idx_map[v] for v in comp)
+        order = memo.get(key)
+        if order is None:
+            comp_sub, comp_map = induced_subgraph(g, key)
+            order = [comp_map[int(v)] for v in _fiedler_order(comp_sub)[1]]
+        orders[key] = order
         sizes = np.arange(1, len(order) + 1)
         for seq in (order, order[::-1]):
             passing = (sweep_profile(g, seq) < c * sizes) & (sizes < len(region))
             if passing.any():
                 size = int(np.argmax(passing)) + 1
                 candidates.append((size, tuple(sorted(seq[:size]))))
+    memo.clear()
+    memo.update(orders)
     if not candidates:
         return None
     return min(candidates)[1]
@@ -400,10 +416,12 @@ def kun_partition(
     junk: set = set()
     pieces: list = []
     steps: list = []
+    fiedler_orders: dict = {}  # live components left untouched keep their order
     for _ in range(g.n + 1):
         if not live:
             break
-        t = find_sparse_cut(g, params.C, region=sorted(live), exact_cap=exact_cap)
+        t = find_sparse_cut(g, params.C, region=sorted(live), exact_cap=exact_cap,
+                            fiedler_orders=fiedler_orders)
         if t is None:
             pieces.append(tuple(sorted(live)))
             steps.append({"type": "final", "piece": len(pieces) - 1,

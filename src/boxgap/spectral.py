@@ -17,7 +17,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegreeBoundTooSmall, NoConvergence
-from .graph import BoxSpace, Graph, connected_components
+from . import graph as graph_mod
+from .graph import BoxSpace, Graph
 
 DENSE_LIMIT = 512  # exact dense solve at or below this dimension
 KERNEL_TOL_DENSE = 1e-9  # dense eigenvalues within this of 0 count as kernel
@@ -126,9 +127,10 @@ def spectrum(
     Krylov residuals cannot separate a near-zero cluster reliably. The
     iterative path can list a repeated eigenvalue once (torus m=48: its 6-fold
     lambda_2); a connected graph's gap, the entry above its simple kernel, holds.
-    ``pinned_spectrum`` solves a disconnected graph per component, so its
-    kernel is counted once per component; a repeated eigenvalue inside one
-    component can still be listed once.
+    ``pinned_spectrum`` solves an operator one block of its off-diagonal
+    support at a time, so its kernel is counted once per block (for Δτ, a
+    block of the triangle-weight graph); a repeated eigenvalue inside one
+    block can still be listed once.
     """
     n = op.n
     if k is None:
@@ -157,31 +159,70 @@ def spectrum(
     )
 
 
+def _operator_blocks(g: Graph, mat: sp.csr_matrix):
+    """Connected blocks of the off-diagonal support of mat, an operator on g.
+
+    Returns (singles, blocks): the vertices that are blocks of their own, as
+    one array, and the other blocks as sorted index arrays in order of
+    smallest member. When mat has an off-diagonal entry on exactly the edges
+    of g, the blocks are the cached ``g.components``.
+    """
+    support = sp.csr_matrix(mat - sp.diags(mat.diagonal()))
+    support.eliminate_zeros()
+    support.sort_indices()
+    if np.array_equal(support.indptr, g.indptr) and np.array_equal(
+        support.indices, g.indices
+    ):
+        comps = g.components
+        singles = np.array([c[0] for c in comps if len(c) == 1], dtype=np.intp)
+        return singles, [np.asarray(c) for c in comps if len(c) > 1]
+    count, labels = graph_mod._csgraph_components(support, directed=False)
+    sizes = np.bincount(labels, minlength=count)
+    big = sizes[labels] > 1
+    members = np.flatnonzero(big)[np.argsort(labels[big], kind="stable")]
+    return np.flatnonzero(~big), np.split(members, np.cumsum(sizes[sizes > 1])[:-1])
+
+
 def pinned_spectrum(
     g: Graph, op: SymmetricOperator, k: int | None = None, tol: float = 1e-9
 ) -> SpectrumReport:
     """Spectrum of an operator on g, kernel pinned to g's component count.
 
     k defaults to every eigenvalue up to DENSE_LIMIT vertices and to the
-    kernel plus four above that. Above DENSE_LIMIT a disconnected g is solved
-    one component at a time and the values merged, which is exact because
-    the operator is block-diagonal over components.
+    kernel plus four above that. Up to DENSE_LIMIT vertices the whole
+    operator is solved densely. Above it the operator is split along the
+    connected blocks of its own off-diagonal support and the values of the
+    blocks are merged, which is exact because the operator is
+    block-diagonal over them: a single-vertex block is its diagonal entry,
+    and every other block is solved as ``spectrum`` solves it alone. Each
+    block's kernel is then found by its own solve, so the kernel keeps its
+    multiplicity. For the Laplacian, and for Δτ of a graph whose every edge
+    lies in a triangle, the blocks are g's components. Δτ of a graph with
+    edges in no triangle has more blocks than g has components; its listed
+    kernel then holds every block's zero, so a gap of 0.0 (to rounding)
+    means the triangle-weight graph is disconnected.
     """
-    comps = connected_components(g)
+    comps = g.components
     if k is None:
         k = g.n if g.n <= DENSE_LIMIT else min(g.n, len(comps) + 4)
     kernel_dim = min(len(comps), k)
-    if g.n <= DENSE_LIMIT or len(comps) == 1 or k > g.n:
+    if g.n <= DENSE_LIMIT or k > g.n:
         return spectrum(op, k=k, tol=tol, kernel_dim=kernel_dim)
-    # The operator is block-diagonal over components: solve each block and
-    # merge, so Lanczos sees one simple kernel per block and the kernel of g
-    # keeps its full multiplicity.
-    parts = []
-    for comp in comps:
-        idx = np.asarray(comp)
-        block = SymmetricOperator(n=len(comp), matrix=op.matrix[idx][:, idx])
-        parts.append(spectrum(block, k=min(k, len(comp)), tol=tol, kernel_dim=1))
-    evs = sorted(v for part in parts for v in part.eigenvalues)[:k]
+    singles, blocks = _operator_blocks(g, op.matrix)
+    if len(blocks) == 1 and len(singles) == 0:  # one block: op itself, no copy
+        return spectrum(op, k=k, tol=tol, kernel_dim=kernel_dim)
+    parts = [
+        spectrum(
+            SymmetricOperator(n=len(idx), matrix=op.matrix[idx][:, idx]),
+            k=min(k, len(idx)),
+            tol=tol,
+            kernel_dim=1,
+        )
+        for idx in blocks
+    ]
+    evs = np.sort(np.concatenate(
+        [op.matrix.diagonal()[singles]] + [p.eigenvalues for p in parts]
+    ), kind="stable")[:k].tolist()
     return SpectrumReport(
         eigenvalues=evs,
         kernel_dim=kernel_dim,

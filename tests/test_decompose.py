@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import boxgap as bg
+from boxgap import decompose
+from boxgap.cheeger import EXACT_CAP
 from boxgap.decompose import markov_level_set
 
 from conftest import bridged_k4_pair, random_bounded_graph
@@ -293,3 +295,44 @@ def test_density_diagnostic_recorded():
     decomp, _ = bg.kun_partition(two, p)
     good_steps = [s for s in decomp.steps if s["type"] == "good"]
     assert good_steps and all("density_T" in s and "delta" in s for s in good_steps)
+
+
+def test_kun_partition_solves_each_live_component_once(monkeypatch):
+    # A bridged Margulis pair beside a cycle and a path: the pair stays
+    # untouched while the cycle and the path are cut off, and is then split.
+    m = bg.margulis_graph(12)
+    pair = bg.glue_pair(m, m, 0, 0, d=8)
+    g = bg.disjoint_union(
+        bg.disjoint_union(pair, bg.cycle_graph(8), d=8), bg.path_graph(30), d=8
+    )
+    params = bg.KunParams(c=12, d=8, alpha=0.9)
+    real_cut, real_order = decompose.find_sparse_cut, decompose._fiedler_order
+
+    # Reference: the same loop with every find_sparse_cut call unmemoized,
+    # recording the components each sweep search solves.
+    swept = []
+
+    def without_memo(g, c, region=None, exact_cap=EXACT_CAP, *,
+                     fiedler_orders=None):
+        region = sorted(region)
+        if len(region) > exact_cap:
+            sub, idx = bg.induced_subgraph(g, region)
+            swept.extend(tuple(idx[v] for v in comp) for comp in sub.components)
+        return real_cut(g, c, region, exact_cap)
+
+    monkeypatch.setattr(decompose, "find_sparse_cut", without_memo)
+    ref_decomp, ref_cert = bg.kun_partition(g, params)
+    monkeypatch.setattr(decompose, "find_sparse_cut", real_cut)
+    assert len(set(swept)) < len(swept)  # some component is searched again
+
+    solved = []
+
+    def counting(sub, *args, **kwargs):
+        solved.append(sub.n)
+        return real_order(sub, *args, **kwargs)
+
+    monkeypatch.setattr(decompose, "_fiedler_order", counting)
+    decomp, cert = bg.kun_partition(g, params)
+    assert len(solved) == len(set(swept))
+    assert decomp.to_dict() == ref_decomp.to_dict()
+    assert cert.to_dict() == ref_cert.to_dict()

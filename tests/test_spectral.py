@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import boxgap as bg
 from boxgap.cheeger import second_eigenvalue
 from boxgap.errors import DegreeBoundTooSmall
-from boxgap.spectral import DENSE_LIMIT
+from boxgap.spectral import DENSE_LIMIT, SymmetricOperator, pinned_spectrum
 
 from conftest import random_bounded_graph
 
@@ -202,3 +203,77 @@ def test_spectrum_report_json_roundtrip():
     d = rep.to_dict()
     assert set(d) == {"eigenvalues", "kernel_dim", "gap", "method", "tol"}
     assert d["method"] == "exact-dense"
+
+
+def _weighted_block(rng, size, chords, diag_share):
+    """Dense PSD block: weighted Laplacian of a random connected graph (a
+    path plus chords, weights in [0.5, 2]) plus a nonnegative diagonal on a
+    share of its vertices."""
+    w = np.zeros((size, size))
+    pairs = [(i, i + 1) for i in range(size - 1)]
+    pairs += [tuple(rng.choice(size, 2, replace=False)) for _ in range(chords)]
+    for u, v in pairs:
+        w[u, v] = w[v, u] = rng.uniform(0.5, 2.0)
+    block = np.diag(w.sum(axis=1)) - w
+    extra = rng.uniform(0.0, 0.1, size) * (rng.random(size) < diag_share)
+    return block + np.diag(extra)
+
+
+def _block_operator(rng, bridged):
+    """A permuted block-diagonal PSD operator above DENSE_LIMIT and a graph
+    carrying it: its off-diagonal support, plus, when bridged, zero-weight
+    edges joining consecutive blocks so that the graph is connected.
+
+    Blocks: three single vertices with zero and three with nonzero diagonal,
+    four copies of one 5-vertex block (every eigenvalue four times), two
+    other 5-vertex blocks and one block above DENSE_LIMIT.
+    """
+    small = _weighted_block(rng, 5, 3, 0.0)
+    blocks = [np.zeros((1, 1))] * 3
+    blocks += [np.array([[v]]) for v in rng.uniform(0.01, 0.5, 3)]
+    blocks += [small] * 4 + [_weighted_block(rng, 5, 2, 0.5) for _ in range(2)]
+    blocks.append(_weighted_block(rng, DENSE_LIMIT + 20, 300, 0.02))
+    dense = sp.block_diag(blocks).toarray()
+    n = dense.shape[0]
+    perm = rng.permutation(n)
+    dense = dense[np.ix_(perm, perm)]
+    inv = np.argsort(perm)  # block-order position -> vertex
+    rows, cols = np.nonzero(np.triu(dense, 1))
+    edges = set(zip(rows.tolist(), cols.tolist()))
+    if bridged:
+        starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+        for a, b in zip(starts, starts[1:]):
+            u, v = int(inv[a]), int(inv[b])
+            edges.add((min(u, v), max(u, v)))
+    d = max(np.bincount(np.array(sorted(edges)).ravel(), minlength=n))
+    g = bg.build_graph(n, sorted(edges), int(d))
+    return g, SymmetricOperator(n=n, matrix=sp.csr_matrix(dense)), dense
+
+
+@pytest.mark.parametrize("bridged", [False, True])
+def test_pinned_spectrum_block_split_matches_dense(bridged):
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        g, op, dense = _block_operator(rng, bridged)
+        assert g.n > DENSE_LIMIT
+        assert len(g.components) == (1 if bridged else 13)
+        want = np.linalg.eigvalsh(dense)
+        for k in (5, 12, 40):
+            rep = pinned_spectrum(g, op, k=k)
+            assert rep.method == "iterative"
+            assert np.allclose(rep.eigenvalues, want[:k], rtol=0, atol=1e-8)
+            assert rep.kernel_dim == min(len(g.components), k)
+        # Three zero singles and the four equal blocks' kernels: the matched
+        # values include a seven-fold 0.
+        assert np.sum(np.abs(want) <= 1e-9) >= 7
+
+
+def test_delta_tau_margulis_lists_its_whole_kernel():
+    # Almost no Margulis edge lies in a triangle, so Δτ splits into many
+    # blocks and its smallest five eigenvalues are all 0.
+    g = bg.margulis_graph(24)
+    assert g.n > DENSE_LIMIT and len(g.components) == 1
+    rep = bg.delta_tau_spectrum(g)
+    assert len(rep.eigenvalues) == 5
+    assert all(abs(v) <= 1e-9 for v in rep.eigenvalues)
+    assert abs(rep.gap) <= 1e-9
