@@ -21,9 +21,12 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii
 
 from . import generators
 from .cheeger import EXACT_CAP, cheeger_report
@@ -38,7 +41,7 @@ from .graph import (
     write_manifest,
 )
 from .rewire import alpha_feasible, expanderize, separation_radius
-from .spectral import DENSE_LIMIT, graph_spectrum, markov, spectrum
+from .spectral import DENSE_LIMIT, _block_spectrum, graph_spectrum, markov
 from .zuk import delta_tau_spectrum, zuk_certificate
 
 EXIT_OK = 0
@@ -57,11 +60,100 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar_text(x) -> str | None:
+    """json's text for a str, None, bool, int or float; None for others."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    return None
+
+
+def _key_text(key) -> str:
+    """A dict key coerced to a string as json coerces it, then encoded."""
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(
+            "keys must be str, int, float, bool or None, "
+            f"not {key.__class__.__name__}"
+        )
+    return encode_basestring_ascii(text)
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, built with one
+    ``str.join`` per container.
+
+    json's indented encoder runs in pure Python, one generator step per
+    value. Here a list of exact ints, a list of 2-int lists or tuples (edge
+    lists) and a dict from str keys to ints and floats are each joined at
+    once; everything else recurses. A cyclic container raises
+    RecursionError where json raises ValueError.
+    """
+    text = _scalar_text(obj)
+    if text is not None:
+        return text
+    inner = "\n" + "  " * (level + 1)
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        elif (types <= {list, tuple} and set(map(len, obj)) == {2}
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            deeper = inner + "  "
+            pair = "[" + deeper + "{}," + deeper + "{}" + inner + "]"
+            body = sep.join(starmap(pair.format, obj))
+        else:
+            body = sep.join([_json_text(v, level + 1) for v in obj])
+        return "[" + inner + body + inner[:-2] + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted(obj.items())
+        if set(map(type, obj)) == {str} and set(map(type, obj.values())) <= {
+            int, float
+        }:
+            body = sep.join([
+                encode_basestring_ascii(k) + ": "
+                + (int.__repr__(v) if type(v) is int else _float_text(v))
+                for k, v in items
+            ])
+        else:
+            body = sep.join([
+                _key_text(k) + ": " + _json_text(v, level + 1) for k, v in items
+            ])
+        return "{" + inner + body + inner[:-2] + "}"
+    raise TypeError(
+        f"Object of type {obj.__class__.__name__} is not JSON serializable"
+    )
+
+
 def _write_json(path, obj, config_hash) -> None:
     data = dict(obj)
     data["config_hash"] = config_hash
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write(_json_text(data))
         fh.write("\n")
 
 
@@ -117,8 +209,10 @@ def cmd_spectrum(args) -> int:
     def analyze(i, g):
         delta_rep = graph_spectrum(g, tol=args.tol)
         k_markov = g.n if g.n <= DENSE_LIMIT else 8
-        m_rep = spectrum(
-            markov(g, box.d), k=k_markov, tol=args.tol, kernel_dim=0
+        # Above DENSE_LIMIT one component at a time, as graph_spectrum solves
+        # the Laplacian, so a value shared by components is listed per copy.
+        m_rep = _block_spectrum(
+            g, markov(g, box.d), k_markov, args.tol, kernel_dim=0
         ) if g.n else None
         payload = {
             "index": i,

@@ -183,29 +183,19 @@ def _operator_blocks(g: Graph, mat: sp.csr_matrix):
     return np.flatnonzero(~big), np.split(members, np.cumsum(sizes[sizes > 1])[:-1])
 
 
-def pinned_spectrum(
-    g: Graph, op: SymmetricOperator, k: int | None = None, tol: float = 1e-9
+def _block_spectrum(
+    g: Graph, op: SymmetricOperator, k: int, tol: float, kernel_dim: int
 ) -> SpectrumReport:
-    """Spectrum of an operator on g, kernel pinned to g's component count.
+    """The k smallest eigenvalues of op, an operator on g, with the given
+    kernel dimension, solved one block of op's off-diagonal support at a
+    time above DENSE_LIMIT.
 
-    k defaults to every eigenvalue up to DENSE_LIMIT vertices and to the
-    kernel plus four above that. Up to DENSE_LIMIT vertices the whole
-    operator is solved densely. Above it the operator is split along the
-    connected blocks of its own off-diagonal support and the values of the
-    blocks are merged, which is exact because the operator is
-    block-diagonal over them: a single-vertex block is its diagonal entry,
-    and every other block is solved as ``spectrum`` solves it alone. Each
-    block's kernel is then found by its own solve, so the kernel keeps its
-    multiplicity. For the Laplacian, and for Δτ of a graph whose every edge
-    lies in a triangle, the blocks are g's components. Δτ of a graph with
-    edges in no triangle has more blocks than g has components; its listed
-    kernel then holds every block's zero, so a gap of 0.0 (to rounding)
-    means the triangle-weight graph is disconnected.
+    Up to DENSE_LIMIT vertices, and when the support is one block covering
+    every vertex, this is ``spectrum(op)`` itself. Otherwise a single-vertex
+    block is its diagonal entry, every other block is solved as ``spectrum``
+    solves it alone, and the values are merged, which is exact because op
+    is block-diagonal over them.
     """
-    comps = g.components
-    if k is None:
-        k = g.n if g.n <= DENSE_LIMIT else min(g.n, len(comps) + 4)
-    kernel_dim = min(len(comps), k)
     if g.n <= DENSE_LIMIT or k > g.n:
         return spectrum(op, k=k, tol=tol, kernel_dim=kernel_dim)
     singles, blocks = _operator_blocks(g, op.matrix)
@@ -231,6 +221,31 @@ def pinned_spectrum(
         else "exact-dense",
         tol=tol,
     )
+
+
+def pinned_spectrum(
+    g: Graph, op: SymmetricOperator, k: int | None = None, tol: float = 1e-9
+) -> SpectrumReport:
+    """Spectrum of an operator on g, kernel pinned to g's component count.
+
+    k defaults to every eigenvalue up to DENSE_LIMIT vertices and to the
+    kernel plus four above that. Up to DENSE_LIMIT vertices the whole
+    operator is solved densely. Above it the operator is split along the
+    connected blocks of its own off-diagonal support and the values of the
+    blocks are merged (``_block_spectrum``), which is exact because the
+    operator is block-diagonal over them: a single-vertex block is its
+    diagonal entry, and every other block is solved as ``spectrum`` solves
+    it alone. Each block's kernel is then found by its own solve, so the
+    kernel keeps its multiplicity. For the Laplacian, and for Δτ of a graph
+    whose every edge lies in a triangle, the blocks are g's components. Δτ
+    of a graph with edges in no triangle has more blocks than g has
+    components; its listed kernel then holds every block's zero, so a gap
+    of 0.0 (to rounding) means the triangle-weight graph is disconnected.
+    """
+    comps = g.components
+    if k is None:
+        k = g.n if g.n <= DENSE_LIMIT else min(g.n, len(comps) + 4)
+    return _block_spectrum(g, op, k, tol, kernel_dim=min(len(comps), k))
 
 
 def graph_spectrum(g: Graph, k: int | None = None, tol: float = 1e-9) -> SpectrumReport:
@@ -265,7 +280,18 @@ def expander_check(box: BoxSpace, c: float, tol: float = 1e-9) -> ExpanderReport
 
 
 def power_iterate(g: Graph, f, steps: int, d: int | None = None) -> np.ndarray:
-    """Apply the Markov operator to f the given number of times."""
+    """Apply the Markov operator to f the given number of times.
+
+    The loop stops early once a step returns an array with the same float64
+    bit pattern as its input (compared byte for byte, so -0.0 and 0.0 differ
+    and a NaN matches itself). A step is a fixed function of those bits, so
+    every later iterate would be the same array and the result is
+    byte-identical to running all ``steps``. When 2d is a power of two every
+    weight of M is exact, so the indicator of a union of components is a
+    fixed point at once. Otherwise rounding may take a few steps to settle,
+    or never settle; then all ``steps`` run, each with one extra O(n)
+    compare.
+    """
     if steps < 0:
         raise ValueError("step count must be non-negative")
     vec = np.asarray(f, dtype=np.float64).copy()
@@ -273,7 +299,10 @@ def power_iterate(g: Graph, f, steps: int, d: int | None = None) -> np.ndarray:
         raise ValueError(f"function must have length {g.n}")
     m = markov(g, d).matrix
     for _ in range(steps):
-        vec = m @ vec
+        nxt = m @ vec
+        if nxt.tobytes() == vec.tobytes():
+            break
+        vec = nxt
     return vec
 
 

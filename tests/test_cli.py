@@ -1,14 +1,18 @@
 import json
+import math
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxgap as bg
-from boxgap.cli import build_parser, main
+from boxgap.cli import _json_text, build_parser, main
 from boxgap.errors import NoConvergence
+from boxgap.spectral import DENSE_LIMIT
 
 
 def make_box(tmp_path, graphs, d, name="box"):
@@ -36,6 +40,27 @@ def test_spectrum_complete_graphs(tmp_path):
     data = json.loads((out / "spectrum_0000.json").read_text())
     assert "delta" in data and "markov" in data and "delta_tau" in data
     assert "config_hash" in data
+
+
+def test_spectrum_markov_lists_each_component_block(tmp_path):
+    # Two torus copies above DENSE_LIMIT: each Markov eigenvalue appears in
+    # both blocks, so 0.4375 has multiplicity four. The connected Margulis
+    # graph keeps the one-block solve of the whole operator.
+    torus = bg.triangular_torus(24)
+    pair = bg.disjoint_union(torus, torus, d=8)
+    margulis = bg.margulis_graph(24)
+    assert pair.n > DENSE_LIMIT and margulis.n > DENSE_LIMIT
+    manifest = make_box(tmp_path, [pair, margulis], d=8)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--input", manifest, "--out", str(out)]) == 0
+    got = json.loads((out / "spectrum_0000.json").read_text())["markov"]
+    want = np.linalg.eigvalsh(bg.markov(pair, 8).dense())[:8]
+    assert np.allclose(got["eigenvalues"], want, rtol=0, atol=1e-9)
+    assert np.sum(np.abs(want - 0.4375) <= 1e-9) == 4
+    assert got["kernel_dim"] == 0 and got["gap"] == got["eigenvalues"][0]
+    whole = bg.spectrum(bg.markov(margulis, 8), k=8, kernel_dim=0).to_dict()
+    got = json.loads((out / "spectrum_0001.json").read_text())["markov"]
+    assert got == json.loads(json.dumps(whole))
 
 
 def test_spectrum_empty_manifest(tmp_path):
@@ -341,3 +366,79 @@ def test_metadata_written_separately(tmp_path):
     assert "timestamp" in meta and "config_hash" in meta
     report = json.loads((out / "spectrum_0000.json").read_text())
     assert "timestamp" not in report
+
+
+# JSON text: the result-file encoder against json.dumps(indent=2, sort_keys=True).
+
+_BIG = 2**70  # above 2**63, beyond any fixed-width integer
+_ints = st.integers(min_value=-_BIG, max_value=_BIG)
+_floats = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+)
+_scalars = st.one_of(st.none(), st.booleans(), _ints, _floats, st.text())
+# The encoder's one-join shapes, and near misses that must not take them:
+# bools among ints, int lists of other lengths, bool values.
+_fast_shapes = st.one_of(
+    st.lists(_ints),
+    st.lists(_ints | st.booleans()),
+    st.lists(st.tuples(_ints, _ints) | st.lists(_ints, min_size=2, max_size=2)),
+    st.lists(st.lists(_ints, max_size=3)),
+    st.lists(st.lists(_ints | st.booleans(), min_size=2, max_size=2)),
+    st.dictionaries(st.text(), _ints | _floats),
+    st.dictionaries(st.text(), _ints | _floats | st.booleans()),
+)
+# Keys of one dict are mutually comparable, as sort_keys needs; a rare
+# mixed or unsupported key checks that both encoders raise the same error.
+_key_kinds = st.one_of(
+    st.just(st.text()),
+    st.just(st.one_of(_ints, _floats, st.booleans())),
+    st.just(st.none()),
+    st.just(st.one_of(st.text(), _ints, st.tuples(_ints))),
+)
+_unserializable = st.sampled_from([np.int64(3), {1, 2}])
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        _key_kinds.flatmap(lambda keys: st.dictionaries(keys, children)),
+    )
+
+
+_json_values = st.recursive(
+    st.one_of(_scalars, _fast_shapes), _containers, max_leaves=25
+)
+
+
+def _assert_same_json(obj):
+    try:
+        want = json.dumps(obj, indent=2, sort_keys=True)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
+            _json_text(obj)
+        assert str(got.value) == str(exc)
+    else:
+        assert _json_text(obj) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values)
+def test_json_text_matches_json_dumps(obj):
+    _assert_same_json(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(_unserializable, _containers, max_leaves=5))
+def test_json_text_raises_what_json_raises(obj):
+    _assert_same_json(obj)
+
+
+@pytest.mark.parametrize("obj", [np.int64(3), {1, 2}, [1, np.int64(2)],
+                                 [[1, np.int64(2)]], {"a": {3}}])
+def test_json_text_rejects_numpy_ints_and_sets(obj):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _json_text(obj)
+    _assert_same_json(obj)

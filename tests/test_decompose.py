@@ -44,6 +44,26 @@ def test_level_set_indicator():
     assert cut.boundary == 2
 
 
+def test_level_set_empty_band_matches_vertex_loop():
+    # Oracle: the super-level sets at the two band edges read vertex by
+    # vertex; the cut is the one with the smaller (|∂U|, |U|), the lower
+    # edge on a tie, as a tuple of Python ints.
+    rng = np.random.default_rng(79)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        g = random_bounded_graph(rng, n, 4)
+        f = rng.integers(0, 2, n).astype(float)
+        if rng.random() < 0.3:
+            f[rng.random(n) < 0.3] = 0.9  # above the band, below 1
+        cut = bg.level_set_cut(g, f, 1 / 3, 2 / 3)
+        assert cut.empty_band
+        sets = [tuple(v for v in range(n) if f[v] > t) for t in (1 / 3, 2 / 3)]
+        want = min((bg.boundary_size(g, u), len(u), i, u)
+                   for i, u in enumerate(sets))[3]
+        assert cut.vertices == want
+        assert all(type(v) is int for v in cut.vertices)
+
+
 def test_level_set_constant():
     g = bg.cycle_graph(5)
     f = np.full(5, 0.5)

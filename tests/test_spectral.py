@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import boxgap as bg
+from boxgap import spectral
 from boxgap.cheeger import second_eigenvalue
 from boxgap.errors import DegreeBoundTooSmall
 from boxgap.spectral import DENSE_LIMIT, SymmetricOperator, pinned_spectrum
@@ -161,6 +163,85 @@ def test_power_iterate_examples():
     edge = bg.path_graph(2)
     assert np.allclose(bg.power_iterate(edge, [1, 0], 1, d=1), [0.5, 0.5])
     assert np.allclose(bg.power_iterate(edge, [1, 0], 1, d=2), [0.75, 0.25])
+
+
+def _plain_iterates(g, f, steps, d):
+    """Oracle: M^k f for k = 0..steps, each from the plain loop with no
+    early exit."""
+    m = bg.markov(g, d).matrix
+    vec = np.asarray(f, dtype=np.float64).copy()
+    out = [vec]
+    for _ in range(steps):
+        vec = m @ vec
+        out.append(vec)
+    return out
+
+
+def _power_iterate_inputs(rng, g):
+    """Component indicators, constants, random vectors, and vectors with
+    -0.0 or NaN entries."""
+    comps = g.components
+    for comp in (comps[0], comps[-1], [v for c in comps[::2] for v in c]):
+        chi = np.zeros(g.n)
+        chi[list(comp)] = 1.0
+        yield chi
+    yield np.full(g.n, 0.3)
+    yield np.ones(g.n)
+    yield rng.standard_normal(g.n)
+    yield rng.integers(0, 2, g.n).astype(float)
+    neg_zero = np.zeros(g.n)
+    neg_zero[rng.random(g.n) < 0.5] = -0.0
+    yield neg_zero
+    with_nan = rng.standard_normal(g.n)
+    with_nan[int(rng.integers(0, g.n))] = np.nan
+    yield with_nan
+
+
+@pytest.mark.parametrize("loops", [False, True])
+def test_power_iterate_matches_plain_loop_bitwise(loops):
+    rng = np.random.default_rng(61)
+    for d in (2, 3, 4, 6):  # 2d a power of two, or not
+        n = int(rng.integers(2, 25))
+        fill = float(rng.uniform(0.2, 0.9))
+        g = random_bounded_graph(rng, n, d - loops, fill=fill)
+        if loops:  # a loop counts towards the degree bound
+            extra = [(v, v) for v in range(n) if rng.random() < 0.4]
+            g = bg.build_graph(n, list(g.edges()) + extra, d, allow_loops=True)
+        for f in _power_iterate_inputs(rng, g):
+            for steps, want in enumerate(_plain_iterates(g, f, 50, d)):
+                got = bg.power_iterate(g, f, steps, d)
+                assert got.tobytes() == want.tobytes(), (d, steps)
+
+
+class _CountingMatrix:
+    """A sparse matrix that counts its matrix-vector products."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.matvecs = 0
+
+    def __matmul__(self, vec):
+        self.matvecs += 1
+        return self.matrix @ vec
+
+
+def test_power_iterate_stops_at_a_component_indicator(monkeypatch):
+    # M chi_T = chi_T bit for bit when T is a union of components and 2d is
+    # a power of two, so K = 1203 steps cost one product.
+    real_markov = spectral.markov
+    counters = []
+
+    def counting_markov(g, d=None):
+        counters.append(_CountingMatrix(real_markov(g, d).matrix))
+        return SimpleNamespace(matrix=counters[-1])
+
+    monkeypatch.setattr(spectral, "markov", counting_markov)
+    g = bg.disjoint_union(bg.margulis_graph(6), bg.cycle_graph(9), d=8)
+    chi = np.zeros(g.n)
+    chi[:36] = 1.0
+    out = bg.power_iterate(g, chi, 1203, d=8)
+    assert out.tobytes() == chi.tobytes()
+    assert len(counters) == 1 and counters[0].matvecs <= 2
 
 
 def test_power_iterate_indicator_stays_in_unit_interval():
