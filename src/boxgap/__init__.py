@@ -79,7 +79,6 @@ from .rewire import (
 from .spectral import (
     ExpanderReport,
     SpectrumReport,
-    SymmetricOperator,
     expander_check,
     graph_spectrum,
     laplacian,

@@ -18,7 +18,7 @@ import numpy as np
 from . import exhaustive
 from .errors import TooLargeForExact
 from .graph import Graph, connected_components, induced_subgraph, sweep_profile
-from .spectral import DENSE_LIMIT, iterative_eigenpairs, laplacian, spectrum
+from .spectral import eigenpairs, laplacian, spectrum
 
 EXACT_CAP = 24
 
@@ -46,8 +46,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-9) -> float:
     for a disconnected graph)."""
     if g.n < 2 or len(connected_components(g)) > 1:
         return 0.0
-    rep = spectrum(laplacian(g), k=2 if g.n > DENSE_LIMIT else g.n, tol=tol,
-                   kernel_dim=1)
+    rep = spectrum(laplacian(g), k=2, tol=tol, kernel_dim=1)
     return float(rep.eigenvalues[1])
 
 
@@ -82,11 +81,7 @@ def _fiedler_order(sub: Graph, tol: float = 1e-9):
     """Laplacian lambda_2 and stable Fiedler order of a connected graph."""
     if sub.n < 2:
         return 0.0, np.arange(sub.n)
-    lap = laplacian(sub)
-    if sub.n <= DENSE_LIMIT:
-        vals, vecs = np.linalg.eigh(lap.dense())
-    else:
-        vals, vecs = iterative_eigenpairs(lap, 2, tol)
+    vals, vecs = eigenpairs(laplacian(sub), 2, tol)
     order = np.arange(2) if sub.n == 2 else np.argsort(vecs[:, 1], kind="stable")
     return float(vals[1]), order
 

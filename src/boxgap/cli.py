@@ -33,6 +33,7 @@ from .cheeger import EXACT_CAP, cheeger_report
 from .decompose import KunParams, kun_partition
 from .errors import BoxgapError, DisconnectedLink, EmptyLink, NoConvergence
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
+from .generators import expect, expect_ints
 from .graph import (
     BoxSpace,
     ball,
@@ -41,7 +42,7 @@ from .graph import (
     write_manifest,
 )
 from .rewire import alpha_feasible, expanderize, separation_radius
-from .spectral import DENSE_LIMIT, _block_spectrum, graph_spectrum, markov
+from .spectral import DENSE_LIMIT, graph_spectrum, markov, pinned_spectrum
 from .zuk import delta_tau_spectrum, zuk_certificate
 
 EXIT_OK = 0
@@ -211,7 +212,7 @@ def cmd_spectrum(args) -> int:
         k_markov = g.n if g.n <= DENSE_LIMIT else 8
         # Above DENSE_LIMIT one component at a time, as graph_spectrum solves
         # the Laplacian, so a value shared by components is listed per copy.
-        m_rep = _block_spectrum(
+        m_rep = pinned_spectrum(
             g, markov(g, box.d), k_markov, args.tol, kernel_dim=0
         ) if g.n else None
         payload = {
@@ -323,10 +324,19 @@ _GROUPS = {
 }
 
 
+def _spec_object(value, what):
+    """value if it is an object whose size and vertex entries are integers."""
+    expect(value, dict, what)
+    for key in ("n", "m", "k", "p", "v1", "v2", "t_center", "t_radius"):
+        if key in value:
+            expect(value[key], int, f"{what}.{key}")
+    return value
+
+
 def _generate_one(spec):
     family = spec["family"]
-    params = spec.get("params", {})
-    seed = spec.get("seed", 0)
+    params = _spec_object(spec.get("params", {}), "params")
+    seed = expect(spec.get("seed", 0), int, "seed")
     if family == "margulis":
         return generators.margulis_graph(params["n"])
     if family == "complete":
@@ -340,12 +350,14 @@ def _generate_one(spec):
     if family == "triangular_torus":
         return generators.triangular_torus(params["m"])
     if family == "cayley":
-        group = _GROUPS[params["group"]["kind"]](params["group"])
+        group_spec = _spec_object(params["group"], "params.group")
+        group = _GROUPS[group_spec["kind"]](group_spec)
         gens = params.get("gens")
-        if gens == "elementary" and params["group"]["kind"] == "sl2":
-            gens = generators.sl2_elementary_generators(params["group"]["p"])
+        if gens == "elementary" and group_spec["kind"] == "sl2":
+            gens = generators.sl2_elementary_generators(group_spec["p"])
         else:
-            gens = [tuple(g) if isinstance(g, list) else g for g in gens]
+            gens = [tuple(g) if isinstance(g, list) else g
+                    for g in expect(gens, list, "params.gens")]
         return generators.cayley_graph(group, gens)
     if family == "bridged_margulis_pair":
         g = generators.margulis_graph(params["n"])
@@ -353,8 +365,8 @@ def _generate_one(spec):
             g, g, params.get("v1", 0), params.get("v2", 0), d=8
         )
     if family == "glued_expander":
-        x_prime = _generate_one(params["x_prime"])
-        y = _generate_one(params["y"])
+        x_prime = _generate_one(expect(params["x_prime"], dict, "params.x_prime"))
+        y = _generate_one(expect(params["y"], dict, "params.y"))
         t_set = ball(y, params.get("t_center", 0), params.get("t_radius", 0))
         return generators.glued_expander(x_prime, y, t_set, seed=seed).graph
     raise ValueError(f"unknown family {family!r}")
@@ -368,7 +380,8 @@ def cmd_generate(args) -> int:
     h = _prepare(args)
     graphs = []
     labels = []
-    for spec in specs:
+    for i, spec in enumerate(specs):
+        expect(spec, dict, f"spec {i}")
         if args.seed is not None:
             spec = {**spec, "seed": spec.get("seed", args.seed)}
         graphs.append(_generate_one(spec))
@@ -385,14 +398,15 @@ def cmd_generate(args) -> int:
 
 def cmd_sofic(args) -> int:
     with open(args.input) as fh:
-        spec = json.load(fh)
+        spec = expect(json.load(fh), dict, "sofic spec")
     h = _prepare(args)
     if "action" in spec and spec["action"].get("kind") == "cyclic":
         action = cyclic_action(spec["action"]["m"], spec["action"]["shifts"])
     else:
         action = PermAction(
-            m=spec["m"],
-            perms={k: tuple(v) for k, v in spec["perms"].items()},
+            m=expect(spec["m"], int, "m"),
+            perms={k: tuple(expect_ints(v, f"perms.{k}"))
+                   for k, v in expect(spec["perms"], dict, "perms").items()},
             inverses=spec["inverses"],
             check_inverses=spec.get("check_inverses", True),
         )

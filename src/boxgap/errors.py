@@ -38,7 +38,7 @@ class NoConvergence(BoxgapError):
         msg = f"eigensolver did not converge after {iterations} iterations"
         if detail:
             msg += f": {detail}"
-        msg += " (fall back to a dense solve or raise the tolerance)"
+        msg += " (raise the tolerance to accept a coarser answer)"
         super().__init__(msg)
         self.iterations = iterations
 

@@ -8,6 +8,7 @@ callers should record next to the output.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,33 @@ from .graph import (
     Graph,
     ball_of_set,
     build_graph,
+    int64_pairs,
     vertex_set,
 )
+
+
+# ---------------------------------------------------------------------------
+# JSON input entries
+
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def expect(value, kind, what: str):
+    """value if it is an instance of kind, else a ValueError naming what,
+    the JSON entry it was read from."""
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"{what} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+def expect_ints(value, what: str) -> list:
+    """value if it is a list of integers, else a ValueError naming the first
+    entry that is not."""
+    if not all(isinstance(x, int) for x in expect(value, list, what)):
+        j = next(j for j, x in enumerate(value) if not isinstance(x, int))
+        expect(value[j], int, f"{what}[{j}]")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +518,23 @@ class ApproxIsoWitness:
 
     @classmethod
     def from_dict(cls, data) -> "ApproxIsoWitness":
-        return cls(
-            entries=[
-                WitnessEntry(
-                    vertices_x=tuple(e["vertices_x"]),
-                    vertices_x2=tuple(e["vertices_x2"]),
-                    edges_x=tuple((int(u), int(v)) for u, v in e["edges_x"]),
-                )
-                for e in data["entries"]
-            ]
-        )
+        """Parse the JSON of ``to_dict``; a ValueError names a bad entry."""
+        entries = []
+        for i, e in enumerate(expect(expect(data, dict, "witness")["entries"],
+                                     list, "entries")):
+            what = f"entries[{i}]"
+            expect(e, dict, what)
+            try:
+                edges = tuple((int(u), int(v)) for u, v in e["edges_x"])
+            except (TypeError, ValueError):
+                raise ValueError(f"{what}.edges_x must be a list of [u, v] pairs, "
+                                 f"got {reprlib.repr(e['edges_x'])}") from None
+            entries.append(WitnessEntry(
+                vertices_x=tuple(expect_ints(e["vertices_x"], f"{what}.vertices_x")),
+                vertices_x2=tuple(expect_ints(e["vertices_x2"], f"{what}.vertices_x2")),
+                edges_x=edges,
+            ))
+        return cls(entries=entries)
 
 
 @dataclass
@@ -525,21 +558,6 @@ _ISO_FAILURES = (
     "not an edge on the left",
     "not an edge on the right",
 )
-
-
-def _has_edges(g: Graph, pairs: np.ndarray) -> np.ndarray:
-    """Whether each row (u, v) of pairs, in either order, is an edge of g."""
-    return np.isin(np.sort(pairs, axis=1) @ (g.n, 1), g.edge_array() @ (g.n, 1))
-
-
-def _pair_array(pairs, n: int) -> np.ndarray:
-    """pairs as an (m, 2) int64 array; a value past int64 becomes n, which
-    is out of range all the same."""
-    try:
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        clamped = [[min(max(x, -1), n) for x in uv] for uv in pairs]
-        return np.array(clamped, dtype=np.int64).reshape(-1, 2)
 
 
 def approx_iso_check(
@@ -570,10 +588,10 @@ def approx_iso_check(
         # g.n stands for every endpoint outside g.
         image = np.full(g.n + 1, -1, dtype=np.int64)
         image[list(entry.vertices_x)] = entry.vertices_x2
-        edges = _pair_array(entry.edges_x, g.n)
+        edges = int64_pairs(entry.edges_x, g.n).reshape(-1, 2)
         mapped = image[np.where((edges >= 0) & (edges < g.n), edges, g.n)]
-        fails = np.stack(((mapped < 0).any(axis=1), ~_has_edges(g, edges),
-                          ~_has_edges(g2, mapped)), axis=1)
+        fails = np.stack(((mapped < 0).any(axis=1), ~g.has_edges(edges),
+                          ~g2.has_edges(mapped)), axis=1)
         if fails.any():
             k = int(np.argmax(fails.any(axis=1)))
             reason = _ISO_FAILURES[int(np.argmax(fails[k]))]

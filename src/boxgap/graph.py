@@ -112,6 +112,12 @@ class Graph:
         return np.stack((np.insert(u, at, self.loops),
                          np.insert(v, at, self.loops)), axis=1)
 
+    def has_edges(self, pairs: np.ndarray) -> np.ndarray:
+        """Whether each row (u, v) of an int64 array, in either order, is an
+        edge (or, for u == v, a loop) of the graph."""
+        return np.isin(np.sort(pairs, axis=1) @ (self.n, 1),
+                       self.edge_array() @ (self.n, 1))
+
     def edges(self):
         """``edge_array`` as (u, v) tuples of Python ints."""
         e = self.edge_array()
@@ -154,6 +160,16 @@ def vertex_set(g: Graph, vertices) -> VertexSet:
     return tuple(vs)
 
 
+def int64_pairs(pairs, n: int) -> np.ndarray:
+    """A list of (u, v) pairs as an int64 array; a vertex past int64 becomes
+    -1 or n, which is out of range all the same."""
+    try:
+        return np.array(pairs, dtype=np.int64)
+    except OverflowError:
+        return np.array([[min(max(x, -1), n) for x in uv] for uv in pairs],
+                        dtype=np.int64)
+
+
 def build_graph(n, edges, d, allow_loops=False) -> Graph:
     """Build a validated graph from an edge list.
 
@@ -173,11 +189,7 @@ def build_graph(n, edges, d, allow_loops=False) -> Graph:
         given = e = edges.astype(np.int64, casting="safe", copy=False)
     else:
         given = list(edges)
-        try:
-            e = np.array(given, dtype=np.int64)
-        except OverflowError:  # a vertex past int64 is out of range all the same
-            e = np.array([[min(max(x, -1), n) for x in uv] for uv in given],
-                         dtype=np.int64)
+        e = int64_pairs(given, n)
     if e.size and e.shape[1:] != (2,):
         raise ValueError("edges must be (u, v) pairs")
     e = e.reshape(-1, 2)

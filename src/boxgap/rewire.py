@@ -316,7 +316,7 @@ def expanderize(
         out_graphs.append(out_graph)
         # kept is sorted, so the mapped edges stay in (u, v) order, u <= v.
         pairs = np.array(kept, dtype=np.int64)[out_graph.edge_array()]
-        matched = pairs[np.isin(pairs @ (g.n, 1), g.edge_array() @ (g.n, 1))]
+        matched = pairs[g.has_edges(pairs)]
         entries.append(
             WitnessEntry(
                 vertices_x=kept,

@@ -10,7 +10,7 @@ of connected components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,40 +24,23 @@ DENSE_LIMIT = 512  # exact dense solve at or below this dimension
 KERNEL_TOL_DENSE = 1e-9  # dense eigenvalues within this of 0 count as kernel
 
 
-@dataclass(frozen=True)
-class SymmetricOperator:
-    """Sparse symmetric real operator with a fixed dimension."""
-
-    n: int
-    matrix: sp.csr_matrix = field(compare=False)
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def quadratic_form(self, vec: np.ndarray) -> float:
-        return float(vec @ (self.matrix @ vec))
-
-
-def _weighted_laplacian(w: sp.csr_matrix) -> SymmetricOperator:
+def _weighted_laplacian(w: sp.csr_matrix) -> sp.csr_matrix:
     """diag(row sums of w) - w for a symmetric, zero-diagonal weight matrix."""
-    lap = sp.diags(w.sum(axis=1).A1) - w
-    return SymmetricOperator(n=w.shape[0], matrix=sp.csr_matrix(lap))
+    return sp.csr_matrix(sp.diags(w.sum(axis=1).A1) - w)
 
 
-def laplacian(g: Graph) -> SymmetricOperator:
+def laplacian(g: Graph) -> sp.csr_matrix:
     """Graph Laplacian diag(deg) - A, with A = g.matrix (loops excluded)."""
     return _weighted_laplacian(g.matrix)
 
 
-def markov(g: Graph, d: int | None = None) -> SymmetricOperator:
+def markov(g: Graph, d: int | None = None) -> sp.csr_matrix:
     """M = I - Laplacian/(2d); requires d at least the max degree."""
     if d is None:
         d = g.degree_bound
     if d < g.max_degree():
         raise DegreeBoundTooSmall(d, g.max_degree())
-    lap = laplacian(g).matrix
-    m = sp.identity(g.n, format="csr") - lap / (2.0 * d)
-    return SymmetricOperator(n=g.n, matrix=sp.csr_matrix(m))
+    return sp.csr_matrix(sp.identity(g.n, format="csr") - laplacian(g) / (2.0 * d))
 
 
 @dataclass
@@ -80,23 +63,22 @@ class SpectrumReport:
         }
 
 
-def _dense_eigenvalues(op: SymmetricOperator) -> np.ndarray:
-    if op.n == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(op.dense())
+def _dense(n: int, k: int) -> bool:
+    """The one dense/iterative rule: dense for n <= DENSE_LIMIT or k > n - 2."""
+    return n <= DENSE_LIMIT or k > n - 2
 
 
-def iterative_eigenpairs(op: SymmetricOperator, k: int, tol: float):
-    """The k smallest eigenvalues of a PSD operator A, ascending, and their
+def iterative_eigenpairs(mat: sp.csr_matrix, k: int, tol: float):
+    """The k smallest eigenvalues of a PSD matrix A, ascending, and their
     eigenvectors as columns: the largest of sigma*I - A (sigma a Gershgorin
     bound), which restarted Lanczos resolves reliably. The fixed seeded start
     vector makes the answer depend only on A (all-ones would span a
     Laplacian's kernel). NoConvergence if ARPACK fails or a residual is large.
     """
-    mat = op.matrix
+    n = mat.shape[0]
     sigma = float(np.abs(mat).sum(axis=1).max()) + 1.0
-    shifted = sp.identity(op.n, format="csr") * sigma - mat
-    v0 = np.random.default_rng(0).standard_normal(op.n)
+    shifted = sp.identity(n, format="csr") * sigma - mat
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         mu, vecs = spla.eigsh(shifted, k=k, which="LA", tol=tol, v0=v0)
     except spla.ArpackNoConvergence as exc:
@@ -111,40 +93,40 @@ def iterative_eigenpairs(op: SymmetricOperator, k: int, tol: float):
     return evs, vecs
 
 
-def spectrum(
-    op: SymmetricOperator,
-    k: int | None = None,
-    tol: float = 1e-9,
-    kernel_dim: int | None = None,
-    method: str = "auto",
-) -> SpectrumReport:
-    """Report the k smallest eigenvalues of a symmetric operator.
+def eigenpairs(mat: sp.csr_matrix, k: int, tol: float = 1e-9):
+    """The k smallest eigenvalues of a symmetric PSD matrix, ascending, and
+    their eigenvectors as columns: one dense ``eigh`` of the whole matrix
+    under the dense/iterative rule, ``iterative_eigenpairs`` otherwise."""
+    if _dense(mat.shape[0], k):
+        vals, vecs = np.linalg.eigh(mat.toarray())
+        return vals[:k], vecs[:, :k]
+    return iterative_eigenpairs(mat, k, tol)
 
-    Dense exact solve at dimension <= 512 (or on request), restarted Krylov
-    above. For dense solves the kernel is the set of eigenvalues within 1e-9
-    of zero unless ``kernel_dim`` is given; iterative solves should always
-    receive ``kernel_dim`` (for graph Laplacians: the component count), since
+
+def spectrum(mat: sp.csr_matrix, k: int | None = None, tol: float = 1e-9,
+             kernel_dim: int | None = None) -> SpectrumReport:
+    """Report the k smallest eigenvalues of a symmetric sparse matrix: one
+    dense ``eigvalsh`` of the whole matrix under the dense/iterative rule,
+    restarted Krylov otherwise.
+
+    Unless ``kernel_dim`` is given, the kernel is the set of eigenvalues
+    within 1e-9 (dense) or tol (iterative) of zero; iterative solves should
+    always receive it (for graph Laplacians: the component count), since
     Krylov residuals cannot separate a near-zero cluster reliably. The
-    iterative path can list a repeated eigenvalue once (torus m=48: its 6-fold
-    lambda_2); a connected graph's gap, the entry above its simple kernel, holds.
-    ``pinned_spectrum`` solves an operator one block of its off-diagonal
-    support at a time, so its kernel is counted once per block (for Δτ, a
-    block of the triangle-weight graph); a repeated eigenvalue inside one
-    block can still be listed once.
+    iterative path can list a repeated eigenvalue once (torus m=48: its
+    6-fold lambda_2); a connected graph's gap, the entry above its simple
+    kernel, holds.
     """
-    n = op.n
+    n = mat.shape[0]
     if k is None:
         k = n
     if k > n:
         raise ValueError(f"k={k} exceeds dimension {n}")
-    use_dense = method == "dense" or (
-        method == "auto" and (n <= DENSE_LIMIT or k > max(n - 2, 0))
-    )
-    if use_dense:
-        evs = _dense_eigenvalues(op)[:k]
+    if _dense(n, k):
+        evs = np.linalg.eigvalsh(mat.toarray())[:k]
         used = "exact-dense"
     else:
-        evs, _ = iterative_eigenpairs(op, k, tol)
+        evs, _ = iterative_eigenpairs(mat, k, tol)
         used = "iterative"
     if kernel_dim is None:
         cut = KERNEL_TOL_DENSE if used == "exact-dense" else tol
@@ -183,69 +165,47 @@ def _operator_blocks(g: Graph, mat: sp.csr_matrix):
     return np.flatnonzero(~big), np.split(members, np.cumsum(sizes[sizes > 1])[:-1])
 
 
-def _block_spectrum(
-    g: Graph, op: SymmetricOperator, k: int, tol: float, kernel_dim: int
-) -> SpectrumReport:
-    """The k smallest eigenvalues of op, an operator on g, with the given
-    kernel dimension, solved one block of op's off-diagonal support at a
-    time above DENSE_LIMIT.
-
-    Up to DENSE_LIMIT vertices, and when the support is one block covering
-    every vertex, this is ``spectrum(op)`` itself. Otherwise a single-vertex
-    block is its diagonal entry, every other block is solved as ``spectrum``
-    solves it alone, and the values are merged, which is exact because op
-    is block-diagonal over them.
-    """
-    if g.n <= DENSE_LIMIT or k > g.n:
-        return spectrum(op, k=k, tol=tol, kernel_dim=kernel_dim)
-    singles, blocks = _operator_blocks(g, op.matrix)
-    if len(blocks) == 1 and len(singles) == 0:  # one block: op itself, no copy
-        return spectrum(op, k=k, tol=tol, kernel_dim=kernel_dim)
-    parts = [
-        spectrum(
-            SymmetricOperator(n=len(idx), matrix=op.matrix[idx][:, idx]),
-            k=min(k, len(idx)),
-            tol=tol,
-            kernel_dim=1,
-        )
-        for idx in blocks
-    ]
-    evs = np.sort(np.concatenate(
-        [op.matrix.diagonal()[singles]] + [p.eigenvalues for p in parts]
-    ), kind="stable")[:k].tolist()
-    return SpectrumReport(
-        eigenvalues=evs,
-        kernel_dim=kernel_dim,
-        gap=evs[kernel_dim] if kernel_dim < k else 0.0,
-        method="iterative" if any(p.method == "iterative" for p in parts)
-        else "exact-dense",
-        tol=tol,
-    )
-
-
-def pinned_spectrum(
-    g: Graph, op: SymmetricOperator, k: int | None = None, tol: float = 1e-9
-) -> SpectrumReport:
-    """Spectrum of an operator on g, kernel pinned to g's component count.
+def pinned_spectrum(g: Graph, mat: sp.csr_matrix, k: int | None = None,
+                    tol: float = 1e-9, kernel_dim: int | None = None) -> SpectrumReport:
+    """Spectrum of mat, an operator on g, with the given kernel dimension
+    (None: g's component count; 0 for the Markov operator).
 
     k defaults to every eigenvalue up to DENSE_LIMIT vertices and to the
-    kernel plus four above that. Up to DENSE_LIMIT vertices the whole
-    operator is solved densely. Above it the operator is split along the
-    connected blocks of its own off-diagonal support and the values of the
-    blocks are merged (``_block_spectrum``), which is exact because the
-    operator is block-diagonal over them: a single-vertex block is its
-    diagonal entry, and every other block is solved as ``spectrum`` solves
-    it alone. Each block's kernel is then found by its own solve, so the
-    kernel keeps its multiplicity. For the Laplacian, and for Δτ of a graph
-    whose every edge lies in a triangle, the blocks are g's components. Δτ
-    of a graph with edges in no triangle has more blocks than g has
-    components; its listed kernel then holds every block's zero, so a gap
-    of 0.0 (to rounding) means the triangle-weight graph is disconnected.
+    kernel plus four above that. Above DENSE_LIMIT, unless mat's
+    off-diagonal support is one block covering every vertex, the values of
+    the blocks of that support are merged, which is exact because mat is
+    block-diagonal over them: a single-vertex block is its diagonal entry,
+    every other block is solved as ``spectrum`` solves it alone, so the
+    kernel keeps its multiplicity. A value repeated inside one block can
+    still be listed once. For the Laplacian, and for Δτ of a graph whose
+    every edge lies in a triangle, the blocks are g's components. Δτ of a
+    graph with edges in no triangle has more blocks; its listed kernel then
+    holds every block's zero, so a gap of 0.0 (to rounding) means the
+    triangle-weight graph is disconnected.
     """
-    comps = g.components
+    n = g.n
     if k is None:
-        k = g.n if g.n <= DENSE_LIMIT else min(g.n, len(comps) + 4)
-    return _block_spectrum(g, op, k, tol, kernel_dim=min(len(comps), k))
+        k = n if n <= DENSE_LIMIT else min(n, len(g.components) + 4)
+    kernel_dim = min(len(g.components) if kernel_dim is None else kernel_dim, k)
+    if n > DENSE_LIMIT and k <= n:
+        singles, blocks = _operator_blocks(g, mat)
+        if len(blocks) != 1 or len(singles):
+            parts = [
+                spectrum(mat[idx][:, idx], k=min(k, len(idx)), tol=tol, kernel_dim=1)
+                for idx in blocks
+            ]
+            evs = np.sort(np.concatenate(
+                [mat.diagonal()[singles]] + [p.eigenvalues for p in parts]
+            ), kind="stable")[:k].tolist()
+            return SpectrumReport(
+                eigenvalues=evs,
+                kernel_dim=kernel_dim,
+                gap=evs[kernel_dim] if kernel_dim < k else 0.0,
+                method="iterative" if any(p.method == "iterative" for p in parts)
+                else "exact-dense",
+                tol=tol,
+            )
+    return spectrum(mat, k=k, tol=tol, kernel_dim=kernel_dim)
 
 
 def graph_spectrum(g: Graph, k: int | None = None, tol: float = 1e-9) -> SpectrumReport:
@@ -297,7 +257,7 @@ def power_iterate(g: Graph, f, steps: int, d: int | None = None) -> np.ndarray:
     vec = np.asarray(f, dtype=np.float64).copy()
     if vec.shape != (g.n,):
         raise ValueError(f"function must have length {g.n}")
-    m = markov(g, d).matrix
+    m = markov(g, d)
     for _ in range(steps):
         nxt = m @ vec
         if nxt.tobytes() == vec.tobytes():
@@ -321,7 +281,7 @@ def markov_contraction_check(
     c_m <= gap/(2d); a False entry is a finding, not an error.
     """
     vec = np.asarray(f, dtype=np.float64)
-    m = markov(g, d).matrix
+    m = markov(g, d)
     base = float(np.linalg.norm(m @ vec - vec))
     results = []
     cur = vec

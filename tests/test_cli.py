@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import boxgap as bg
 from boxgap.cli import _json_text, build_parser, main
 from boxgap.errors import NoConvergence
-from boxgap.spectral import DENSE_LIMIT
+from boxgap.spectral import DENSE_LIMIT, pinned_spectrum
 
 
 def make_box(tmp_path, graphs, d, name="box"):
@@ -54,13 +54,29 @@ def test_spectrum_markov_lists_each_component_block(tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--input", manifest, "--out", str(out)]) == 0
     got = json.loads((out / "spectrum_0000.json").read_text())["markov"]
-    want = np.linalg.eigvalsh(bg.markov(pair, 8).dense())[:8]
+    want = np.linalg.eigvalsh(bg.markov(pair, 8).toarray())[:8]
     assert np.allclose(got["eigenvalues"], want, rtol=0, atol=1e-9)
     assert np.sum(np.abs(want - 0.4375) <= 1e-9) == 4
     assert got["kernel_dim"] == 0 and got["gap"] == got["eigenvalues"][0]
     whole = bg.spectrum(bg.markov(margulis, 8), k=8, kernel_dim=0).to_dict()
     got = json.loads((out / "spectrum_0001.json").read_text())["markov"]
     assert got == json.loads(json.dumps(whole))
+
+
+def test_spectrum_markov_record_is_pinned_spectrum_without_kernel(tmp_path):
+    # The CLI's Markov report is pinned_spectrum with kernel_dim=0: on a
+    # disconnected graph above DENSE_LIMIT, one block at a time.
+    torus = bg.triangular_torus(17)
+    pair = bg.disjoint_union(torus, torus, d=8)
+    assert pair.n > DENSE_LIMIT and len(pair.components) == 2
+    manifest = make_box(tmp_path, [pair], d=8)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--input", manifest, "--out", str(out)]) == 0
+    got = json.loads((out / "spectrum_0000.json").read_text())["markov"]
+    want = pinned_spectrum(pair, bg.markov(pair, 8), k=8, kernel_dim=0)
+    # Each 289-vertex block is small enough for a dense solve of its own.
+    assert want.kernel_dim == 0 and want.method == "exact-dense"
+    assert got == json.loads(json.dumps(want.to_dict()))
 
 
 def test_spectrum_empty_manifest(tmp_path):
@@ -288,6 +304,51 @@ def test_sofic_command(tmp_path):
     assert main(["sofic", "--input", str(spath), "--out", str(out)]) == 0
     rep = json.loads((out / "sofic.json").read_text())
     assert rep["epsilon"] == 0.0
+
+
+# Malformed JSON entries are validation failures (exit 2) that name the
+# entry, not uncaught TypeErrors.
+_WITNESS_ENTRY = {"vertices_x": [0, 1], "vertices_x2": [0, 1], "edges_x": [[0, 1]]}
+
+
+@pytest.mark.parametrize("spec, names", [
+    ({"family": "cayley", "params": {"group": {"kind": "cyclic", "n": 5}}},
+     "params.gens"),
+    ([["cycle", 5]], "spec 0"),
+    ({"family": "cycle", "params": {"n": "8"}}, "params.n"),
+])
+def test_generate_malformed_spec_exits_2(tmp_path, capsys, spec, names):
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps(spec))
+    argv = ["generate", "--input", str(spath), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert names in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, names", [
+    ({"m": 3, "perms": {"a": 5}, "inverses": {}}, "perms.a"),
+    ([1, 2], "sofic spec"),
+])
+def test_sofic_malformed_spec_exits_2(tmp_path, capsys, spec, names):
+    spath = tmp_path / "sofic.json"
+    spath.write_text(json.dumps(spec))
+    argv = ["sofic", "--input", str(spath), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert names in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("witness, names", [
+    ({"entries": [[0, 1]]}, "entries[0]"),
+    ({"entries": [{**_WITNESS_ENTRY, "vertices_x": "01"}]}, "entries[0].vertices_x"),
+])
+def test_approx_iso_malformed_witness_exits_2(tmp_path, capsys, witness, names):
+    manifest = make_box(tmp_path, [bg.path_graph(2)], d=1)
+    wpath = tmp_path / "witness.json"
+    wpath.write_text(json.dumps(witness))
+    argv = ["approx-iso", "--input", manifest, "--input2", manifest,
+            "--witness", str(wpath), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert names in capsys.readouterr().err
 
 
 def test_approx_iso_command(tmp_path):

@@ -78,7 +78,7 @@ def test_level_set_c8_smoothed_arc():
     g = bg.cycle_graph(8)
     chi = np.zeros(8)
     chi[:4] = 1.0
-    m = np.eye(8) - bg.laplacian(g).dense() / 4.0
+    m = np.eye(8) - bg.laplacian(g).toarray() / 4.0
     f = m @ (m @ chi)
     cut = bg.level_set_cut(g, f, 1 / 3, 2 / 3)
     assert cut.vertices == (0, 1, 2, 3)

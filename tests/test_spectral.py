@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,12 @@ import boxgap as bg
 from boxgap import spectral
 from boxgap.cheeger import second_eigenvalue
 from boxgap.errors import DegreeBoundTooSmall
-from boxgap.spectral import DENSE_LIMIT, SymmetricOperator, pinned_spectrum
+from boxgap.spectral import (
+    DENSE_LIMIT,
+    eigenpairs,
+    iterative_eigenpairs,
+    pinned_spectrum,
+)
 
 from conftest import random_bounded_graph
 
@@ -25,27 +29,27 @@ def test_laplacian_closed_forms():
 
 def test_laplacian_ignores_loops():
     g = bg.build_graph(3, [(0, 1), (1, 2), (0, 2), (0, 0)], 3, allow_loops=True)
-    lap = bg.laplacian(g).dense()
-    ref = bg.laplacian(bg.complete_graph(3)).dense()
+    lap = bg.laplacian(g).toarray()
+    ref = bg.laplacian(bg.complete_graph(3)).toarray()
     assert np.array_equal(lap, ref)
 
 
 def test_laplacian_row_sums_and_psd(small_corpus):
     for g in small_corpus:
         lap = bg.laplacian(g)
-        assert np.allclose(lap.dense().sum(axis=1), 0.0)
-        evs = np.linalg.eigvalsh(lap.dense()) if g.n else []
+        assert np.allclose(lap.toarray().sum(axis=1), 0.0)
+        evs = np.linalg.eigvalsh(lap.toarray()) if g.n else []
         assert all(v >= -1e-9 for v in evs)
 
 
 def test_markov_examples():
-    evs = np.sort(np.linalg.eigvalsh(bg.markov(bg.complete_graph(3), 2).dense()))
+    evs = np.sort(np.linalg.eigvalsh(bg.markov(bg.complete_graph(3), 2).toarray()))
     assert np.allclose(evs, [0.25, 0.25, 1.0], atol=1e-12)
     g = bg.cycle_graph(5)
     ones = np.ones(5)
-    assert np.allclose(bg.markov(g).matrix @ ones, ones)
+    assert np.allclose(bg.markov(g) @ ones, ones)
     edgeless = bg.build_graph(4, [], 3)
-    assert np.array_equal(bg.markov(edgeless, 3).dense(), np.eye(4))
+    assert np.array_equal(bg.markov(edgeless, 3).toarray(), np.eye(4))
     with pytest.raises(DegreeBoundTooSmall):
         bg.markov(bg.complete_graph(4), d=2)
 
@@ -79,13 +83,54 @@ def test_spectrum_k_validation():
 
 def test_dense_vs_iterative_agree():
     g = bg.margulis_graph(7)
+    lap = bg.laplacian(g)
     comps = len(bg.connected_components(g))
-    dense = bg.spectrum(bg.laplacian(g), k=6, kernel_dim=comps, method="dense")
-    it = bg.spectrum(bg.laplacian(g), k=6, tol=1e-10, kernel_dim=comps,
-                     method="iterative")
-    assert it.method == "iterative"
-    assert np.allclose(dense.eigenvalues, it.eigenvalues, atol=1e-7)
-    assert abs(dense.gap - it.gap) < 1e-7
+    dense = bg.spectrum(lap, k=6, kernel_dim=comps)
+    assert dense.method == "exact-dense"
+    evs, _ = iterative_eigenpairs(lap, 6, 1e-10)
+    assert np.allclose(dense.eigenvalues, evs, atol=1e-7)
+    assert abs(dense.gap - evs[comps]) < 1e-7
+
+
+def _connected_random_graph(n):
+    g = random_bounded_graph(np.random.default_rng(4), n, 5, fill=0.95)
+    assert len(g.components) == 1
+    return g
+
+
+def test_dense_iterative_rule_edges():
+    # Dense at n <= DENSE_LIMIT or k > n - 2; iterative otherwise.
+    for n, k, method in [
+        (DENSE_LIMIT, 2, "exact-dense"),
+        (DENSE_LIMIT + 1, 2, "iterative"),
+        (DENSE_LIMIT + 1, DENSE_LIMIT, "exact-dense"),
+        (DENSE_LIMIT + 1, DENSE_LIMIT + 1, "exact-dense"),
+    ]:
+        lap = bg.laplacian(_connected_random_graph(n))
+        rep = bg.spectrum(lap, k=k, kernel_dim=1)
+        assert rep.method == method, (n, k)
+        want = np.linalg.eigvalsh(lap.toarray())[:k]
+        assert np.allclose(rep.eigenvalues, want, rtol=0, atol=1e-9)
+        assert rep.gap == rep.eigenvalues[1]
+
+
+def test_eigenpairs_dense_matches_iterative_above_limit():
+    lap = bg.laplacian(_connected_random_graph(DENSE_LIMIT + 8))
+    vals, vecs = eigenpairs(lap, 2)
+    dvals, dvecs = np.linalg.eigh(lap.toarray())
+    assert np.allclose(vals, dvals[:2], rtol=0, atol=1e-9)
+    head = lap[:DENSE_LIMIT][:, :DENSE_LIMIT]  # at the limit: one plain eigh
+    hvals, hvecs = np.linalg.eigh(head.toarray())
+    got = eigenpairs(head, 2)
+    assert np.array_equal(got[0], hvals[:2]) and np.array_equal(got[1], hvecs[:, :2])
+    # Same Fiedler order once the sign is aligned; the entries are further
+    # apart than the two vectors differ, so the order is not a tie-break.
+    fiedler, dense_fiedler = vecs[:, 1], dvecs[:, 1]
+    fiedler = fiedler * np.sign(fiedler @ dense_fiedler)
+    spacing = np.diff(np.sort(dense_fiedler)).min()
+    assert np.abs(fiedler - dense_fiedler).max() < spacing / 4
+    assert np.array_equal(np.argsort(fiedler, kind="stable"),
+                          np.argsort(dense_fiedler, kind="stable"))
 
 
 def test_kernel_dim_matches_components():
@@ -125,7 +170,7 @@ def test_gap_of_union_is_min_of_component_gaps():
 def test_markov_is_contraction():
     rng = np.random.default_rng(17)
     for g in (bg.complete_graph(6), bg.cycle_graph(9), bg.margulis_graph(4)):
-        m = bg.markov(g).matrix
+        m = bg.markov(g)
         f = rng.standard_normal((g.n, 1000))
         assert np.all(
             np.linalg.norm(m @ f, axis=0) <= np.linalg.norm(f, axis=0) + 1e-9
@@ -143,7 +188,7 @@ def test_expander_check_examples():
 
     pair = bg.glue_pair(bg.complete_graph(4), bg.complete_graph(4), 0, 0, d=4)
     # independent dense oracle for the bridged pair's gap
-    oracle = np.sort(np.linalg.eigvalsh(bg.laplacian(pair).dense()))[1]
+    oracle = np.sort(np.linalg.eigvalsh(bg.laplacian(pair).toarray()))[1]
     assert oracle < 1.0
     rep = bg.expander_check(bg.BoxSpace(graphs=[pair], d=4), 1.0)
     assert rep.per_graph == [False]
@@ -168,7 +213,7 @@ def test_power_iterate_examples():
 def _plain_iterates(g, f, steps, d):
     """Oracle: M^k f for k = 0..steps, each from the plain loop with no
     early exit."""
-    m = bg.markov(g, d).matrix
+    m = bg.markov(g, d)
     vec = np.asarray(f, dtype=np.float64).copy()
     out = [vec]
     for _ in range(steps):
@@ -232,8 +277,8 @@ def test_power_iterate_stops_at_a_component_indicator(monkeypatch):
     counters = []
 
     def counting_markov(g, d=None):
-        counters.append(_CountingMatrix(real_markov(g, d).matrix))
-        return SimpleNamespace(matrix=counters[-1])
+        counters.append(_CountingMatrix(real_markov(g, d)))
+        return counters[-1]
 
     monkeypatch.setattr(spectral, "markov", counting_markov)
     g = bg.disjoint_union(bg.margulis_graph(6), bg.cycle_graph(9), d=8)
@@ -328,7 +373,7 @@ def _block_operator(rng, bridged):
             edges.add((min(u, v), max(u, v)))
     d = max(np.bincount(np.array(sorted(edges)).ravel(), minlength=n))
     g = bg.build_graph(n, sorted(edges), int(d))
-    return g, SymmetricOperator(n=n, matrix=sp.csr_matrix(dense)), dense
+    return g, sp.csr_matrix(dense), dense
 
 
 @pytest.mark.parametrize("bridged", [False, True])
