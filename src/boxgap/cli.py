@@ -33,11 +33,12 @@ from .cheeger import EXACT_CAP, cheeger_report
 from .decompose import KunParams, kun_partition
 from .errors import BoxgapError, DisconnectedLink, EmptyLink, NoConvergence
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
-from .generators import expect, expect_ints
 from .graph import (
     BoxSpace,
     ball,
     connected_components,
+    expect,
+    expect_items,
     read_manifest,
     write_manifest,
 )
@@ -396,23 +397,38 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _words(value, what) -> list:
+    """value if it is a list of words, each a list of generator labels."""
+    for j, word in enumerate(expect(value, list, what)):
+        expect_items(word, str, f"{what}[{j}]")
+    return value
+
+
 def cmd_sofic(args) -> int:
     with open(args.input) as fh:
         spec = expect(json.load(fh), dict, "sofic spec")
-    h = _prepare(args)
-    if "action" in spec and spec["action"].get("kind") == "cyclic":
-        action = cyclic_action(spec["action"]["m"], spec["action"]["shifts"])
+    act = expect(spec.get("action", {}), dict, "action")
+    if act.get("kind") == "cyclic":
+        action = cyclic_action(expect(act["m"], int, "action.m"),
+                               expect_items(act["shifts"], int, "action.shifts"))
     else:
+        inverses = expect(spec["inverses"], dict, "inverses")
         action = PermAction(
             m=expect(spec["m"], int, "m"),
-            perms={k: tuple(expect_ints(v, f"perms.{k}"))
+            perms={k: tuple(expect_items(v, int, f"perms.{k}"))
                    for k, v in expect(spec["perms"], dict, "perms").items()},
-            inverses=spec["inverses"],
+            inverses={k: expect(v, str, f"inverses.{k}")
+                      for k, v in inverses.items()},
             check_inverses=spec.get("check_inverses", True),
         )
-    report = generators.sofic_verify(
-        action, spec.get("relations", []), spec.get("check_fixed", [])
-    )
+    relations = expect(spec.get("relations", []), list, "relations")
+    for j, triple in enumerate(relations):
+        if len(_words(triple, f"relations[{j}]")) != 3:
+            raise ValueError(f"relations[{j}] must hold 3 words (g, h, gh), "
+                             f"got {len(triple)}")
+    check_fixed = _words(spec.get("check_fixed", []), "check_fixed")
+    h = _prepare(args)
+    report = generators.sofic_verify(action, relations, check_fixed)
     _write_json(os.path.join(args.out, "sofic.json"), report.to_dict(), h)
     return EXIT_OK
 

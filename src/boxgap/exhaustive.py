@@ -8,11 +8,14 @@ bits index a subset A, the high bits a subset B, and one chunk holds the
 
     |∂(A ∪ B)| = |∂A| + |∂B| - 2 |E(A, B)|.
 
-Once per scan it builds, each by adding one vertex at a time
+The order of the low subsets by size (then by mask) and the offset of each
+size class depend only on L, so they are built once per process for each L
+(a stable argsort, cached as read-only uint32 masks on first use). Per scan
+it builds, by adding one vertex at a time
 (|∂(A + i)| = |∂A| + deg(i) - 2 |N(i) ∩ A|), a table of |∂A| over the low
-subsets and one of |∂B| over the high subsets; it orders the low subsets
-by size (one stable argsort, one offset per size), and tabulates
-2 |N(v) ∩ A| in that order for each high vertex v. The chunks run in
+subsets, gathered into size order, and one of |∂B| over the high subsets;
+for each high vertex v it counts 2 |N(v) ∩ A| straight in size order, as
+twice the popcount of each ordered mask A & N(v). The chunks run in
 Gray-code order, so consecutive B differ in one vertex v and the running
 table |∂A| - 2 |E(A, B)| changes by that vertex's table: one pass per chunk.
 A minimum per size class then leaves a scalar check over at most L + 1
@@ -24,6 +27,8 @@ bit-reversed mask.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,9 +48,9 @@ def _bitrev32(masks: np.ndarray) -> np.ndarray:
     return (x >> 16) | (x << 16)
 
 
-def _subset_sums(weights, dtype=np.int32) -> np.ndarray:
+def _subset_sums(weights) -> np.ndarray:
     """t[S] = sum of weights[i] over the bits i of S, by doubling."""
-    t = np.empty(1 << len(weights), dtype=dtype)
+    t = np.empty(1 << len(weights), dtype=np.int32)
     t[0] = 0
     for i, w in enumerate(weights):
         np.add(t[: 1 << i], w, out=t[1 << i : 2 << i])
@@ -62,6 +67,17 @@ def _boundary_table(deg, nbrs) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=None)
+def _size_order(low: int) -> tuple:
+    """(order, starts): the masks of all subsets of low bits sorted by size,
+    then by mask, and the offset of each size class in that order."""
+    size = np.bitwise_count(np.arange(1 << low, dtype=np.uint32))
+    order = np.argsort(size, kind="stable").astype(np.uint32)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(size))))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
+
+
 class _Scan:
     """One region's per-scan tables, and its chunks in Gray-code order."""
 
@@ -75,18 +91,18 @@ class _Scan:
             nbrs.append(sum(1 << pos[w] for w in ws if w in pos))
         self.m = m = len(vs)
         self.low = low = min(CHUNK_BITS, m)
-        size = _subset_sums([1] * low, np.uint8)
-        self.order = np.argsort(size, kind="stable")  # by size, then mask
-        self.starts = np.concatenate(([0], np.cumsum(np.bincount(size))))
+        self.order, self.starts = _size_order(low)
         self.high_boundary = _boundary_table(
             deg[low:], [nb >> low for nb in nbrs[low:]]
         )
         self.cut = _boundary_table(deg[:low], nbrs[:low])[self.order]
         # 2|N(v) ∩ A| <= 2(m - 1) fits int8 for any region a scan can cover.
         self.twice_cross = []
+        low_bits = (1 << low) - 1
         for nb in nbrs[low:]:
-            cross = _subset_sums([(nb >> j) & 1 for j in range(low)], np.int8)
-            self.twice_cross.append(2 * cross[self.order])
+            cross = np.bitwise_count(self.order & np.uint32(nb & low_bits))
+            cross += cross
+            self.twice_cross.append(cross.view(np.int8))
 
     def chunks(self):
         """Yield (h, |h|, |∂B|) for each chunk's high bits h; while a chunk
@@ -112,7 +128,7 @@ class _Scan:
         of the current chunk with k low vertices for which hit(cut) holds."""
         span = slice(self.starts[k], self.starts[k + 1])
         low = self.order[span][hit(self.cut[span])]
-        masks = low.astype(np.uint32) | np.uint32(h << self.low)
+        masks = low | np.uint32(h << self.low)
         rev = _bitrev32(masks)
         i = int(np.argmax(rev))
         return int(rev[i]), int(masks[i])

@@ -28,33 +28,11 @@ from .graph import (
     Graph,
     ball_of_set,
     build_graph,
+    expect,
+    expect_items,
     int64_pairs,
     vertex_set,
 )
-
-
-# ---------------------------------------------------------------------------
-# JSON input entries
-
-_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
-
-
-def expect(value, kind, what: str):
-    """value if it is an instance of kind, else a ValueError naming what,
-    the JSON entry it was read from."""
-    if not isinstance(value, kind):
-        raise ValueError(
-            f"{what} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
-    return value
-
-
-def expect_ints(value, what: str) -> list:
-    """value if it is a list of integers, else a ValueError naming the first
-    entry that is not."""
-    if not all(isinstance(x, int) for x in expect(value, list, what)):
-        j = next(j for j, x in enumerate(value) if not isinstance(x, int))
-        expect(value[j], int, f"{what}[{j}]")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +385,8 @@ def cyclic_action(m: int, shifts) -> PermAction:
     """Regular-style action of Z on Z/m: label t^k shifts by k.
 
     The shift list must be symmetric (contain -k with every k)."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
     shifts = sorted(set(int(k) for k in shifts))
     perms = {}
     inverses = {}
@@ -530,8 +510,10 @@ class ApproxIsoWitness:
                 raise ValueError(f"{what}.edges_x must be a list of [u, v] pairs, "
                                  f"got {reprlib.repr(e['edges_x'])}") from None
             entries.append(WitnessEntry(
-                vertices_x=tuple(expect_ints(e["vertices_x"], f"{what}.vertices_x")),
-                vertices_x2=tuple(expect_ints(e["vertices_x2"], f"{what}.vertices_x2")),
+                vertices_x=tuple(
+                    expect_items(e["vertices_x"], int, f"{what}.vertices_x")),
+                vertices_x2=tuple(
+                    expect_items(e["vertices_x2"], int, f"{what}.vertices_x2")),
                 edges_x=edges,
             ))
         return cls(entries=entries)

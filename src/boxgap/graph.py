@@ -27,6 +27,7 @@ import io
 import json
 import os
 import re
+import reprlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -363,6 +364,32 @@ class BoxSpace:
 
 
 # ---------------------------------------------------------------------------
+# JSON input entries
+
+_JSON_KINDS = {
+    dict: "an object", list: "a list", int: "an integer", str: "a string",
+}
+
+
+def expect(value, kind, what: str):
+    """value if it is an instance of kind, else a ValueError naming what,
+    the JSON entry it was read from."""
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"{what} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+def expect_items(value, kind, what: str) -> list:
+    """value if it is a list of instances of kind, else a ValueError naming
+    the first entry that is not."""
+    if not all(isinstance(x, kind) for x in expect(value, list, what)):
+        j = next(j for j, x in enumerate(value) if not isinstance(x, kind))
+        expect(value[j], kind, f"{what}[{j}]")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Text formats: "n d" header plus one "u v" line per edge; manifests are JSON
 # arrays of {path, label} with paths relative to the manifest file.
 
@@ -458,13 +485,17 @@ def write_manifest(box: BoxSpace, directory, name="manifest.json") -> str:
 
 
 def read_manifest(path) -> BoxSpace:
+    """Read a manifest of write_manifest's form; a ValueError names the first
+    entry that is not an object with a string path."""
     with open(path) as fh:
-        entries = json.load(fh)
+        entries = expect(json.load(fh), list, "manifest")
     base = os.path.dirname(os.path.abspath(path))
     graphs = []
     labels = []
-    for entry in entries:
-        graphs.append(read_edge_list(os.path.join(base, entry["path"])))
+    for i, entry in enumerate(entries):
+        what = f"manifest[{i}]"
+        rel = expect(expect(entry, dict, what).get("path"), str, f"{what}.path")
+        graphs.append(read_edge_list(os.path.join(base, rel)))
         labels.append(entry.get("label"))
     d = max((g.degree_bound for g in graphs), default=1)
     return BoxSpace(graphs=graphs, d=d, labels=labels)

@@ -325,14 +325,58 @@ def test_generate_malformed_spec_exits_2(tmp_path, capsys, spec, names):
     assert names in capsys.readouterr().err
 
 
+_CYCLIC = {"kind": "cyclic", "m": 5, "shifts": [-1, 1]}
+_PERMS = {"m": 2, "perms": {"a": [1, 0]}, "inverses": {"a": "a"}}
+
+
 @pytest.mark.parametrize("spec, names", [
     ({"m": 3, "perms": {"a": 5}, "inverses": {}}, "perms.a"),
     ([1, 2], "sofic spec"),
+    ({**_PERMS, "relations": [5]}, "relations[0]"),
+    ({**_PERMS, "relations": [[["a"], ["a"]]]}, "relations[0] must hold 3 words"),
+    ({**_PERMS, "relations": [[["a"], ["a"], "a"]]}, "relations[0][2]"),
+    ({**_PERMS, "check_fixed": [["a", 1]]}, "check_fixed[0][1]"),
+    ({**_PERMS, "check_fixed": "a"}, "check_fixed"),
+    ({**_PERMS, "inverses": {"a": ["a"]}}, "inverses.a"),
+    ({**_PERMS, "inverses": ["a"]}, "inverses"),
+    ({"action": {**_CYCLIC, "shifts": 3}}, "action.shifts"),
+    ({"action": {**_CYCLIC, "m": "5"}}, "action.m"),
+    ({"action": {**_CYCLIC, "m": 0}}, "m must be positive"),
+    ({"action": 5}, "action"),
 ])
 def test_sofic_malformed_spec_exits_2(tmp_path, capsys, spec, names):
     spath = tmp_path / "sofic.json"
     spath.write_text(json.dumps(spec))
-    argv = ["sofic", "--input", str(spath), "--out", str(tmp_path / "o")]
+    out = tmp_path / "o"
+    argv = ["sofic", "--input", str(spath), "--out", str(out)]
+    assert main(argv) == 2
+    assert names in capsys.readouterr().err
+    assert not (out / "run_metadata.json").exists()
+
+
+def test_sofic_permutation_spec(tmp_path):
+    spec = {**_PERMS, "relations": [[["a"], ["a"], []]], "check_fixed": [["a"]]}
+    spath = tmp_path / "sofic.json"
+    spath.write_text(json.dumps(spec))
+    out = tmp_path / "o"
+    assert main(["sofic", "--input", str(spath), "--out", str(out)]) == 0
+    assert json.loads((out / "sofic.json").read_text())["epsilon"] == 0.0
+
+
+@pytest.mark.parametrize("entries, names", [
+    ([5], "manifest[0] must be an object"),
+    ({}, "manifest must be a list"),
+    ([{"label": "x"}], "manifest[0].path must be a string"),
+    ([{"path": "graph.txt"}, {"path": 3}], "manifest[1].path must be a string"),
+])
+@pytest.mark.parametrize("command", ["spectrum", "expanderize"])
+def test_malformed_manifest_exits_2(tmp_path, capsys, entries, names, command):
+    (tmp_path / "graph.txt").write_text("2 1\n0 1\n")
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(entries))
+    argv = [command, "--input", str(mpath), "--out", str(tmp_path / "o")]
+    if command == "expanderize":
+        argv += ["--alpha", "0.001", "--gap", "0.5"]
     assert main(argv) == 2
     assert names in capsys.readouterr().err
 

@@ -2,8 +2,10 @@ import itertools
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import boxgap as bg
+import boxgap.exhaustive as ex
 from boxgap.exhaustive import min_ratio_subset, min_sparse_subset
 
 from conftest import neighbour_rows, random_bounded_graph
@@ -193,3 +195,77 @@ def test_scan_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def per_scan_size_order(low):
+    """The size order as every scan once built it: a popcount table by
+    doubling, its stable argsort and one offset per size."""
+    size = ex._subset_sums([1] * low)
+    order = np.argsort(size, kind="stable")
+    return order, np.concatenate(([0], np.cumsum(np.bincount(size))))
+
+
+def per_scan_tables(g, region):
+    """(cut, twice_cross) as every scan once built them: both tables by
+    doubling over the low bits, gathered into size order."""
+    vs = sorted(set(region))
+    pos = {v: i for i, v in enumerate(vs)}
+    adj = neighbour_rows(g)
+    deg = [sum(w != u for w in adj[u]) for u in vs]
+    nbrs = [sum(1 << pos[w] for w in adj[u] if w in pos and w != u) for u in vs]
+    low = min(ex.CHUNK_BITS, len(vs))
+    order, _ = per_scan_size_order(low)
+    cut = ex._boundary_table(deg[:low], nbrs[:low])[order]
+    twice_cross = [
+        2 * ex._subset_sums([(nb >> j) & 1 for j in range(low)])[order]
+        for nb in nbrs[low:]
+    ]
+    return cut, twice_cross
+
+
+def test_cached_size_order_matches_per_scan_argsort():
+    for low in range(ex.CHUNK_BITS + 1):
+        order, starts = ex._size_order(low)
+        want_order, want_starts = per_scan_size_order(low)
+        assert order.dtype == np.uint32
+        np.testing.assert_array_equal(order, want_order)
+        np.testing.assert_array_equal(starts, want_starts)
+
+
+def test_scan_tables_match_per_scan_construction():
+    rng = np.random.default_rng(71)
+    for m in (2, 3, 7, 12, 17, 18, 19, 21, 24):
+        for loops in (False, True):
+            n = m + int(rng.integers(0, 6))
+            d = int(rng.integers(2, 6))
+            base = random_bounded_graph(rng, n, d)
+            extra = [(v, v) for v in range(n) if loops and rng.random() < 0.5]
+            g = bg.build_graph(n, list(base.edges()) + extra, d + 1,
+                               allow_loops=loops)
+            region = [int(v) for v in rng.choice(n, size=m, replace=False)]
+            scan = ex._Scan(g, region)
+            cut, twice_cross = per_scan_tables(g, region)
+            np.testing.assert_array_equal(scan.cut, cut)
+            assert len(scan.twice_cross) == len(twice_cross) == m - scan.low
+            for got, want in zip(scan.twice_cross, twice_cross):
+                assert got.dtype == np.int8
+                np.testing.assert_array_equal(got, want)
+
+
+def test_size_order_is_built_once_per_chunk_width():
+    ex._size_order.cache_clear()
+    g = bg.cycle_graph(24)
+    first = ex._Scan(g, range(20))
+    second = ex._Scan(g, range(4, 24))
+    assert ex._size_order.cache_info().misses == 1
+    assert second.order is first.order and second.starts is first.starts
+    ex._Scan(g, range(5))
+    assert ex._size_order.cache_info().misses == 2
+
+
+def test_cached_size_order_is_read_only():
+    order, starts = ex._size_order(ex.CHUNK_BITS)
+    for table in (order, starts):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
