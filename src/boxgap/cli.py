@@ -319,7 +319,8 @@ def cmd_zuk(args) -> int:
 
 _GROUPS = {
     "cyclic": lambda spec: generators.CyclicGroup(spec["n"]),
-    "product": lambda spec: generators.ProductGroup(spec["moduli"]),
+    "product": lambda spec: generators.ProductGroup(
+        expect_items(spec["moduli"], int, "params.group.moduli")),
     "sym": lambda spec: generators.SymmetricGroup(spec["k"]),
     "sl2": lambda spec: generators.SL2Prime(spec["p"]),
 }
@@ -356,9 +357,11 @@ def _generate_one(spec):
         gens = params.get("gens")
         if gens == "elementary" and group_spec["kind"] == "sl2":
             gens = generators.sl2_elementary_generators(group_spec["p"])
+        elif group_spec["kind"] == "cyclic":
+            expect_items(gens, int, "params.gens")
         else:
-            gens = [tuple(g) if isinstance(g, list) else g
-                    for g in expect(gens, list, "params.gens")]
+            gens = [tuple(expect_items(g, int, f"params.gens[{j}]"))
+                    for j, g in enumerate(expect_items(gens, list, "params.gens"))]
         return generators.cayley_graph(group, gens)
     if family == "bridged_margulis_pair":
         g = generators.margulis_graph(params["n"])
@@ -415,11 +418,12 @@ def cmd_sofic(args) -> int:
         inverses = expect(spec["inverses"], dict, "inverses")
         action = PermAction(
             m=expect(spec["m"], int, "m"),
-            perms={k: tuple(expect_items(v, int, f"perms.{k}"))
+            perms={k: expect_items(v, int, f"perms.{k}")
                    for k, v in expect(spec["perms"], dict, "perms").items()},
             inverses={k: expect(v, str, f"inverses.{k}")
                       for k, v in inverses.items()},
-            check_inverses=spec.get("check_inverses", True),
+            check_inverses=expect(spec.get("check_inverses", True), bool,
+                                  "check_inverses"),
         )
     relations = expect(spec.get("relations", []), list, "relations")
     for j, triple in enumerate(relations):

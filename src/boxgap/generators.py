@@ -1,5 +1,5 @@
-"""Graph families, gluing constructions, sofic verification and
-approximate-isomorphism accounting.
+"""Finite groups and their Cayley graphs, graph families, gluing
+constructions, sofic verification and approximate-isomorphism accounting.
 
 Randomized constructions are reproducible from a single integer seed, which
 callers should record next to the output.
@@ -36,110 +36,60 @@ from .graph import (
 
 
 # ---------------------------------------------------------------------------
-# Finite groups with a canonical element enumeration
+# Finite groups as integer arrays: a group lists its elements as the rows of
+# the (N, r) int64 array elements, in lex order, and left_mul(s, x)
+# left-multiplies the rows x by the element s (a row). Generators are passed
+# as ints (cyclic groups) or integer sequences in the same form.
 
 
-class CyclicGroup:
+class ProductGroup:
+    """Direct product of cyclic groups, elements as rows of residues."""
+
+    def __init__(self, moduli):
+        self.moduli = tuple(int(m) for m in moduli)
+        if not self.moduli or any(m < 1 for m in self.moduli):
+            raise ValueError("moduli must be a nonempty list of positive integers")
+        self.elements = np.indices(self.moduli).reshape(len(self.moduli), -1).T
+
+    def left_mul(self, s, x):
+        return (s + x) % self.moduli
+
+
+class CyclicGroup(ProductGroup):
     """Z/n with elements 0..n-1."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("order must be positive")
+        super().__init__((n,))
         self.n = n
-
-    def elements(self):
-        return list(range(self.n))
-
-    def multiply(self, a, b):
-        return (a + b) % self.n
-
-    def inverse(self, a):
-        return (-a) % self.n
-
-    def identity(self):
-        return 0
-
-
-class ProductGroup:
-    """Direct product of cyclic groups, elements as tuples in lex order."""
-
-    def __init__(self, moduli):
-        self.moduli = tuple(int(m) for m in moduli)
-        if any(m < 1 for m in self.moduli):
-            raise ValueError("moduli must be positive")
-
-    def elements(self):
-        return [tuple(e) for e in itertools.product(*(range(m) for m in self.moduli))]
-
-    def multiply(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def inverse(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-    def identity(self):
-        return tuple(0 for _ in self.moduli)
 
 
 class SymmetricGroup:
-    """Sym(k) as permutation tuples p with p[i] the image of i, lex order."""
+    """Sym(k) as permutation rows p with p[i] the image of i."""
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("degree must be positive")
         self.k = k
+        self.elements = np.array(list(itertools.permutations(range(k))))
 
-    def elements(self):
-        return [tuple(p) for p in itertools.permutations(range(self.k))]
-
-    def multiply(self, a, b):
-        # a after b: (a*b)[i] = a[b[i]]
-        return tuple(a[b[i]] for i in range(self.k))
-
-    def inverse(self, a):
-        inv = [0] * self.k
-        for i, j in enumerate(a):
-            inv[j] = i
-        return tuple(inv)
-
-    def identity(self):
-        return tuple(range(self.k))
+    def left_mul(self, s, x):
+        return s[x]  # s after x: (s x)[i] = s[x[i]]
 
 
 class SL2Prime:
-    """SL(2, Z/p) as tuples (a, b, c, d) with ad - bc = 1, lex order."""
+    """SL(2, Z/p) as rows (a, b, c, d) with ad - bc = 1."""
 
     def __init__(self, p: int):
         if p < 2:
             raise ValueError("p must be at least 2")
         self.p = p
+        a, b, c, d = m = np.indices((p,) * 4).reshape(4, -1)
+        self.elements = m[:, (a * d - b * c) % p == 1].T
 
-    def elements(self):
-        p = self.p
-        out = []
-        for a, b, c, d in itertools.product(range(p), repeat=4):
-            if (a * d - b * c) % p == 1:
-                out.append((a, b, c, d))
-        return out
-
-    def multiply(self, m1, m2):
-        p = self.p
-        a1, b1, c1, d1 = m1
-        a2, b2, c2, d2 = m2
-        return (
-            (a1 * a2 + b1 * c2) % p,
-            (a1 * b2 + b1 * d2) % p,
-            (c1 * a2 + d1 * c2) % p,
-            (c1 * b2 + d1 * d2) % p,
-        )
-
-    def inverse(self, m):
-        a, b, c, d = m
-        p = self.p
-        return (d % p, (-b) % p, (-c) % p, a % p)
-
-    def identity(self):
-        return (1, 0, 0, 1)
+    def left_mul(self, s, x):
+        return (s.reshape(2, 2) @ x.reshape(-1, 2, 2)).reshape(-1, 4) % self.p
 
 
 def sl2_elementary_generators(p: int) -> list:
@@ -155,25 +105,32 @@ def sl2_elementary_generators(p: int) -> list:
 def cayley_graph(group, gens) -> Graph:
     """Cayley graph of the left multiplication action, x ~ s x.
 
-    The generating set must be symmetric (closed under inverse) and must not
-    contain the identity.
+    Each generator must be a group element in canonical form (ValueError
+    naming gens[i] otherwise). The generating set must be symmetric (closed
+    under inverse) and must not contain the identity.
     """
     gens = list(gens)
-    elements = group.elements()
-    index = {e: i for i, e in enumerate(elements)}
-    gen_set = set(gens)
-    for s in gens:
-        if s == group.identity():
+    elements = group.elements
+    radix = elements.max(axis=0) + 1  # so the keys ascend in lex order
+    keys = np.ravel_multi_index(elements.T, radix)
+    perms = []  # perms[i][u] is the index of gens[i] times elements[u]
+    for i, s in enumerate(gens):
+        s_row = np.asarray(s).reshape(-1)
+        if (s_row.dtype.kind not in "iu" or s_row.shape != elements.shape[1:]
+                or not (elements == s_row).all(axis=1).any()):
+            raise ValueError(f"gens[{i}] must be a group element in canonical "
+                             f"form, got {reprlib.repr(s)}")
+        # s is an element, so its images are elements and every key is found
+        images = group.left_mul(s_row, elements).T
+        perms.append(np.searchsorted(keys, np.ravel_multi_index(images, radix)))
+    u = np.arange(len(elements))
+    rows = {p.tobytes() for p in perms}
+    for s, p in zip(gens, perms):
+        if (p == u).all():
             raise IdentityGenerator()
-        if group.inverse(s) not in gen_set:
+        if np.argsort(p).tobytes() not in rows:
             raise NotSymmetric(s)
-    edges = set()
-    for s in gens:
-        for x in elements:
-            u, v = index[x], index[group.multiply(s, x)]
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-    return build_graph(len(elements), sorted(edges), max(len(gens), 1))
+    return build_graph(len(u), _map_edges(len(u), u, perms), max(len(gens), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +141,7 @@ def _map_edges(nv: int, u: np.ndarray, images) -> np.ndarray:
     """Each edge {u, v} once, for v over the image arrays of maps applied
     to the vertices u, fixed points dropped, as a sorted (m, 2) array."""
     u = np.tile(u, len(images))
-    v = np.concatenate(images)
+    v = np.asarray(images, dtype=np.int64).ravel()
     keep = u != v
     lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
     keys = np.sort(lo * nv + hi)
@@ -344,40 +301,43 @@ def glued_expander(
 # Partial permutation actions and the sofic good-set count
 
 
-@dataclass
 class PermAction:
-    """Finitely many labelled permutations of a ground set.
+    """Finitely many labelled permutations of range(m), stored as the rows
+    of one (s, m) int64 table; rows maps each label to its row.
 
     Labels come in inverse pairs; the pairing sigma(s^-1) = sigma(s)^-1 is
     validated unless check_inverses is disabled (actions loaded from raw
     permutation tables may not satisfy it exactly).
     """
 
-    m: int
-    perms: dict  # label -> tuple permutation of range(m)
-    inverses: dict  # label -> label of the inverse
-    check_inverses: bool = True
-
-    def __post_init__(self):
-        for label, p in self.perms.items():
-            if sorted(p) != list(range(self.m)):
+    def __init__(self, m: int, perms: dict, inverses: dict,
+                 check_inverses: bool = True):
+        self.m = m
+        self.inverses = inverses  # label -> label of the inverse
+        self.rows = {label: r for r, label in enumerate(perms)}
+        self.table = np.empty((len(perms), m), dtype=np.int64)
+        for row, (label, p) in zip(self.table, perms.items()):
+            if len(p) != m or (np.sort(p) != np.arange(m)).any():
                 raise ValueError(f"sigma({label}) is not a bijection")
-        for a, b in self.inverses.items():
-            if a not in self.perms or b not in self.perms:
-                raise UnknownLabel(a if a not in self.perms else b)
-        if self.check_inverses:
-            for a, b in self.inverses.items():
-                pa, pb = self.perms[a], self.perms[b]
-                if any(pb[pa[i]] != i for i in range(self.m)):
-                    raise ValueError(f"sigma({b}) is not the inverse of sigma({a})")
+            row[:] = p
+        for label in itertools.chain(*inverses.items()):
+            if label not in self.rows:
+                raise UnknownLabel(label)
+        if check_inverses:
+            pa = self.table[[self.rows[a] for a in inverses]]
+            pb = self.table[[self.rows[b] for b in inverses.values()]]
+            bad = (np.take_along_axis(pb, pa, axis=1) != np.arange(m)).any(axis=1)
+            if bad.any():
+                a, b = list(inverses.items())[int(np.argmax(bad))]
+                raise ValueError(f"sigma({b}) is not the inverse of sigma({a})")
 
     def word(self, labels) -> np.ndarray:
         """Permutation of the word, leftmost label applied last."""
         out = np.arange(self.m)
         for label in reversed(list(labels)):
-            if label not in self.perms:
+            if label not in self.rows:
                 raise UnknownLabel(label)
-            out = np.asarray(self.perms[label])[out]
+            out = self.table[self.rows[label]][out]
         return out
 
 
@@ -388,36 +348,35 @@ def cyclic_action(m: int, shifts) -> PermAction:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     shifts = sorted(set(int(k) for k in shifts))
-    perms = {}
-    inverses = {}
     for k in shifts:
         if k % m == 0:
             raise ValueError("shift must be nontrivial mod m")
         if -k not in shifts:
             raise ValueError(f"shifts must be symmetric, missing {-k}")
-        perms[f"t^{k}"] = tuple((i + k) % m for i in range(m))
-        inverses[f"t^{k}"] = f"t^{-k}"
-    return PermAction(m=m, perms=perms, inverses=inverses)
+    steps = np.array([k % m for k in shifts], dtype=np.int64)
+    table = (np.arange(m) + steps[:, None]) % m
+    return PermAction(m=m, perms=dict(zip((f"t^{k}" for k in shifts), table)),
+                      inverses={f"t^{k}": f"t^{-k}" for k in shifts})
 
 
 def with_transposition(action: PermAction, label: str, i: int, j: int) -> PermAction:
     """Pre-compose one labelled permutation (and its inverse partner) with
-    the transposition (i j), keeping the inverse pairing intact."""
-    if label not in action.perms:
+    the transposition (i j), keeping the inverse pairing intact.
+
+    i and j must be points of the action (VertexOutOfRange otherwise)."""
+    if label not in action.rows:
         raise UnknownLabel(label)
-    p = list(action.perms[label])
-    p[i], p[j] = p[j], p[i]
-    perms = dict(action.perms)
-    perms[label] = tuple(p)
+    for v in (i, j):
+        if not 0 <= v < action.m:
+            raise VertexOutOfRange(v, action.m)
+    table = action.table.copy()
+    p = table[action.rows[label]]
+    p[[i, j]] = p[[j, i]]
     partner = action.inverses.get(label)
     if partner and partner != label:
-        inv = [0] * action.m
-        for a, b in enumerate(p):
-            inv[b] = a
-        perms[partner] = tuple(inv)
-    return PermAction(
-        m=action.m, perms=perms, inverses=dict(action.inverses)
-    )
+        table[action.rows[partner]] = np.argsort(p)
+    return PermAction(m=action.m, perms=dict(zip(action.rows, table)),
+                      inverses=dict(action.inverses))
 
 
 @dataclass

@@ -368,13 +368,19 @@ class BoxSpace:
 
 _JSON_KINDS = {
     dict: "an object", list: "a list", int: "an integer", str: "a string",
+    bool: "a boolean",
 }
+
+
+def _is(value, kind) -> bool:
+    """isinstance, except that JSON true and false are not integers."""
+    return isinstance(value, kind) and (kind is not int or type(value) is not bool)
 
 
 def expect(value, kind, what: str):
     """value if it is an instance of kind, else a ValueError naming what,
     the JSON entry it was read from."""
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         raise ValueError(
             f"{what} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
     return value
@@ -383,8 +389,8 @@ def expect(value, kind, what: str):
 def expect_items(value, kind, what: str) -> list:
     """value if it is a list of instances of kind, else a ValueError naming
     the first entry that is not."""
-    if not all(isinstance(x, kind) for x in expect(value, list, what)):
-        j = next(j for j, x in enumerate(value) if not isinstance(x, kind))
+    if not all(_is(x, kind) for x in expect(value, list, what)):
+        j = next(j for j, x in enumerate(value) if not _is(x, kind))
         expect(value[j], kind, f"{what}[{j}]")
     return value
 

@@ -311,11 +311,35 @@ def test_sofic_command(tmp_path):
 _WITNESS_ENTRY = {"vertices_x": [0, 1], "vertices_x2": [0, 1], "edges_x": [[0, 1]]}
 
 
+def _cayley(group, gens):
+    return {"family": "cayley", "params": {"group": group, "gens": gens}}
+
+
 @pytest.mark.parametrize("spec, names", [
     ({"family": "cayley", "params": {"group": {"kind": "cyclic", "n": 5}}},
      "params.gens"),
     ([["cycle", 5]], "spec 0"),
     ({"family": "cycle", "params": {"n": "8"}}, "params.n"),
+    ({"family": "complete", "params": {"n": True}}, "params.n"),
+    (_cayley({"kind": "cyclic", "n": 5}, ["x"]), "params.gens[0]"),
+    (_cayley({"kind": "cyclic", "n": 5}, [1, False]), "params.gens[1]"),
+    (_cayley({"kind": "cyclic", "n": 5}, [[1], [4]]), "params.gens[0]"),
+    (_cayley({"kind": "product", "moduli": 5}, [[1]]), "params.group.moduli"),
+    (_cayley({"kind": "product", "moduli": [2, "2"]}, [[1, 1]]),
+     "params.group.moduli[1]"),
+    (_cayley({"kind": "sym", "k": 3}, [[1, 0, 2], 2]), "params.gens[1]"),
+    (_cayley({"kind": "sl2", "p": 3}, [[1, 1, 0, "1"]]), "params.gens[0][3]"),
+    (_cayley({"kind": "sl2", "p": 3}, "elementry"), "params.gens"),
+    # entries that are not group elements in canonical form
+    (_cayley({"kind": "cyclic", "n": 5}, [7, 3, 2]), "gens[0] must be a group"),
+    (_cayley({"kind": "cyclic", "n": 5}, [1, 4, -1]), "gens[2] must be a group"),
+    (_cayley({"kind": "product", "moduli": [2, 2]}, [[1, 1], [1]]),
+     "gens[1] must be a group"),
+    (_cayley({"kind": "product", "moduli": [2, 3]}, [[1, 3]]),
+     "gens[0] must be a group"),
+    (_cayley({"kind": "sym", "k": 3}, [[0, 0, 1]]), "gens[0] must be a group"),
+    (_cayley({"kind": "sl2", "p": 3}, [[1, 1, 0, 1], [1, 2, 0, 1], [2, 0, 0, 1]]),
+     "gens[2] must be a group"),
 ])
 def test_generate_malformed_spec_exits_2(tmp_path, capsys, spec, names):
     spath = tmp_path / "spec.json"
@@ -343,6 +367,8 @@ _PERMS = {"m": 2, "perms": {"a": [1, 0]}, "inverses": {"a": "a"}}
     ({"action": {**_CYCLIC, "m": "5"}}, "action.m"),
     ({"action": {**_CYCLIC, "m": 0}}, "m must be positive"),
     ({"action": 5}, "action"),
+    ({**_PERMS, "check_inverses": "no"}, "check_inverses must be a boolean"),
+    ({**_PERMS, "m": True}, "m must be an integer"),
 ])
 def test_sofic_malformed_spec_exits_2(tmp_path, capsys, spec, names):
     spath = tmp_path / "sofic.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from boxgap.errors import (
     NotAnIsomorphism,
     NotEnoughRoom,
     NotSymmetric,
+    UnknownLabel,
     VertexOutOfRange,
 )
 
@@ -64,14 +67,11 @@ def test_cayley_sl2():
 
 
 def test_cayley_vertex_transitive_spectrum():
-    group = bg.CyclicGroup(12)
-    g = bg.cayley_graph(group, [1, 11, 3, 9])
+    g = bg.cayley_graph(bg.CyclicGroup(12), [1, 11, 3, 9])
     degs = {g.degree(v) for v in range(g.n)}
     assert len(degs) == 1
     # right translation by any element is a graph automorphism
-    elements = group.elements()
-    shift = 5
-    perm = [elements.index(group.multiply(x, shift)) for x in elements]
+    perm = [(x + 5) % 12 for x in range(12)]
     edges = [(perm[u], perm[v]) for u, v in g.edges()]
     g2 = bg.build_graph(g.n, edges, g.degree_bound)
     assert np.allclose(
@@ -79,6 +79,185 @@ def test_cayley_vertex_transitive_spectrum():
         bg.graph_spectrum(g2).eigenvalues,
         atol=1e-9,
     )
+
+
+class TupleCyclic:
+    """Oracle: Z/n with per-element arithmetic on ints."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def elements(self):
+        return list(range(self.n))
+
+    def multiply(self, a, b):
+        return (a + b) % self.n
+
+    def inverse(self, a):
+        return (-a) % self.n
+
+    def identity(self):
+        return 0
+
+
+class TupleProduct:
+    """Oracle: a product of cyclic groups on tuples in lex order."""
+
+    def __init__(self, moduli):
+        self.moduli = tuple(moduli)
+
+    def elements(self):
+        return list(itertools.product(*(range(m) for m in self.moduli)))
+
+    def multiply(self, a, b):
+        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
+
+    def inverse(self, a):
+        return tuple((-x) % m for x, m in zip(a, self.moduli))
+
+    def identity(self):
+        return tuple(0 for _ in self.moduli)
+
+
+class TupleSym:
+    """Oracle: Sym(k) on permutation tuples in lex order, a after b."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def elements(self):
+        return list(itertools.permutations(range(self.k)))
+
+    def multiply(self, a, b):
+        return tuple(a[b[i]] for i in range(self.k))
+
+    def inverse(self, a):
+        inv = [0] * self.k
+        for i, j in enumerate(a):
+            inv[j] = i
+        return tuple(inv)
+
+    def identity(self):
+        return tuple(range(self.k))
+
+
+class TupleSL2:
+    """Oracle: SL(2, Z/p) on tuples (a, b, c, d) in lex order."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def elements(self):
+        p = self.p
+        return [m for m in itertools.product(range(p), repeat=4)
+                if (m[0] * m[3] - m[1] * m[2]) % p == 1]
+
+    def multiply(self, m1, m2):
+        p = self.p
+        a1, b1, c1, d1 = m1
+        a2, b2, c2, d2 = m2
+        return ((a1 * a2 + b1 * c2) % p, (a1 * b2 + b1 * d2) % p,
+                (c1 * a2 + d1 * c2) % p, (c1 * b2 + d1 * d2) % p)
+
+    def inverse(self, m):
+        a, b, c, d = m
+        p = self.p
+        return (d % p, (-b) % p, (-c) % p, a % p)
+
+    def identity(self):
+        return (1, 0, 0, 1)
+
+
+def loop_cayley(group, gens):
+    """Oracle: the per-element loop Cayley graphs were built with."""
+    elements = group.elements()
+    index = {e: i for i, e in enumerate(elements)}
+    gen_set = set(gens)
+    for s in gens:
+        if s == group.identity():
+            raise IdentityGenerator()
+        if group.inverse(s) not in gen_set:
+            raise NotSymmetric(s)
+    edges = set()
+    for s in gens:
+        for x in elements:
+            u, v = index[x], index[group.multiply(s, x)]
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    return bg.build_graph(len(elements), sorted(edges), max(len(gens), 1))
+
+
+def cayley_outcome(build, group, gens):
+    """The graph build(group, gens) returns, or its exception's type,
+    message and payload."""
+    try:
+        return build(group, gens)
+    except (IdentityGenerator, NotSymmetric) as exc:
+        return type(exc), str(exc), getattr(exc, "gen", None)
+
+
+def group_cases():
+    """(array group, tuple oracle, generating sets) over every group kind:
+    symmetric sets, sets missing an inverse and those sets with the identity
+    inserted, generators in random order."""
+    rng = np.random.default_rng(16)
+    groups = [(bg.CyclicGroup(n), TupleCyclic(n)) for n in range(1, 31)]
+    for r in (2, 2, 2, 3, 3, 3):
+        moduli = rng.integers(1, 7, size=r).tolist()
+        groups.append((bg.ProductGroup(moduli), TupleProduct(moduli)))
+    groups += [(bg.SymmetricGroup(k), TupleSym(k)) for k in range(1, 6)]
+    groups += [(bg.SL2Prime(p), TupleSL2(p)) for p in (2, 3, 5, 7)]
+    for group, oracle in groups:
+        elements = oracle.elements()
+        sets = []
+        if isinstance(oracle, TupleSL2):
+            sets.append(bg.sl2_elementary_generators(oracle.p))
+        for _ in range(4):
+            picks = [elements[i] for i in
+                     rng.choice(len(elements), size=min(3, len(elements)))]
+            gens = {s for x in picks for s in (x, oracle.inverse(x))}
+            gens = sorted(gens - {oracle.identity()})
+            rng.shuffle(gens)
+            sets.append(gens)
+            lonely = [x for x in gens if oracle.inverse(x) != x]
+            if lonely:  # drop one inverse
+                drop = oracle.inverse(lonely[rng.integers(len(lonely))])
+                sets.append([x for x in gens if x != drop])
+            # the identity before or after a generator missing its inverse
+            at = int(rng.integers(len(sets[-1]) + 1))
+            sets.append(sets[-1][:at] + [oracle.identity()] + sets[-1][at:])
+        yield group, oracle, sets
+
+
+def test_array_cayley_matches_loop():
+    """Array Cayley graphs equal the loop oracle's on every group kind, and
+    raise the same exception for the same first failing generator."""
+    kinds = set()
+    for group, oracle, sets in group_cases():
+        for gens in sets:
+            want = cayley_outcome(loop_cayley, oracle, gens)
+            got = cayley_outcome(bg.cayley_graph, group, gens)
+            assert got == want, (type(oracle).__name__, gens)
+            kinds.add(want[0] if isinstance(want, tuple) else bg.Graph)
+    assert kinds == {bg.Graph, IdentityGenerator, NotSymmetric}
+
+
+@pytest.mark.parametrize("group, gens, bad", [
+    (bg.CyclicGroup(5), [7, 3, 2], 0),
+    (bg.CyclicGroup(5), [1, -1], 1),
+    (bg.CyclicGroup(5), [1, 4, 1.5], 2),
+    (bg.ProductGroup([2, 2]), [(1,)], 0),
+    (bg.ProductGroup([2, 3]), [(1, 1), (1, 2), (2, 0)], 2),
+    (bg.SymmetricGroup(3), [(1, 0, 2), (0, 0, 1)], 1),
+    (bg.SymmetricGroup(3), [(1, 0, 2), (1, 0, 2, 3)], 1),
+    (bg.SL2Prime(3), [(1, 1, 0, 1), (1, 2, 0, 1), (2, 0, 0, 1)], 2),
+    (bg.SL2Prime(3), [(1, 1, 0, 1), (1, 5, 0, 1)], 1),
+])
+def test_cayley_rejects_non_elements(group, gens, bad):
+    """A generator outside the group or off its canonical form raises,
+    naming the first such generator; it is never wrapped or mis-indexed."""
+    with pytest.raises(ValueError, match=rf"^gens\[{bad}\] must be a group element"):
+        bg.cayley_graph(group, gens)
 
 
 def test_margulis_smallest():
@@ -266,6 +445,167 @@ def test_sofic_word_composition():
         action, [(["t^1", "t^1", "t^1"], [], ["t^3"])], []
     )
     assert rep.epsilon == 0.0
+
+
+def loop_action(m, perms, inverses, check_inverses=True):
+    """Oracle: the tuple action's validation; its permutations as lists."""
+    for label, p in perms.items():
+        if sorted(p) != list(range(m)):
+            raise ValueError(f"sigma({label}) is not a bijection")
+    for a, b in inverses.items():
+        if a not in perms or b not in perms:
+            raise UnknownLabel(a if a not in perms else b)
+    if check_inverses:
+        for a, b in inverses.items():
+            if any(perms[b][perms[a][i]] != i for i in range(m)):
+                raise ValueError(f"sigma({b}) is not the inverse of sigma({a})")
+    return {label: list(p) for label, p in perms.items()}
+
+
+def loop_word(m, perms, labels):
+    out = list(range(m))
+    for label in reversed(list(labels)):
+        if label not in perms:
+            raise UnknownLabel(label)
+        out = [perms[label][x] for x in out]
+    return out
+
+
+def loop_cyclic(m, shifts):
+    """Oracle: the tuple cyclic action, as (perms, inverses)."""
+    shifts = sorted(set(shifts))
+    for k in shifts:
+        if k % m == 0:
+            raise ValueError("shift must be nontrivial mod m")
+        if -k not in shifts:
+            raise ValueError(f"shifts must be symmetric, missing {-k}")
+    return ({f"t^{k}": [(i + k) % m for i in range(m)] for k in shifts},
+            {f"t^{k}": f"t^{-k}" for k in shifts})
+
+
+def loop_transposition(m, perms, inverses, label, i, j):
+    perms = {k: list(p) for k, p in perms.items()}
+    p = perms[label]
+    p[i], p[j] = p[j], p[i]
+    partner = inverses.get(label)
+    if partner and partner != label:
+        for a, b in enumerate(p):
+            perms[partner][b] = a
+    return perms
+
+
+def loop_sofic(m, perms, relations, check_fixed):
+    """Oracle: the good set and failure counts, one point at a time."""
+    good, mult_fail, fix_fail = [], 0, 0
+    for y in range(m):
+        ok = True
+        for g, h, gh in relations:
+            if loop_word(m, perms, g)[loop_word(m, perms, h)[y]] != \
+                    loop_word(m, perms, gh)[y]:
+                mult_fail += 1
+                ok = False
+        for w in check_fixed:
+            if loop_word(m, perms, w)[y] == y:
+                fix_fail += 1
+                ok = False
+        if ok:
+            good.append(y)
+    return good, (1.0 - len(good) / m if m else 0.0), mult_fail, fix_fail
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, UnknownLabel) as exc:
+        return type(exc), str(exc)
+
+
+def as_lists(action):
+    return {label: action.table[r].tolist() for label, r in action.rows.items()}
+
+
+def random_action(rng, m):
+    """Labels a, A (inverse pair) and b (an involution), as (perms,
+    inverses), with a seeded chance of each kind of invalid entry."""
+    a = rng.permutation(m)
+    b = np.arange(m)
+    swap = rng.permutation(m)[: 2 * (m // 2)].reshape(-1, 2)
+    b[swap[:, 0]], b[swap[:, 1]] = swap[:, 1], swap[:, 0]
+    perms = {"a": a.tolist(), "A": np.argsort(a).tolist(), "b": b.tolist()}
+    inverses = {"a": "A", "A": "a", "b": "b"}
+    roll = rng.random(3)
+    if roll[0] < 0.2:  # a repeated point or a wrong length
+        label = ["a", "A", "b"][rng.integers(3)]
+        bad = perms[label][:-1] if rng.random() < 0.5 else perms[label][:1] * m
+        perms[label] = bad if m > 1 else []
+    if roll[1] < 0.2:
+        inverses["c" if rng.random() < 0.5 else "b"] = "c"
+    if roll[2] < 0.2 and m > 2:  # break the a/A pairing
+        perms["A"] = rng.permutation(m).tolist()
+    return perms, inverses
+
+
+def test_actions_match_tuple_oracle():
+    """The table action validates, composes words, swaps transpositions
+    and counts good points as the tuple action did, with equal errors."""
+    rng = np.random.default_rng(61)
+    seen = set()
+    for _ in range(300):
+        m = int(rng.integers(1, 13))
+        perms, inverses = random_action(rng, m)
+        check = bool(rng.random() < 0.8)
+        want = outcome(loop_action, m, perms, inverses, check)
+        got = outcome(bg.PermAction, m, perms, inverses, check)
+        if isinstance(want, tuple):
+            assert got == want, (m, perms, inverses)
+            seen.add(next(k for k in ("bijection", "inverse of", "label")
+                          if k in want[1]))
+            continue
+        assert as_lists(got) == want
+        labels = ["a", "A", "b", "a", "c"][: int(rng.integers(2, 6))]
+        words = [[labels[k] for k in rng.integers(len(labels), size=n)]
+                 for n in rng.integers(0, 4, size=5)]
+        for w in words:
+            assert outcome(lambda w: got.word(w).tolist(), w) == \
+                outcome(loop_word, m, want, w)
+        if "c" in labels:
+            continue
+        i, j = rng.integers(m, size=2).tolist()
+        label = ["a", "A", "b"][rng.integers(3)]
+        swapped = outcome(lambda: bg.with_transposition(got, label, i, j))
+        want_swapped = outcome(lambda: loop_action(m, loop_transposition(
+            m, want, inverses, label, i, j), inverses))
+        if isinstance(want_swapped, tuple):
+            assert swapped == want_swapped
+            continue
+        assert as_lists(swapped) == want_swapped
+        relations = [words[:3], words[2:]]
+        rep = bg.sofic_verify(swapped, relations, words[3:])
+        assert (list(rep.good), rep.epsilon, rep.multiplicativity_failures,
+                rep.fixed_point_failures) == loop_sofic(
+                    m, want_swapped, relations, words[3:])
+    assert seen == {"bijection", "inverse of", "label"}
+
+
+@pytest.mark.parametrize("m, shifts", [
+    (7, [-1, 1]), (12, [3, -3, 5, -5, 3]), (1, []), (5, [-6, 6]),
+    (5, [5, -5]), (6, [1, 2, -1]), (4, [2, -2]),
+])
+def test_cyclic_action_matches_tuple_oracle(m, shifts):
+    want = outcome(loop_cyclic, m, shifts)
+    got = outcome(bg.cyclic_action, m, shifts)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert (as_lists(got), got.inverses) == want
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (9, 0), (0, 5), (2, -6)])
+def test_with_transposition_rejects_outside_points(i, j):
+    action = bg.cyclic_action(5, [-1, 1])
+    with pytest.raises(VertexOutOfRange):
+        bg.with_transposition(action, "t^1", i, j)
 
 
 def test_approx_iso_identity():
