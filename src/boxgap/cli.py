@@ -5,7 +5,10 @@ Each subcommand registers only the flags it reads (``_COMMANDS``). The
 per-graph commands (spectrum, cheeger, decompose, zuk, expanderize) share one
 report loop, ``_report``: the command supplies ``analyze(i, item)``, which
 returns the graph's JSON payload and its summary row, and the loop writes
-``{command}_{i:04d}.json`` and ``summary.csv``.
+``{command}_{i:04d}.json`` and ``summary.csv``. Graphs above DENSE_LIMIT
+are analysed in forked worker processes (``_worker_count``); ``main`` pins
+OpenBLAS to one thread first, so results do not depend on the worker or
+BLAS thread count.
 
 Outputs are deterministic given the inputs and flags: JSON files are written
 with sorted keys, the CSV summaries are plain tables, and every output embeds
@@ -18,10 +21,14 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 import time
@@ -35,6 +42,7 @@ from .errors import BoxgapError, DisconnectedLink, EmptyLink, NoConvergence
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
 from .graph import (
     BoxSpace,
+    Graph,
     ball,
     connected_components,
     expect,
@@ -167,36 +175,149 @@ def _write_csv(path, header, rows, config_hash) -> None:
         writer.writerows(rows)
 
 
-def _write_metadata(outdir, args, config_hash) -> None:
+def _write_metadata(outdir, args, config_hash, workers) -> None:
     meta = {
+        "blas": list(_pin_blas()),
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "config_hash": config_hash,
         "timestamp": time.time(),
+        "workers": workers,
     }
     with open(os.path.join(outdir, "run_metadata.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
-def _prepare(args):
+def _prepare(args, workers=1):
     os.makedirs(args.out, exist_ok=True)
     h = _config_hash(args)
-    _write_metadata(args.out, args, h)
+    _write_metadata(args.out, args, h, workers)
     return h
+
+
+# OpenBLAS's C thread-count functions: as numpy's (64-bit interface) and
+# scipy's bundled copies name them, then as a plain build names them.
+_OPENBLAS_THREADS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def _pin_openblas(path):
+    """Set the OpenBLAS at path to one thread. Returns the count read back,
+    or "unpinned" where the library cannot be opened or exports no setter
+    and getter."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return "unpinned"
+    for name in _OPENBLAS_THREADS:
+        setter = getattr(lib, name.format("set"), None)
+        getter = getattr(lib, name.format("get"), None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter(1)
+            return getter()
+    return "unpinned"
+
+
+@functools.cache
+def _pin_blas() -> tuple:
+    """Pin every OpenBLAS loaded in this process to one thread, once.
+
+    One thread makes dense results independent of the machine's core count
+    and lets one worker process per CPU run without oversubscription.
+    Returns a {"library", "threads"} record (see _pin_openblas) per library
+    found in /proc/self/maps, and none where that file does not exist.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        fields = []
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    return tuple({"library": path, "threads": _pin_openblas(path)}
+                 for path in paths)
+
+
+def _worker_count(items) -> int:
+    """Worker processes for _report's items: one per graph above DENSE_LIMIT,
+    at most one per CPU.
+
+    Smaller graphs take less time than starting a worker, and other items
+    are finished results. Workers are forked, so there are none where fork
+    is missing, nor from Python 3.12 on, where forking a process that has
+    threads (OpenBLAS keeps some) warns.
+    """
+    if (sys.version_info >= (3, 12)
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    large = sum(isinstance(g, Graph) and g.n > DENSE_LIMIT for g in items)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(large, cpus))
+
+
+_task = None  # (analyze, items) inside a worker process of _analyses
+
+
+def _start_worker(analyze, items) -> None:
+    # Runs in the forked child, which inherits analyze and items as they are:
+    # nothing is pickled but indices and results.
+    global _task
+    _task = (analyze, items)
+
+
+def _run_task(i):
+    analyze, items = _task
+    return analyze(i, items[i])
+
+
+@contextlib.contextmanager
+def _analyses(analyze, items, workers):
+    """Yield analyze(i, item) for every item in index order, computed in
+    `workers` forked processes when that is 2 or more.
+
+    On any exception the workers are terminated; none outlives the block.
+    """
+    if workers < 2:
+        yield starmap(analyze, enumerate(items))
+        return
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, _start_worker, (analyze, items)
+    )
+    try:
+        yield pool.imap(_run_task, range(len(items)))
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
 
 
 def _report(args, name, items, analyze, header) -> str:
     """Write {name}_{i:04d}.json for each item and summary.csv, one row per
     item, where analyze(i, item) returns (JSON payload, summary row).
 
+    Large graphs are analysed in parallel (_worker_count); the files are
+    written here, in index order, so they do not depend on the worker count
+    and an item that fails leaves the files of those before it.
+
     Returns the configuration hash, for any further files of the command.
     """
-    h = _prepare(args)
+    workers = _worker_count(items)
+    h = _prepare(args, workers)
     rows = []
-    for i, item in enumerate(items):
-        payload, row = analyze(i, item)
-        _write_json(os.path.join(args.out, f"{name}_{i:04d}.json"), payload, h)
-        rows.append(row)
+    with _analyses(analyze, items, workers) as results:
+        for i, (payload, row) in enumerate(results):
+            _write_json(os.path.join(args.out, f"{name}_{i:04d}.json"),
+                        payload, h)
+            rows.append(row)
     _write_csv(os.path.join(args.out, "summary.csv"), header, rows, h)
     return h
 
@@ -326,16 +447,30 @@ _GROUPS = {
 }
 
 
+class _Spec(dict):
+    """A JSON object of a spec file; reading a key it lacks is a ValueError
+    naming the object (what) and the key."""
+
+    def __init__(self, value, what):
+        super().__init__(expect(value, dict, what))
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what} has no {key!r}")
+
+
 def _spec_object(value, what):
-    """value if it is an object whose size and vertex entries are integers."""
-    expect(value, dict, what)
+    """value as a _Spec if it is an object whose size and vertex entries are
+    integers."""
+    value = _Spec(value, what)
     for key in ("n", "m", "k", "p", "v1", "v2", "t_center", "t_radius"):
         if key in value:
             expect(value[key], int, f"{what}.{key}")
     return value
 
 
-def _generate_one(spec):
+def _generate_one(spec, what):
+    spec = _Spec(spec, what)
     family = spec["family"]
     params = _spec_object(spec.get("params", {}), "params")
     seed = expect(spec.get("seed", 0), int, "seed")
@@ -353,11 +488,15 @@ def _generate_one(spec):
         return generators.triangular_torus(params["m"])
     if family == "cayley":
         group_spec = _spec_object(params["group"], "params.group")
-        group = _GROUPS[group_spec["kind"]](group_spec)
+        kind = expect(group_spec["kind"], str, "params.group.kind")
+        if kind not in _GROUPS:
+            raise ValueError(f"params.group.kind must be one of "
+                             f"{', '.join(_GROUPS)}, got {kind!r}")
+        group = _GROUPS[kind](group_spec)
         gens = params.get("gens")
-        if gens == "elementary" and group_spec["kind"] == "sl2":
+        if gens == "elementary" and kind == "sl2":
             gens = generators.sl2_elementary_generators(group_spec["p"])
-        elif group_spec["kind"] == "cyclic":
+        elif kind == "cyclic":
             expect_items(gens, int, "params.gens")
         else:
             gens = [tuple(expect_items(g, int, f"params.gens[{j}]"))
@@ -369,8 +508,8 @@ def _generate_one(spec):
             g, g, params.get("v1", 0), params.get("v2", 0), d=8
         )
     if family == "glued_expander":
-        x_prime = _generate_one(expect(params["x_prime"], dict, "params.x_prime"))
-        y = _generate_one(expect(params["y"], dict, "params.y"))
+        x_prime = _generate_one(params["x_prime"], "params.x_prime")
+        y = _generate_one(params["y"], "params.y")
         t_set = ball(y, params.get("t_center", 0), params.get("t_radius", 0))
         return generators.glued_expander(x_prime, y, t_set, seed=seed).graph
     raise ValueError(f"unknown family {family!r}")
@@ -388,7 +527,7 @@ def cmd_generate(args) -> int:
         expect(spec, dict, f"spec {i}")
         if args.seed is not None:
             spec = {**spec, "seed": spec.get("seed", args.seed)}
-        graphs.append(_generate_one(spec))
+        graphs.append(_generate_one(spec, f"spec {i}"))
         labels.append(json.dumps(spec, sort_keys=True))
     d = max((g.degree_bound for g in graphs), default=1)
     box = BoxSpace(graphs=graphs, d=d, labels=labels)
@@ -409,8 +548,8 @@ def _words(value, what) -> list:
 
 def cmd_sofic(args) -> int:
     with open(args.input) as fh:
-        spec = expect(json.load(fh), dict, "sofic spec")
-    act = expect(spec.get("action", {}), dict, "action")
+        spec = _Spec(json.load(fh), "sofic spec")
+    act = _Spec(spec.get("action", {}), "action")
     if act.get("kind") == "cyclic":
         action = cyclic_action(expect(act["m"], int, "action.m"),
                                expect_items(act["shifts"], int, "action.shifts"))
@@ -517,6 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_blas()
     try:
         return args.func(args)
     except NoConvergence as exc:

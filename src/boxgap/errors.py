@@ -1,8 +1,18 @@
 """Exception types shared across the package."""
 
 
+def _rebuild(cls, args):
+    # Exception.__new__ sets args without running the subclass __init__.
+    return Exception.__new__(cls, *args)
+
+
 class BoxgapError(Exception):
     """Base class for all package errors."""
+
+    def __reduce__(self):
+        # Subclasses build their message in __init__ from other arguments, so
+        # pickle's default cls(*args) would call them with the message alone.
+        return _rebuild, (type(self), self.args), self.__dict__
 
 
 class VertexOutOfRange(BoxgapError):

@@ -1,6 +1,13 @@
+import contextlib
+import ctypes.util
 import json
 import math
+import multiprocessing
+import os
 import shlex
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxgap as bg
+from boxgap import cli
 from boxgap.cli import _json_text, build_parser, main
-from boxgap.errors import NoConvergence
+from boxgap.errors import DegreeExceeded, NoConvergence
 from boxgap.spectral import DENSE_LIMIT, pinned_spectrum
 
 
@@ -340,6 +348,19 @@ def _cayley(group, gens):
     (_cayley({"kind": "sym", "k": 3}, [[0, 0, 1]]), "gens[0] must be a group"),
     (_cayley({"kind": "sl2", "p": 3}, [[1, 1, 0, 1], [1, 2, 0, 1], [2, 0, 0, 1]]),
      "gens[2] must be a group"),
+    # missing keys and unknown kinds name the entry
+    (_cayley({"kind": "dihedral", "n": 5}, [1]),
+     "params.group.kind must be one of cyclic, product, sym, sl2, "
+     "got 'dihedral'"),
+    (_cayley({"kind": ["cyclic"], "n": 5}, [1]),
+     "params.group.kind must be a string"),
+    (_cayley({"n": 5}, [1]), "params.group has no 'kind'"),
+    (_cayley({"kind": "cyclic"}, [1]), "params.group has no 'n'"),
+    ({"family": "cayley", "params": {"gens": [1]}}, "params has no 'group'"),
+    ({"params": {"n": 5}}, "spec 0 has no 'family'"),
+    ({"family": "cycle"}, "params has no 'n'"),
+    ({"family": "glued_expander", "params": {"x_prime": {"params": {}}}},
+     "params.x_prime has no 'family'"),
 ])
 def test_generate_malformed_spec_exits_2(tmp_path, capsys, spec, names):
     spath = tmp_path / "spec.json"
@@ -369,6 +390,9 @@ _PERMS = {"m": 2, "perms": {"a": [1, 0]}, "inverses": {"a": "a"}}
     ({"action": 5}, "action"),
     ({**_PERMS, "check_inverses": "no"}, "check_inverses must be a boolean"),
     ({**_PERMS, "m": True}, "m must be an integer"),
+    ({"perms": {"a": [1, 0]}, "inverses": {"a": "a"}}, "sofic spec has no 'm'"),
+    ({"m": 2, "perms": {"a": [1, 0]}}, "sofic spec has no 'inverses'"),
+    ({"action": {"kind": "cyclic", "m": 5}}, "action has no 'shifts'"),
 ])
 def test_sofic_malformed_spec_exits_2(tmp_path, capsys, spec, names):
     spath = tmp_path / "sofic.json"
@@ -495,8 +519,149 @@ def test_metadata_written_separately(tmp_path):
     main(["spectrum", "--input", manifest, "--out", str(out)])
     meta = json.loads((out / "run_metadata.json").read_text())
     assert "timestamp" in meta and "config_hash" in meta
+    assert meta["workers"] == 1
+    for record in meta["blas"]:
+        assert "openblas" in os.path.basename(record["library"])
+        assert record["threads"] in (1, "unpinned")
     report = json.loads((out / "spectrum_0000.json").read_text())
     assert "timestamp" not in report
+
+
+def test_pin_openblas_without_setter_is_unpinned(tmp_path):
+    assert cli._pin_openblas(str(tmp_path / "missing.so")) == "unpinned"
+    libc = ctypes.util.find_library("c")
+    if libc is not None:
+        assert cli._pin_openblas(libc) == "unpinned"
+
+
+# Worker processes: large graphs are analysed in forked workers, and the
+# result files do not depend on how many.
+
+forked = pytest.mark.skipif(
+    sys.version_info >= (3, 12)
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers are forked, and not from Python 3.12 on")
+
+
+def _two_tori_and_k5(tmp_path):
+    torus = bg.triangular_torus(40)  # above DENSE_LIMIT
+    return make_box(tmp_path, [torus, bg.complete_graph(5), torus], d=6)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a hang fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@forked
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["cheeger"], ["zuk"],
+    ["decompose", "--alpha", "0.1", "--gap", "0.5"],
+])
+def test_results_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
+    manifest = _two_tori_and_k5(tmp_path)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_worker_count", lambda items, w=workers: w)
+        out = tmp_path / f"w{workers}"
+        with _deadline(30):
+            assert main([*argv, "--input", manifest, "--out", str(out)]) == 0
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["workers"] == workers
+        results.append(_results(out))
+    assert len(results[0]) == 4 and results[0] == results[1]
+    assert multiprocessing.active_children() == []
+
+
+def _fail_in_eigsh(*args, **kwargs):
+    raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                   np.zeros((0, 0)))
+
+
+def _fail_with_degree(*args, **kwargs):
+    raise DegreeExceeded(1, 5, 4)  # a constructor of several arguments
+
+
+@forked
+@pytest.mark.parametrize("target, name, fault, code, message", [
+    (spla, "eigsh", _fail_in_eigsh, 3, "numerical failure"),
+    (cli, "graph_spectrum", _fail_with_degree, 2,
+     "vertex 1 has degree 5 > bound 4"),
+])
+def test_failure_in_a_worker_exits_and_leaves_no_process(
+        tmp_path, monkeypatch, capsys, target, name, fault, code, message):
+    manifest = _two_tori_and_k5(tmp_path)
+    monkeypatch.setattr(target, name, fault)  # inherited by the forked workers
+    monkeypatch.setattr(cli, "_worker_count", lambda items: 2)
+    with _deadline(30):
+        assert main(["spectrum", "--input", manifest,
+                     "--out", str(tmp_path / "o")]) == code
+    assert message in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_rule(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    large = bg.cycle_graph(DENSE_LIMIT + 1)
+    small = bg.cycle_graph(DENSE_LIMIT)
+    forks = (sys.version_info < (3, 12)
+             and "fork" in multiprocessing.get_all_start_methods())
+    assert cli._worker_count([large] * 3 + [small]) == (3 if forks else 1)
+    assert cli._worker_count([large] * 6) == (4 if forks else 1)
+    assert cli._worker_count([large, small, small]) == 1
+    assert cli._worker_count([small] * 5) == 1
+    assert cli._worker_count([]) == 1
+    assert cli._worker_count([object()] * 3) == 1  # finished results
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert cli._worker_count([large] * 3) == 1
+
+
+def test_results_do_not_depend_on_blas_threads(tmp_path):
+    # Margulis 16 and the m=16 torus are dense-solved Δτ operators whose
+    # near-zero kernel entries moved with an unpinned two-thread OpenBLAS.
+    m16 = bg.margulis_graph(16)
+    pair = bg.disjoint_union(bg.glue_pair(m16, m16, 0, 0, d=8),
+                             bg.cycle_graph(20), d=8)
+    manifest = make_box(tmp_path, [m16, bg.triangular_torus(16), pair], d=8)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bg.__file__)))
+    commands = [
+        ["spectrum"], ["zuk"],
+        ["expanderize", "--alpha", "0.3", "--gap", "0.2",
+         "--allow-infeasible-alpha", "--min-component", "12"],
+    ]
+    results = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        files = {}
+        for argv in commands:
+            out = tmp_path / f"{argv[0]}{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "boxgap.cli", *argv,
+                 "--input", manifest, "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            files.update({
+                f"{argv[0]}/{p.relative_to(out)}": p.read_bytes()
+                for p in out.rglob("*")
+                if p.is_file() and p.name != "run_metadata.json"
+            })
+        results.append(files)
+    assert "expanderize/graphs/manifest.json" in results[0]
+    assert results[0] == results[1]
 
 
 # JSON text: the result-file encoder against json.dumps(indent=2, sort_keys=True).
