@@ -18,7 +18,7 @@ import numpy as np
 from . import exhaustive
 from .errors import TooLargeForExact
 from .graph import Graph, connected_components, induced_subgraph, sweep_profile
-from .spectral import eigenpairs, laplacian, spectrum
+from .spectral import eigenpairs, graph_spectrum, laplacian
 
 EXACT_CAP = 24
 
@@ -46,8 +46,7 @@ def second_eigenvalue(g: Graph, tol: float = 1e-9) -> float:
     for a disconnected graph)."""
     if g.n < 2 or len(connected_components(g)) > 1:
         return 0.0
-    rep = spectrum(laplacian(g), k=2, tol=tol, kernel_dim=1)
-    return float(rep.eigenvalues[1])
+    return graph_spectrum(g, k=2, tol=tol).gap
 
 
 def _bounds(g: Graph, lam: float):

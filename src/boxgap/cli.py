@@ -38,11 +38,12 @@ from json.encoder import encode_basestring_ascii
 from . import generators
 from .cheeger import EXACT_CAP, cheeger_report
 from .decompose import KunParams, kun_partition
-from .errors import BoxgapError, DisconnectedLink, EmptyLink, NoConvergence
+from .errors import BoxgapError, DisconnectedLink, NoConvergence
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
 from .graph import (
     BoxSpace,
     Graph,
+    _Spec,
     ball,
     connected_components,
     expect,
@@ -420,7 +421,7 @@ def cmd_zuk(args) -> int:
     def analyze(i, g):
         try:
             cert = zuk_certificate(g, tol=args.tol).to_dict()
-        except (DisconnectedLink, EmptyLink) as exc:
+        except DisconnectedLink as exc:
             cert = {
                 "valid": False,
                 "min_lambda": None,
@@ -445,18 +446,6 @@ _GROUPS = {
     "sym": lambda spec: generators.SymmetricGroup(spec["k"]),
     "sl2": lambda spec: generators.SL2Prime(spec["p"]),
 }
-
-
-class _Spec(dict):
-    """A JSON object of a spec file; reading a key it lacks is a ValueError
-    naming the object (what) and the key."""
-
-    def __init__(self, value, what):
-        super().__init__(expect(value, dict, what))
-        self.what = what
-
-    def __missing__(self, key):
-        raise ValueError(f"{self.what} has no {key!r}")
 
 
 def _spec_object(value, what):

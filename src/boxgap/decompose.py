@@ -288,10 +288,8 @@ def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP,
     # passing prefix of each is materialized.
     memo = fiedler_orders if fiedler_orders is not None else {}
     orders = {}
-    sub, idx_map = induced_subgraph(g, region)
     candidates = []
-    for comp in connected_components(sub):
-        key = tuple(idx_map[v] for v in comp)
+    for key in connected_components(g, region):
         order = memo.get(key)
         if order is None:
             comp_sub, comp_map = induced_subgraph(g, key)

@@ -26,6 +26,7 @@ from .errors import (
 from .graph import (
     BoxSpace,
     Graph,
+    _Spec,
     ball_of_set,
     build_graph,
     expect,
@@ -459,15 +460,16 @@ class ApproxIsoWitness:
     def from_dict(cls, data) -> "ApproxIsoWitness":
         """Parse the JSON of ``to_dict``; a ValueError names a bad entry."""
         entries = []
-        for i, e in enumerate(expect(expect(data, dict, "witness")["entries"],
+        for i, e in enumerate(expect(_Spec(data, "witness")["entries"],
                                      list, "entries")):
             what = f"entries[{i}]"
-            expect(e, dict, what)
+            e = _Spec(e, what)
+            pairs = e["edges_x"]
             try:
-                edges = tuple((int(u), int(v)) for u, v in e["edges_x"])
+                edges = tuple((int(u), int(v)) for u, v in pairs)
             except (TypeError, ValueError):
                 raise ValueError(f"{what}.edges_x must be a list of [u, v] pairs, "
-                                 f"got {reprlib.repr(e['edges_x'])}") from None
+                                 f"got {reprlib.repr(pairs)}") from None
             entries.append(WitnessEntry(
                 vertices_x=tuple(
                     expect_items(e["vertices_x"], int, f"{what}.vertices_x")),

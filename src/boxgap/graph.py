@@ -10,10 +10,10 @@ which the generators and the edge-list reader pass without a Python list in
 between, and ``edge_array`` gives the edges back in that form, so code that
 edits a graph works on the array and builds a new graph from it.
 ``matrix`` (a zero-copy sparse wrap that the Laplacians, triangle weights
-and components read) and ``components`` are derived and built once on first
-use. Vertex subsets are plain sorted tuples of indices. Disconnected graphs
-are first class throughout; distance across components is treated as
-infinite and never compared.
+and ``block_labels``, the one component finder, read) and the component
+labels are derived and built once on first use. Vertex subsets are plain
+sorted tuples of indices. Disconnected graphs are first class throughout;
+distance across components is treated as infinite and never compared.
 
 Edge-list files are parsed in one bulk ``np.loadtxt`` call when their text
 holds only digits, signs, spaces, tabs and newlines; any other text, and
@@ -143,13 +143,24 @@ class Graph:
         )
 
     @cached_property
+    def component_labels(self) -> np.ndarray:
+        """``block_labels(self.matrix)``: each vertex's component index."""
+        return block_labels(self.matrix)
+
+    @cached_property
     def components(self) -> tuple:
         """Vertex sets of the connected components, each sorted, in order of
-        smallest member (csgraph numbers components in that order)."""
-        count, labels = _csgraph_components(self.matrix, directed=False)
+        smallest member."""
+        labels = self.component_labels
         members = np.argsort(labels, kind="stable")
-        ends = np.cumsum(np.bincount(labels, minlength=count))
+        ends = np.cumsum(np.bincount(labels))
         return tuple(tuple(c.tolist()) for c in np.split(members, ends)[:-1])
+
+
+def block_labels(matrix: sp.spmatrix) -> np.ndarray:
+    """The component index of every row of a symmetric sparse matrix (each
+    stored entry an edge), components numbered in order of smallest member."""
+    return _csgraph_components(matrix, directed=False)[1]
 
 
 def vertex_set(g: Graph, vertices) -> VertexSet:
@@ -297,9 +308,13 @@ def ball_of_set(g: Graph, s, r: int) -> VertexSet:
     return tuple(np.flatnonzero(seen).tolist())
 
 
-def connected_components(g: Graph) -> list:
-    """``g.components`` as a fresh list."""
-    return list(g.components)
+def connected_components(g: Graph, region=None) -> list:
+    """The components of the subgraph induced on region (all of g when
+    None) as sorted tuples of g's vertices, in order of smallest member."""
+    if region is None:
+        return list(g.components)
+    sub, vs = induced_subgraph(g, region)
+    return [tuple(vs[v] for v in c) for c in sub.components]
 
 
 def induced_subgraph(g: Graph, s):
@@ -384,6 +399,18 @@ def expect(value, kind, what: str):
         raise ValueError(
             f"{what} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
     return value
+
+
+class _Spec(dict):
+    """A JSON object of an input file; reading a key it lacks is a
+    ValueError naming the object (what) and the key."""
+
+    def __init__(self, value, what):
+        super().__init__(expect(value, dict, what))
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what} has no {key!r}")
 
 
 def expect_items(value, kind, what: str) -> list:

@@ -95,14 +95,6 @@ def _rows(g: Graph, piece) -> tuple:
     return np.diff(g.indptr)[vs].tobytes(), _gather(g, vs)[1].tobytes()
 
 
-def _component_labels(g: Graph):
-    """Index of the component of every vertex, and each component's size."""
-    sizes = [len(c) for c in g.components]
-    label = np.empty(g.n, dtype=np.int64)
-    label[np.concatenate(g.components)] = np.repeat(np.arange(len(sizes)), sizes)
-    return label, sizes
-
-
 @dataclass
 class RewireResult:
     new_graph: Graph
@@ -143,7 +135,6 @@ def rewire_piece(
     c_inner: float,
     alpha: float,
     exact_cap: int = EXACT_CAP,
-    verify: bool = True,
     evidence: Evidence | None = None,
 ) -> RewireResult:
     """Remove the piece's boundary and restore expansion by rewiring.
@@ -165,7 +156,7 @@ def rewire_piece(
         raise ValueError(
             f"boundary {len(bedges)} not below alpha |P| = {alpha * len(piece):.3g}"
         )
-    hypothesis_verified = verify and len(piece) <= exact_cap
+    hypothesis_verified = len(piece) <= exact_cap
     if evidence is None and (hypothesis_verified or not bedges):
         evidence = piece_evidence(g, piece, exact_cap)
     if (hypothesis_verified and evidence.value is not None
@@ -189,7 +180,8 @@ def rewire_piece(
         # With its boundary cut the piece is a union of components. Each
         # removed interior edge (u < v) is rewired to its endpoint in the
         # larger component; ties go to u.
-        label, size = _component_labels(rebuild(edges))
+        label = rebuild(edges).component_labels
+        size = np.bincount(label)
         plus = [v if size[label[v]] > size[label[u]] else u for u, v in f_edges]
         added = [(min(x, p), max(x, p)) for (x, _), p in zip(bedges, plus)]
         edits += [{"op": "add", "edge": list(e)} for e in added]
@@ -197,7 +189,7 @@ def rewire_piece(
         new_graph = rebuild(edges)
         # Fragments stranded from their e+ side are deleted outright; a
         # fragment is a whole component, so its edges go with either end.
-        label, _ = _component_labels(new_graph)
+        label = new_graph.component_labels
         stranded = [label[v if p == u else u]
                     for (u, v), p in zip(f_edges, plus) if label[u] != label[v]]
         if stranded:
@@ -302,16 +294,9 @@ def expanderize(
             work = res.new_graph
             survivors.extend(res.piece)
             outcomes.append({"piece": j, **res.to_dict()})
-        survivors = sorted(set(survivors))
-        sub, idx_map = induced_subgraph(work, survivors)
-        dropped = []
-        keep_local = []
-        for comp in connected_components(sub):
-            if len(comp) < min_component:
-                dropped.append([idx_map[v] for v in comp])
-            else:
-                keep_local.extend(comp)
-        kept = tuple(sorted(idx_map[v] for v in keep_local))
+        comps = connected_components(work, survivors)
+        dropped = [list(c) for c in comps if len(c) < min_component]
+        kept = tuple(sorted(v for c in comps if len(c) >= min_component for v in c))
         out_graph, _ = induced_subgraph(work, kept)
         out_graphs.append(out_graph)
         # kept is sorted, so the mapped edges stay in (u, v) order, u <= v.

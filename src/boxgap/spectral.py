@@ -17,8 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegreeBoundTooSmall, NoConvergence
-from . import graph as graph_mod
-from .graph import BoxSpace, Graph
+from .graph import BoxSpace, Graph, block_labels
 
 DENSE_LIMIT = 512  # exact dense solve at or below this dimension
 KERNEL_TOL_DENSE = 1e-9  # dense eigenvalues within this of 0 count as kernel
@@ -147,22 +146,18 @@ def _operator_blocks(g: Graph, mat: sp.csr_matrix):
     Returns (singles, blocks): the vertices that are blocks of their own, as
     one array, and the other blocks as sorted index arrays in order of
     smallest member. When mat has an off-diagonal entry on exactly the edges
-    of g, the blocks are the cached ``g.components``.
+    of g, the blocks are g's cached components.
     """
     support = sp.csr_matrix(mat - sp.diags(mat.diagonal()))
     support.eliminate_zeros()
     support.sort_indices()
-    if np.array_equal(support.indptr, g.indptr) and np.array_equal(
-        support.indices, g.indices
-    ):
-        comps = g.components
-        singles = np.array([c[0] for c in comps if len(c) == 1], dtype=np.intp)
-        return singles, [np.asarray(c) for c in comps if len(c) > 1]
-    count, labels = graph_mod._csgraph_components(support, directed=False)
-    sizes = np.bincount(labels, minlength=count)
+    same = (np.array_equal(support.indptr, g.indptr)
+            and np.array_equal(support.indices, g.indices))
+    labels = g.component_labels if same else block_labels(support)
+    sizes = np.bincount(labels)
     big = sizes[labels] > 1
     members = np.flatnonzero(big)[np.argsort(labels[big], kind="stable")]
-    return np.flatnonzero(~big), np.split(members, np.cumsum(sizes[sizes > 1])[:-1])
+    return np.flatnonzero(~big), np.split(members, np.cumsum(sizes[sizes > 1]))[:-1]
 
 
 def pinned_spectrum(g: Graph, mat: sp.csr_matrix, k: int | None = None,

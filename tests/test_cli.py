@@ -434,6 +434,11 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, entries, names, command):
 @pytest.mark.parametrize("witness, names", [
     ({"entries": [[0, 1]]}, "entries[0]"),
     ({"entries": [{**_WITNESS_ENTRY, "vertices_x": "01"}]}, "entries[0].vertices_x"),
+    ({}, "witness has no 'entries'"),
+    ({"entries": [{"vertices_x": [0, 1], "vertices_x2": [0, 1]}]},
+     "entries[0] has no 'edges_x'"),
+    ({"entries": [{"vertices_x2": [0, 1], "edges_x": [[0, 1]]}]},
+     "entries[0] has no 'vertices_x'"),
 ])
 def test_approx_iso_malformed_witness_exits_2(tmp_path, capsys, witness, names):
     manifest = make_box(tmp_path, [bg.path_graph(2)], d=1)

@@ -271,20 +271,43 @@ def test_components_found_once_per_graph(monkeypatch):
     assert bg.connected_components(g) == list(g.components)
 
 
-def brute_components(g):
-    """Independent oracle: BFS from each unseen vertex in index order."""
+def brute_components(g, region=None):
+    """Independent oracle: BFS inside the region (all of g when None) from
+    each unseen region vertex in index order."""
     adj = neighbour_rows(g)
+    inside = set(range(g.n) if region is None else region)
     seen, comps = set(), []
-    for start in range(g.n):
+    for start in sorted(inside):
         if start in seen:
             continue
         comp, frontier = {start}, [start]
         while frontier:
-            frontier = [v for u in frontier for v in adj[u] if v not in comp]
+            frontier = [v for u in frontier for v in adj[u]
+                        if v in inside and v not in comp]
             comp.update(frontier)
         seen |= comp
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def test_component_labels_and_region_components_match_bfs():
+    rng = np.random.default_rng(73)
+    graphs = [bg.build_graph(0, [], 1)]
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        g = random_bounded_graph(rng, n, 3, fill=float(rng.uniform(0.05, 0.9)))
+        loops = [(v, v) for v in range(n) if rng.random() < 0.2]
+        graphs.append(g if not loops else bg.build_graph(
+            n, list(g.edges()) + loops, 4, allow_loops=True))
+    for g in graphs:
+        comps = brute_components(g)
+        assert g.components == tuple(comps)
+        labels = [next(i for i, c in enumerate(comps) if v in c) for v in range(g.n)]
+        assert g.component_labels.tolist() == labels
+        for _ in range(3):
+            region = rng.choice(g.n, size=int(rng.integers(0, g.n + 1)), replace=False)
+            assert (bg.connected_components(g, region.tolist())
+                    == brute_components(g, region.tolist()))
 
 
 def test_component_sizes_partition(small_corpus):

@@ -122,7 +122,7 @@ def test_rewire_unbridges_margulis_pair():
     m = bg.margulis_graph(5)
     pair = bg.glue_pair(m, m, 0, 0, d=8)
     side = tuple(range(25))
-    res = bg.rewire_piece(pair, side, c_inner=1.0, alpha=0.2, verify=False)
+    res = bg.rewire_piece(pair, side, c_inner=1.0, alpha=0.2)
     assert res.edit_units == 1
     assert bg.boundary_size(res.new_graph, side) == 0
     assert res.connected
@@ -136,14 +136,14 @@ def test_rewire_unbridges_margulis_pair():
 def test_rewire_two_boundary_edges_mechanics():
     # C_30 with pendants at 0 and 15: two boundary edges, so two interior
     # edges get consumed and two replacement edges appear. The separation
-    # radius comes from the caller's constant; verification is off because
-    # the claimed expansion is far above the cycle's true one, making the
-    # arc between the two cuts strand and drop.
+    # radius comes from the caller's constant. The piece is above the exact
+    # cap, so the claimed expansion, far above the cycle's true one, is not
+    # verified; it makes the arc between the two cuts strand and drop.
     n = 30
     edges = [(i, (i + 1) % n) for i in range(n)] + [(0, n), (15, n + 1)]
     g = bg.build_graph(n + 2, edges, 3)
     piece = tuple(range(n))
-    res = bg.rewire_piece(g, piece, c_inner=4.0, alpha=0.2, verify=False)
+    res = bg.rewire_piece(g, piece, c_inner=4.0, alpha=0.2)
     assert res.r == 1
     assert res.edit_units == 2
     ops = sorted(e["op"] for e in res.edits)
@@ -181,7 +181,7 @@ def reference_select(g, piece, r, count):
     raise InsufficientSeparatedEdges(len(selected), count)
 
 
-def reference_rewire(g, piece, c_inner, alpha, exact_cap, verify):
+def reference_rewire(g, piece, c_inner, alpha, exact_cap):
     """Set oracle for rewire_piece: the graph copied into per-vertex sets and
     edited in place, its piece components found on a rebuilt subgraph."""
     piece = bg.vertex_set(g, piece)
@@ -191,7 +191,7 @@ def reference_rewire(g, piece, c_inner, alpha, exact_cap, verify):
             f"boundary {len(bedges)} not below alpha |P| = {alpha * len(piece):.3g}"
         )
     hypothesis_verified = False
-    if verify and len(piece) <= exact_cap:
+    if len(piece) <= exact_cap:
         value, witness = bg.inner_expansion_exact(g, piece, exact_cap)
         if value is not None and value < c_inner:
             raise HypothesisFailed(witness, value, c_inner)
@@ -332,16 +332,15 @@ def test_rewire_matches_set_reference():
         exact_cap = int(rng.choice([8, 16]))
         evidence = bg.piece_evidence(g, piece, exact_cap)
         for c_inner in (0.5, 1, 2, 4, 8):
-            for verify in (True, False):
-                args = (g, piece, c_inner, alpha, exact_cap, verify)
-                want = rewire_outcome(reference_rewire, *args)
-                got = rewire_outcome(bg.rewire_piece, *args)
-                assert got == want, args
-                given = rewire_outcome(bg.rewire_piece, *args, evidence)
-                assert given == want, args
-                if isinstance(got[0], dict) and got[0]["edits"]:
-                    rewired += 1
-                    dropped += bool(got[0]["removed_vertices"])
+            args = (g, piece, c_inner, alpha, exact_cap)
+            want = rewire_outcome(reference_rewire, *args)
+            got = rewire_outcome(bg.rewire_piece, *args)
+            assert got == want, args
+            given = rewire_outcome(bg.rewire_piece, *args, evidence)
+            assert given == want, args
+            if isinstance(got[0], dict) and got[0]["edits"]:
+                rewired += 1
+                dropped += bool(got[0]["removed_vertices"])
     assert rewired and dropped
 
 

@@ -394,6 +394,41 @@ def test_pinned_spectrum_block_split_matches_dense(bridged):
         assert np.sum(np.abs(want) <= 1e-9) >= 7
 
 
+def _brute_blocks(mat):
+    """Oracle for _operator_blocks: BFS over the nonzero off-diagonal
+    entries of a dense copy of mat, from each unseen vertex in index order."""
+    dense = mat.toarray()
+    np.fill_diagonal(dense, 0.0)
+    seen, blocks = set(), []
+    for start in range(len(dense)):
+        if start in seen:
+            continue
+        block, frontier = {start}, [start]
+        while frontier:
+            frontier = [int(v) for u in frontier for v in np.flatnonzero(dense[u])
+                        if v not in block]
+            block.update(frontier)
+        seen |= block
+        blocks.append(sorted(block))
+    return [b[0] for b in blocks if len(b) == 1], [b for b in blocks if len(b) > 1]
+
+
+def test_operator_blocks_match_bfs():
+    rng = np.random.default_rng(83)
+    graphs = [bg.build_graph(0, [], 1), bg.margulis_graph(6), bg.margulis_graph(24),
+              bg.disjoint_union(bg.triangular_torus(4), bg.cycle_graph(5))]
+    for _ in range(20):
+        n = int(rng.integers(1, 25))
+        g = random_bounded_graph(rng, n, 3, fill=float(rng.uniform(0.05, 0.9)))
+        loops = [(v, v) for v in range(n) if rng.random() < 0.2]
+        graphs.append(g if not loops else bg.build_graph(
+            n, list(g.edges()) + loops, 4, allow_loops=True))
+    for g in graphs:
+        for op in (bg.laplacian(g), bg.markov(g), bg.delta_tau(g)):
+            singles, blocks = spectral._operator_blocks(g, op)
+            assert (singles.tolist(), [b.tolist() for b in blocks]) == _brute_blocks(op)
+
+
 def test_delta_tau_margulis_lists_its_whole_kernel():
     # Almost no Margulis edge lies in a triangle, so Δτ splits into many
     # blocks and its smallest five eigenvalues are all 0.
