@@ -17,7 +17,13 @@ import numpy as np
 
 from . import exhaustive
 from .errors import TooLargeForExact
-from .graph import Graph, connected_components, induced_subgraph, sweep_profile
+from .graph import (
+    Graph,
+    connected_components,
+    induced_subgraph,
+    sweep_profile,
+    vertex_set,
+)
 from .spectral import eigenpairs, graph_spectrum, laplacian
 
 EXACT_CAP = 24
@@ -134,9 +140,10 @@ def inner_expansion_exact(g: Graph, piece, exact_cap: int = EXACT_CAP):
     """Exact min over T within the piece, |T| <= |piece|/2, of |∂T|/|T|.
 
     The boundary is ambient (edges leaving the piece count), so for a piece
-    with empty boundary this is the piece's Cheeger constant.
+    with empty boundary this is the piece's Cheeger constant. Repeated
+    vertices count once.
     """
-    piece = tuple(sorted(piece))
+    piece = vertex_set(g, piece)
     if len(piece) > exact_cap:
         raise TooLargeForExact(len(piece), exact_cap)
     if len(piece) < 2:
@@ -157,6 +164,7 @@ class Evidence:
 def piece_evidence(g: Graph, piece, exact_cap: int = EXACT_CAP) -> Evidence:
     """Exact scan up to exact_cap vertices, else the spectral bound. Depends
     only on the CSR rows of the piece's own vertices (loops never count)."""
+    piece = vertex_set(g, piece)
     if len(piece) <= exact_cap:
         value, witness = inner_expansion_exact(g, piece, exact_cap)
         return Evidence("exact", value, () if witness is None else witness)

@@ -39,6 +39,7 @@ from . import generators
 from .cheeger import EXACT_CAP, cheeger_report
 from .decompose import KunParams, kun_partition
 from .errors import BoxgapError, DisconnectedLink, NoConvergence
+from .exhaustive import MASK_BITS
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
 from .graph import (
     BoxSpace,
@@ -589,10 +590,21 @@ def cmd_approx_iso(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _exact_cap(text: str) -> int:
+    """An --exact-cap value: a vertex count the scans' masks can hold."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= cap <= MASK_BITS:
+        raise argparse.ArgumentTypeError(f"must lie in [0, {MASK_BITS}], got {cap}")
+    return cap
+
+
 # Each flag's definition; a subcommand registers only the flags it reads.
 _FLAGS = {
     "--tol": dict(type=float, default=1e-9, help="eigensolver tolerance"),
-    "--exact-cap": dict(type=int, default=EXACT_CAP,
+    "--exact-cap": dict(type=_exact_cap, default=EXACT_CAP,
                         help="largest vertex count for exhaustive scans"),
     "--alpha": dict(type=float, required=True),
     "--gap": dict(type=float, required=True, help="assumed Laplacian gap c"),

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exhaustive
-from .cheeger import EXACT_CAP, _fiedler_order, piece_evidence
+from .cheeger import EXACT_CAP, Evidence, _fiedler_order, piece_evidence
 from .errors import IterationCap
 from .graph import (
     Graph,
@@ -260,7 +260,8 @@ def replace_set(g: Graph, t_set, params: KunParams) -> ReplaceOutcome:
 
 
 def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP,
-                    *, fiedler_orders: dict | None = None):
+                    *, fiedler_orders: dict | None = None,
+                    min_ratios: dict | None = None):
     """Smallest proper subset T of the region with |∂T| < c |T|, or None.
 
     Boundaries are ambient. Exhaustive and exact when the region has at most
@@ -274,6 +275,10 @@ def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP,
     there is not solved again. The memo is left holding exactly the
     components of this region: a region that only shrinks between calls, as
     in ``kun_partition``, never meets a dropped component again.
+
+    ``min_ratios`` is an optional memo passed to ``min_sparse_subset``: an
+    exact-size region with no sparse cut gets its (ratio, witness) inner
+    expansion there, keyed by its sorted vertex tuple, from the same walk.
     """
     if c <= 0:
         raise ValueError("ratio must be positive")
@@ -281,7 +286,7 @@ def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP,
     if len(region) <= 1:
         return None
     if len(region) <= exact_cap:
-        return exhaustive.min_sparse_subset(g, region, c)
+        return exhaustive.min_sparse_subset(g, region, c, min_ratios)
 
     # Prefixes of each component's Fiedler order and of its reverse (the
     # suffixes); the full prefix is the whole component. Only the smallest
@@ -355,12 +360,16 @@ class PartitionCertificate:
 
 
 def certify_partition(
-    g: Graph, decomp: Decomposition, params: KunParams, exact_cap: int = EXACT_CAP
+    g: Graph, decomp: Decomposition, params: KunParams, exact_cap: int = EXACT_CAP,
+    *, min_ratios: dict | None = None,
 ) -> PartitionCertificate:
     """Measure junk fraction, boundary ratios and inner expansion per piece.
 
     A piece's inner expansion is its ``piece_evidence``: an exact scan is
     conclusive either way, a spectral bound only when it already meets C.
+    A piece found in ``min_ratios`` (``find_sparse_cut``'s memo, filled by
+    the scan that found no sparse cut in it) takes its exact evidence from
+    there instead of scanning again.
     """
     n = g.n or 1
     junk_ratio = len(decomp.junk) / n
@@ -368,7 +377,12 @@ def certify_partition(
     ratios = [
         boundary_size(g, p) / len(p) if p else 0.0 for p in decomp.pieces
     ]
-    records = [piece_evidence(g, piece, exact_cap) for piece in decomp.pieces]
+    memo = min_ratios or {}
+    records = [
+        Evidence("exact", *memo[piece]) if piece in memo
+        else piece_evidence(g, piece, exact_cap)
+        for piece in decomp.pieces
+    ]
     evidence = []
     inconclusive = []
     failed = junk_ratio >= params.alpha or any(
@@ -422,11 +436,12 @@ def kun_partition(
     pieces: list = []
     steps: list = []
     fiedler_orders: dict = {}  # live components left untouched keep their order
+    min_ratios: dict = {}  # an exact-size final piece is scanned once
     for _ in range(g.n + 1):
         if not live:
             break
         t = find_sparse_cut(g, params.C, region=sorted(live), exact_cap=exact_cap,
-                            fiedler_orders=fiedler_orders)
+                            fiedler_orders=fiedler_orders, min_ratios=min_ratios)
         if t is None:
             pieces.append(tuple(sorted(live)))
             steps.append({"type": "final", "piece": len(pieces) - 1,
@@ -472,5 +487,5 @@ def kun_partition(
         else:
             kept.append(piece)
     decomp = Decomposition(junk=tuple(sorted(junk)), pieces=kept, steps=steps)
-    cert = certify_partition(g, decomp, params, exact_cap)
+    cert = certify_partition(g, decomp, params, exact_cap, min_ratios=min_ratios)
     return decomp, cert

@@ -2,9 +2,10 @@
 
 Boundaries are ambient: an edge leaving the region counts toward every
 subset containing its inner endpoint, and loops never count. The region's
-m <= ~24 vertices are the bits of a mask. The low L = min(CHUNK_BITS, m)
-bits index a subset A, the high bits a subset B, and one chunk holds the
-2**L subsets A ∪ B of one B. The scan rests on
+m <= ~24 vertices are the bits of a uint32 mask, so a scan refuses a region
+of more than MASK_BITS vertices before building any table. The low
+L = min(CHUNK_BITS, m) bits index a subset A, the high bits a subset B, and
+one chunk holds the 2**L subsets A ∪ B of one B. The scan rests on
 
     |∂(A ∪ B)| = |∂A| + |∂B| - 2 |E(A, B)|.
 
@@ -18,8 +19,17 @@ for each high vertex v it counts 2 |N(v) ∩ A| straight in size order, as
 twice the popcount of each ordered mask A & N(v). The chunks run in
 Gray-code order, so consecutive B differ in one vertex v and the running
 table |∂A| - 2 |E(A, B)| changes by that vertex's table: one pass per chunk.
-A minimum per size class then leaves a scalar check over at most L + 1
-sizes, and masks are built only inside the winning size class.
+Every value of that table lies within the region's ambient degree sum of
+zero, so it is int16 when that sum is below 2**15 (any region at the cap
+with degrees up to 1365) and int32 otherwise; the walk then moves half the
+bytes. A minimum per size class then leaves a scalar check over at most
+L + 1 sizes, and masks are built only inside the winning size class.
+
+Both scans read the same per-class minima in the same chunks; only the
+best-so-far bookkeeping and the top size class differ. So the sparse scan
+can also find the region's min-ratio answer over at most m // 2 vertices
+in the same walk, for a region that turns out to have no sparse subset
+(``min_sparse_subset(..., min_ratios=memo)``).
 
 Ties between equal-ratio subsets break toward smaller size, then the
 lexicographically smallest sorted vertex tuple, i.e. the largest
@@ -32,9 +42,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import TooLargeForExact
 from .graph import Graph, vertex_set
 
 CHUNK_BITS = 18  # subsets processed per chunk: 2**CHUNK_BITS
+MASK_BITS = 32  # masks are uint32: the widest region a scan can cover
 
 
 def _bitrev32(masks: np.ndarray) -> np.ndarray:
@@ -83,6 +95,8 @@ class _Scan:
 
     def __init__(self, g: Graph, region):
         self.vs = vs = vertex_set(g, region)
+        if len(vs) > MASK_BITS:
+            raise TooLargeForExact(len(vs), MASK_BITS)
         pos = {v: i for i, v in enumerate(vs)}
         deg, nbrs = [], []
         for u in vs:
@@ -95,7 +109,10 @@ class _Scan:
         self.high_boundary = _boundary_table(
             deg[low:], [nb >> low for nb in nbrs[low:]]
         )
-        self.cut = _boundary_table(deg[:low], nbrs[:low])[self.order]
+        # |cut| <= sum(deg): see the module docstring.
+        dtype = np.int16 if sum(deg) < 1 << 15 else np.int32
+        low_boundary = _boundary_table(deg[:low], nbrs[:low]).astype(dtype)
+        self.cut = low_boundary.take(self.order)
         # 2|N(v) ∩ A| <= 2(m - 1) fits int8 for any region a scan can cover.
         self.twice_cross = []
         low_bits = (1 << low) - 1
@@ -138,6 +155,24 @@ def _mask_to_tuple(mask: int, vs) -> tuple:
     return tuple(vs[i] for i in range(len(vs)) if (mask >> i) & 1)
 
 
+def _ratio_step(scan: _Scan, best, h: int, hs: int, hb: int, mins, top: int):
+    """best ((ratio, size, -bit-reversed mask), mask) of min |∂S|/|S| after
+    the current chunk, whose classes 0..top are allowed."""
+    # Ratios of small ints; IEEE division maps equal rationals to equal
+    # floats, so exact ties survive the float comparisons below.
+    sizes = range(1 if hs == 0 else 0, top + 1)  # k = 0 at h = 0 is empty
+    ratio, k = min(((mins[k] + hb) / (k + hs), k) for k in sizes)
+    if best is not None and (ratio, k + hs) > best[0][:2]:
+        return best
+    rev, mask = scan.best_in_class(h, k, lambda cut: cut == mins[k])
+    key = (ratio, k + hs, -rev)
+    return (key, mask) if best is None or key < best[0] else best
+
+
+def _ratio_answer(best, vs) -> tuple:
+    return best[0][0], _mask_to_tuple(best[1], vs)
+
+
 def min_ratio_subset(g: Graph, region, max_size: int):
     """Exact min of |∂S|/|S| over nonempty S within the region, |S| <= max_size.
 
@@ -147,41 +182,39 @@ def min_ratio_subset(g: Graph, region, max_size: int):
     scan = _Scan(g, region)
     if scan.m == 0 or max_size < 1:
         return None, None
-    best = None  # ((ratio, size, -bit-reversed mask), mask)
+    best = None
     for h, hs, hb in scan.chunks():
         top = min(scan.low, max_size - hs)
-        if top < 0:
-            continue
-        mins = scan.minima(top)
-        # Ratios of small ints; IEEE division maps equal rationals to equal
-        # floats, so exact ties survive the float comparisons below.
-        sizes = range(1 if hs == 0 else 0, top + 1)  # k = 0 at h = 0 is empty
-        ratio, k = min(((mins[k] + hb) / (k + hs), k) for k in sizes)
-        if best is not None and (ratio, k + hs) > best[0][:2]:
-            continue
-        rev, mask = scan.best_in_class(h, k, lambda cut: cut == mins[k])
-        key = (ratio, k + hs, -rev)
-        if best is None or key < best[0]:
-            best = key, mask
-    return best[0][0], _mask_to_tuple(best[1], scan.vs)
+        if top >= 0:
+            best = _ratio_step(scan, best, h, hs, hb, scan.minima(top), top)
+    return _ratio_answer(best, scan.vs)
 
 
-def min_sparse_subset(g: Graph, region, c: float):
+def min_sparse_subset(g: Graph, region, c: float, min_ratios: dict | None = None):
     """Smallest nonempty proper subset S of the region with |∂S| < c|S|.
 
     Boundary in g (ambient). Ties at the minimal size break toward the
     lexicographically smallest vertex tuple. Returns a tuple or None.
+
+    ``min_ratios`` is an optional memo. When the region has no sparse
+    subset, the same walk also finds ``min_ratio_subset(g, region, m // 2)``
+    for its m >= 2 vertices and stores it there under the region's sorted
+    vertex tuple.
     """
     scan = _Scan(g, region)
     if scan.m <= 1:
         return None
     best = None  # ((size, -bit-reversed mask), mask)
+    ratio = None  # _ratio_step's best, kept while no sparse subset is known
     for h, hs, hb in scan.chunks():
         # proper subsets only, and none larger than the best so far
         top = min(scan.low, (scan.m - 1 if best is None else best[0][0]) - hs)
         if top < 0:
             continue
         mins = scan.minima(top)
+        half = min(scan.low, scan.m // 2 - hs)  # <= top while best is None
+        if min_ratios is not None and best is None and half >= 0:
+            ratio = _ratio_step(scan, ratio, h, hs, hb, mins, half)
         sizes = range(1 if hs == 0 else 0, top + 1)  # k = 0 at h = 0 is empty
         k = next((k for k in sizes if mins[k] + hb < c * (k + hs)), None)
         if k is None:
@@ -191,5 +224,7 @@ def min_sparse_subset(g: Graph, region, c: float):
         if best is None or key < best[0]:
             best = key, mask
     if best is None:
+        if min_ratios is not None:
+            min_ratios[scan.vs] = _ratio_answer(ratio, scan.vs)
         return None
     return _mask_to_tuple(best[1], scan.vs)

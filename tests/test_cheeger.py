@@ -5,7 +5,7 @@ import pytest
 
 import boxgap as bg
 import boxgap.cheeger as cheeger_mod
-from boxgap.errors import TooLargeForExact
+from boxgap.errors import TooLargeForExact, VertexOutOfRange
 
 from conftest import bridged_k4_pair
 
@@ -152,3 +152,17 @@ def test_inner_expansion_ambient():
     val, wit = bg.inner_expansion_exact(g, range(20))
     assert val == pytest.approx(0.2, abs=0)
     assert 0 not in wit and len(wit) == 10
+
+
+def test_pieces_count_repeated_vertices_once():
+    g = bg.path_graph(4)
+    assert bg.inner_expansion_exact(g, (1, 1, 2, 2)) == (2.0, (1,))
+    assert bg.piece_evidence(g, (2, 1, 2, 1)) == bg.piece_evidence(g, (1, 2))
+    # The cap is on distinct vertices: 40 entries, 20 vertices, exact.
+    ev = bg.piece_evidence(bg.cycle_graph(30), list(range(20)) * 2)
+    assert ev == bg.Evidence("exact", 0.2, tuple(range(10)))
+    for piece in ((1, 4), (-1, 2)):
+        with pytest.raises(VertexOutOfRange):
+            bg.inner_expansion_exact(g, piece)
+        with pytest.raises(VertexOutOfRange):
+            bg.piece_evidence(g, piece)

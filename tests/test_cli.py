@@ -20,6 +20,7 @@ import boxgap as bg
 from boxgap import cli
 from boxgap.cli import _json_text, build_parser, main
 from boxgap.errors import DegreeExceeded, NoConvergence
+from boxgap.exhaustive import MASK_BITS
 from boxgap.spectral import DENSE_LIMIT, pinned_spectrum
 
 
@@ -158,6 +159,24 @@ def test_cheeger_command(tmp_path):
     rows = read_csv(out / "summary.csv")[1:]
     assert rows[0].split(",")[2:] == ["1.0", "exact"]
     assert rows[1].split(",")[3] == "sweep"
+
+
+def test_exact_cap_outside_the_mask_width_exits_2(tmp_path, capsys):
+    manifest = make_box(tmp_path, [bg.path_graph(MASK_BITS + 1)], d=2)
+    out = str(tmp_path / "out")
+    for command in ("cheeger", "decompose"):
+        for cap in ("-1", str(MASK_BITS + 1), "40"):
+            argv = [command, "--input", manifest, "--out", out, "--exact-cap", cap]
+            if command == "decompose":
+                argv += ["--alpha", "0.3", "--gap", "0.2"]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --exact-cap: must lie in [0, {MASK_BITS}]" in err
+    argv = ["cheeger", "--input", manifest, "--out", out, "--exact-cap"]
+    assert main([*argv, str(MASK_BITS)]) == 0
+    assert read_csv(tmp_path / "out" / "summary.csv")[1].endswith(",sweep")
 
 
 def test_zuk_command_octahedron_and_c5(tmp_path):

@@ -333,7 +333,7 @@ def test_kun_partition_solves_each_live_component_once(monkeypatch):
     swept = []
 
     def without_memo(g, c, region=None, exact_cap=EXACT_CAP, *,
-                     fiedler_orders=None):
+                     fiedler_orders=None, min_ratios=None):
         region = sorted(region)
         if len(region) > exact_cap:
             sub, idx = bg.induced_subgraph(g, region)
@@ -356,3 +356,42 @@ def test_kun_partition_solves_each_live_component_once(monkeypatch):
     assert len(solved) == len(set(swept))
     assert decomp.to_dict() == ref_decomp.to_dict()
     assert cert.to_dict() == ref_cert.to_dict()
+
+
+def test_kun_partition_scans_each_exact_region_once(monkeypatch):
+    # Graphs around the exact cap: every region kun_partition scans, live
+    # region or piece, is walked once. A final piece of at most EXACT_CAP
+    # vertices takes its evidence from the sparse-cut walk that found no cut
+    # in it, and the certificate equals one made without that memo.
+    from boxgap import exhaustive
+
+    rng = np.random.default_rng(83)
+    graphs = [bg.cycle_graph(24), bg.path_graph(22), bg.margulis_graph(4),
+              bridged_k4_pair()]
+    graphs += [random_bounded_graph(rng, n, 4, fill=0.8) for n in (18, 23, 26)]
+    graphs.append(bg.disjoint_union(
+        bg.disjoint_union(bg.cycle_graph(12), bg.complete_graph(5), d=4),
+        random_bounded_graph(rng, 14, 4, fill=0.8), d=4))
+    real_scan = exhaustive._Scan
+    memo_hits = 0
+    for g in graphs:
+        for c in (0.2, 1.5):
+            params = bg.KunParams(c=c, d=g.degree_bound, alpha=0.9)
+            scanned = []
+
+            def counting(graph, region):
+                scanned.append(tuple(region))
+                return real_scan(graph, region)
+
+            monkeypatch.setattr(exhaustive, "_Scan", counting)
+            decomp, cert = bg.kun_partition(g, params)
+            monkeypatch.setattr(exhaustive, "_Scan", real_scan)
+            exact = {p for p in decomp.pieces if 2 <= len(p) <= EXACT_CAP}
+            assert len(scanned) == len(set(scanned))
+            assert exact <= set(scanned)
+            ref = decompose.certify_partition(g, decomp, params)
+            assert cert.to_dict() == ref.to_dict()
+            assert cert.records == ref.records
+            final = [s for s in decomp.steps if s["type"] == "final"]
+            memo_hits += any(2 <= s["size"] <= EXACT_CAP for s in final)
+    assert memo_hits >= 8

@@ -6,6 +6,7 @@ import pytest
 
 import boxgap as bg
 import boxgap.exhaustive as ex
+from boxgap.errors import TooLargeForExact
 from boxgap.exhaustive import min_ratio_subset, min_sparse_subset
 
 from conftest import neighbour_rows, random_bounded_graph
@@ -269,3 +270,101 @@ def test_cached_size_order_is_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1
+
+
+def random_region(rng, m):
+    """A graph with loops on m + 2..5 vertices, all on one cycle plus random
+    chords, and a random region of m of them: region vertices have edges
+    leaving the region and none is isolated."""
+    n = m + int(rng.integers(2, 6))
+    d = int(rng.integers(1, 4))
+    chords = random_bounded_graph(rng, n, d, fill=1.0).edges()
+    cycle = ((v, (v + 1) % n) for v in range(n))
+    edges = sorted({tuple(sorted(e)) for e in (*cycle, *chords)})
+    loops = [(v, v) for v in range(n) if rng.random() < 0.3]
+    g = bg.build_graph(n, edges + loops, d + 3, allow_loops=True)
+    return g, sorted(int(v) for v in rng.choice(n, size=m, replace=False))
+
+
+def check_shared_walk(g, region):
+    """min_sparse_subset with a memo against the oracles: its sparse answer
+    always, and for a region with no sparse subset the min-ratio answer it
+    leaves in the memo, witness and tie-break included."""
+    m = len(region)
+    ref = reference_scan(g, region) if 10 < m <= 21 else None
+
+    def oracle_ratio(cap):
+        if m <= 10:
+            ratio, _, witness = brute_min_ratio(g, region, cap)
+            return ratio, witness
+        return reference_min_ratio(ref, cap) if ref else None
+
+    def oracle_sparse(c):
+        if m <= 10:
+            return brute_min_sparse(g, region, c)
+        return reference_min_sparse(ref, c) if ref else min_sparse_subset(g, region, c)
+
+    half = min_ratio_subset(g, region, m // 2)
+    if m >= 2 and (m <= 10 or ref):
+        assert half == oracle_ratio(m // 2)
+    # No proper subset is sparse at the least ratio over all of them.
+    floor = min_ratio_subset(g, region, m - 1)[0] if m >= 2 else 1.0
+    for c in (floor, floor + 0.3, 0.4, 1.7):
+        memo = {}
+        got = min_sparse_subset(g, region, c, memo)
+        assert got == oracle_sparse(c)
+        if m >= 2:
+            assert (got is None) == (c <= floor)
+        assert memo == ({tuple(region): half} if got is None and m >= 2 else {})
+
+
+def test_shared_walk_matches_both_scans(monkeypatch):
+    # Regions of 0 to 24 vertices, each walked in up to 64 chunks so that
+    # tie-breaks cross chunk boundaries.
+    rng = np.random.default_rng(73)
+    for m in range(25):
+        monkeypatch.setattr(ex, "CHUNK_BITS", max(2, m - 6))
+        check_shared_walk(*random_region(rng, m))
+
+
+def hub_graph(rng, hubs, degree_sum):
+    """hubs vertices on a cycle, with loops and chords, each carrying about
+    degree_sum / hubs pendant leaves, so that the hubs' degrees (loops
+    excluded) add up to degree_sum exactly."""
+    inner = {tuple(sorted((v, (v + 1) % hubs))) for v in range(hubs)}
+    inner |= {(v, v + hubs // 2) for v in range(0, hubs // 2, 3)}
+    leaves = rng.multinomial(degree_sum - 2 * len(inner), [1 / hubs] * hubs)
+    edges, n = sorted(inner), hubs
+    for hub, k in enumerate(leaves.tolist()):
+        edges += [(hub, leaf) for leaf in range(n, n + k)]
+        n += k
+    edges += [(v, v) for v in range(0, hubs, 4)]
+    return bg.build_graph(n, edges, int(leaves.max()) + 6, allow_loops=True)
+
+
+def test_shared_walk_past_int16(monkeypatch):
+    # The running table holds values up to the region's degree sum: int16
+    # below 2**15, int32 from there on. At 48000 the ten low hubs' table
+    # would wrap int16 in the upper size classes the sparse scan reads.
+    monkeypatch.setattr(ex, "CHUNK_BITS", 10)
+    rng = np.random.default_rng(79)
+    for degree_sum, dtype in ((2**15 - 1, np.int16), (2**15, np.int32),
+                              (48000, np.int32)):
+        g = hub_graph(rng, 12, degree_sum)
+        assert ex._Scan(g, range(12)).cut.dtype == dtype
+        check_shared_walk(g, list(range(12)))
+
+
+def test_scan_refuses_regions_wider_than_the_mask(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table built for a region the masks cannot hold")
+
+    monkeypatch.setattr(ex, "_boundary_table", no_table)
+    monkeypatch.setattr(ex, "_size_order", no_table)
+    g = bg.path_graph(ex.MASK_BITS + 1)
+    for scan in (lambda: min_ratio_subset(g, range(g.n), g.n // 2),
+                 lambda: min_sparse_subset(g, range(g.n), 0.5, {}),
+                 lambda: bg.cheeger_exact(g, exact_cap=40)):
+        with pytest.raises(TooLargeForExact) as exc:
+            scan()
+        assert (exc.value.n, exc.value.cap) == (ex.MASK_BITS + 1, ex.MASK_BITS)

@@ -404,16 +404,19 @@ def test_expanderize_scans_each_untouched_piece_once(monkeypatch):
     box = bg.BoxSpace(graphs=[g], d=5)
     params = bg.KunParams(c=4, d=5, alpha=0.1)
     want = bg.expanderize(box, params)
-    scans = count_calls(monkeypatch, exhaustive_mod, "min_ratio_subset")
+    scans = count_calls(monkeypatch, exhaustive_mod, "_Scan")
     solves = count_calls(monkeypatch, cheeger_mod, "second_eigenvalue")
     res = bg.expanderize(box, params)
     rep = res.reports[0]
     assert rep.to_dict() == want.reports[0].to_dict()
-    assert rep.decomposition["pieces"] == [
-        list(range(6)), list(range(6, 12)), list(range(12, 20))
-    ]
+    pieces = [list(range(6)), list(range(6, 12)), list(range(12, 20))]
+    assert rep.decomposition["pieces"] == pieces
     assert [o["edits"] for o in rep.piece_outcomes] == [[], [], []]
-    assert len(scans) == 3 and solves == []
+    # One walk per region: the last piece's scan is the sparse-cut search
+    # that found no cut in it.
+    regions = [tuple(args[1]) for args in scans]
+    assert len(regions) == len(set(regions)) and solves == []
+    assert {tuple(p) for p in pieces} <= set(regions)
     assert [o["cheeger_evidence"] for o in rep.piece_outcomes] == [
         {"method": "exact", "value": 3.0, "witness": [0, 1, 2]},
         {"method": "exact", "value": 3.0, "witness": [0, 1, 2]},
