@@ -131,6 +131,9 @@ def cheeger_sandwich_check(
     value, which satisfies the same sandwich: it upper-bounds h from a
     witnessed cut and the sweep cut itself achieves the sqrt(2 d lambda)
     bound.
+
+    Test-facing API: no command or other library function calls it; the
+    tests do.
     """
     rep = cheeger_report(g, tol, exact_cap)
     return rep.lower_bound - tol <= rep.h <= rep.upper_bound + tol

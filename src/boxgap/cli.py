@@ -14,8 +14,8 @@ Outputs are deterministic given the inputs and flags: JSON files are written
 with sorted keys, the CSV summaries are plain tables, and every output embeds
 a hash of the resolved configuration. Wall-clock metadata goes to a separate
 run_metadata.json so reruns stay byte-identical. Exit codes: 0 success
-(including negative findings), 1 I/O failure, 2 validation failure, 3
-numerical failure.
+(including negative findings), 1 I/O failure or a worker process lost, 2
+validation failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 
@@ -284,22 +285,30 @@ def _analyses(analyze, items, workers):
     """Yield analyze(i, item) for every item in index order, computed in
     `workers` forked processes when that is 2 or more.
 
-    On any exception the workers are terminated; none outlives the block.
+    A worker that dies, even one killed from outside, makes reading the
+    next pending result raise BrokenProcessPool at once. On any exception
+    the workers are terminated, so the items they hold are not waited for.
+    When the block ends, queued items are cancelled and the pool is shut
+    down; no worker outlives the block.
     """
     if workers < 2:
         yield starmap(analyze, enumerate(items))
         return
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, _start_worker, (analyze, items)
-    )
+    # Imported here, so that a serial run does not pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+
+    others = set(multiprocessing.active_children())  # not this pool's workers
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _start_worker, (analyze, items))
     try:
-        yield pool.imap(_run_task, range(len(items)))
-        pool.close()
+        yield pool.map(_run_task, range(len(items)))
     except BaseException:
-        pool.terminate()
+        # shutdown() alone would wait for the items the workers already hold.
+        for proc in set(multiprocessing.active_children()) - others:
+            proc.terminate()
         raise
     finally:
-        pool.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _report(args, name, items, analyze, header) -> str:
@@ -668,6 +677,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenExecutor as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

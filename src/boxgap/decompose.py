@@ -171,7 +171,11 @@ def level_set_cut(g: Graph, f, a: float, b: float) -> LevelSetCut:
 
 
 def coarea_bound(g: Graph, f, a: float, b: float, d: int | None = None) -> float:
-    """Right-hand side of the co-area level-set estimate for f."""
+    """Right-hand side of the co-area level-set estimate for f.
+
+    Test-facing API: no command or other library function calls it; the
+    tests do.
+    """
     if d is None:
         d = g.degree_bound
     vec = np.asarray(f, dtype=np.float64)

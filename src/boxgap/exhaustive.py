@@ -11,19 +11,38 @@ one chunk holds the 2**L subsets A ∪ B of one B. The scan rests on
 
 The order of the low subsets by size (then by mask) and the offset of each
 size class depend only on L, so they are built once per process for each L
-(a stable argsort, cached as read-only uint32 masks on first use). Per scan
-it builds, by adding one vertex at a time
-(|∂(A + i)| = |∂A| + deg(i) - 2 |N(i) ∩ A|), a table of |∂A| over the low
-subsets, gathered into size order, and one of |∂B| over the high subsets;
-for each high vertex v it counts 2 |N(v) ∩ A| straight in size order, as
+(a stable argsort, cached as read-only uint32 masks on first use, like the
+plain ``arange`` of masks the tables below are built over). Per scan it
+builds a table of |∂A| over the low subsets, gathered into size order, and
+one of |∂B| over the high subsets, each by popcount doubling: the subsets
+holding vertex i are those without it plus i, so
+
+    t[2**i : 2**(i+1)] = t[:2**i] + deg(i) - 2 popcount(masks[:2**i] & N(i)).
+
+For each high vertex v it counts 2 |N(v) ∩ A| straight in size order, as
 twice the popcount of each ordered mask A & N(v). The chunks run in
 Gray-code order, so consecutive B differ in one vertex v and the running
 table |∂A| - 2 |E(A, B)| changes by that vertex's table: one pass per chunk.
-Every value of that table lies within the region's ambient degree sum of
-zero, so it is int16 when that sum is below 2**15 (any region at the cap
-with degrees up to 1365) and int32 otherwise; the walk then moves half the
-bytes. A minimum per size class then leaves a scalar check over at most
-L + 1 sizes, and masks are built only inside the winning size class.
+
+Every table the walk touches has one integer width per scan, chosen from
+the region's ambient degree sum S: int8 when S < 2**7 (every region at the
+cap with degrees up to 5), int16 when S < 2**15 and int32 otherwise. No
+value computed in that width leaves [-S, S], so none wraps:
+
+- the running table lies in [-S, S]: |∂A| <= sum of deg over A and
+  2 |E(A, B)| <= sum of deg over A ∪ B, and after each Gray-code step it
+  holds the true value for the new B;
+- 2 |N(v) ∩ A| <= deg(v) + sum of deg over A <= S, since each neighbour
+  in A brings at least one to its own degree;
+- while doubling, |∂A| + deg(i) <= sum of deg over A + i <= S, and the
+  result |∂(A + i)| lies in [0, S];
+- the scans' test ``cut + hb`` (NumPy keeps ``int8 array + Python int`` in
+  int8) has the true value |∂(A ∪ B)|, which lies in [0, S].
+
+Chunks of 2**16 subsets keep each table at 64 KiB in int8, so the set-up
+costs little beside the walk even at the cap. A minimum per size class
+then leaves a scalar check over at most L + 1 sizes, and masks are built
+only inside the winning size class.
 
 Both scans read the same per-class minima in the same chunks; only the
 best-so-far bookkeeping and the top size class differ. So the sparse scan
@@ -45,7 +64,7 @@ import numpy as np
 from .errors import TooLargeForExact
 from .graph import Graph, vertex_set
 
-CHUNK_BITS = 18  # subsets processed per chunk: 2**CHUNK_BITS
+CHUNK_BITS = 16  # subsets processed per chunk: 2**CHUNK_BITS
 MASK_BITS = 32  # masks are uint32: the widest region a scan can cover
 
 
@@ -60,22 +79,38 @@ def _bitrev32(masks: np.ndarray) -> np.ndarray:
     return (x >> 16) | (x << 16)
 
 
-def _subset_sums(weights) -> np.ndarray:
-    """t[S] = sum of weights[i] over the bits i of S, by doubling."""
-    t = np.empty(1 << len(weights), dtype=np.int32)
-    t[0] = 0
-    for i, w in enumerate(weights):
-        np.add(t[: 1 << i], w, out=t[1 << i : 2 << i])
-    return t
+@lru_cache(maxsize=None)
+def _masks(bits: int) -> np.ndarray:
+    """All masks of `bits` bits in order, as read-only uint32."""
+    masks = np.arange(1 << bits, dtype=np.uint32)
+    masks.flags.writeable = False
+    return masks
 
 
-def _boundary_table(deg, nbrs) -> np.ndarray:
+def _table_dtype(degree_sum: int):
+    """The one integer width of a scan's tables: see the module docstring."""
+    for dtype in (np.int8, np.int16):
+        if degree_sum <= np.iinfo(dtype).max:
+            return dtype
+    return np.int32
+
+
+def _twice_popcount(masks, bits: int, dtype) -> np.ndarray:
+    """2 |mask & bits| for each mask, in dtype."""
+    out = np.bitwise_count(masks & np.uint32(bits), out=np.empty(len(masks), dtype))
+    out += out
+    return out
+
+
+def _boundary_table(deg, nbrs, dtype) -> np.ndarray:
     """|∂S| for every subset S of len(deg) vertices, given their ambient
     degrees and their neighbours among themselves as bitmasks."""
-    t = np.zeros(1 << len(deg), dtype=np.int32)
+    masks = _masks(len(deg))
+    t = np.empty(1 << len(deg), dtype=dtype)
+    t[0] = 0
     for i, (d, nb) in enumerate(zip(deg, nbrs)):
-        inner = _subset_sums([(nb >> j) & 1 for j in range(i)])
-        t[1 << i : 2 << i] = t[: 1 << i] + d - 2 * inner
+        inner = _twice_popcount(masks[: 1 << i], nb, dtype)
+        np.subtract(t[: 1 << i] + d, inner, out=t[1 << i : 2 << i])
     return t
 
 
@@ -83,7 +118,7 @@ def _boundary_table(deg, nbrs) -> np.ndarray:
 def _size_order(low: int) -> tuple:
     """(order, starts): the masks of all subsets of low bits sorted by size,
     then by mask, and the offset of each size class in that order."""
-    size = np.bitwise_count(np.arange(1 << low, dtype=np.uint32))
+    size = np.bitwise_count(_masks(low))
     order = np.argsort(size, kind="stable").astype(np.uint32)
     starts = np.concatenate(([0], np.cumsum(np.bincount(size))))
     order.flags.writeable = starts.flags.writeable = False
@@ -106,20 +141,15 @@ class _Scan:
         self.m = m = len(vs)
         self.low = low = min(CHUNK_BITS, m)
         self.order, self.starts = _size_order(low)
+        dtype = _table_dtype(sum(deg))
+        # Python ints, read once per chunk without a NumPy scalar.
         self.high_boundary = _boundary_table(
-            deg[low:], [nb >> low for nb in nbrs[low:]]
-        )
-        # |cut| <= sum(deg): see the module docstring.
-        dtype = np.int16 if sum(deg) < 1 << 15 else np.int32
-        low_boundary = _boundary_table(deg[:low], nbrs[:low]).astype(dtype)
-        self.cut = low_boundary.take(self.order)
-        # 2|N(v) ∩ A| <= 2(m - 1) fits int8 for any region a scan can cover.
-        self.twice_cross = []
-        low_bits = (1 << low) - 1
-        for nb in nbrs[low:]:
-            cross = np.bitwise_count(self.order & np.uint32(nb & low_bits))
-            cross += cross
-            self.twice_cross.append(cross.view(np.int8))
+            deg[low:], [nb >> low for nb in nbrs[low:]], dtype
+        ).tolist()
+        self.cut = _boundary_table(deg[:low], nbrs[:low], dtype).take(self.order)
+        self.twice_cross = [
+            _twice_popcount(self.order, nb, dtype) for nb in nbrs[low:]
+        ]
 
     def chunks(self):
         """Yield (h, |h|, |∂B|) for each chunk's high bits h; while a chunk
@@ -133,7 +163,7 @@ class _Scan:
                     self.cut -= self.twice_cross[v]
                 else:
                     self.cut += self.twice_cross[v]
-            yield h, h.bit_count(), int(self.high_boundary[h])
+            yield h, h.bit_count(), self.high_boundary[h]
 
     def minima(self, top: int) -> list:
         """Least self.cut in each low size class 0..top."""

@@ -560,7 +560,11 @@ def approx_iso_check(
 
 def core_density(x: BoxSpace, subsets, radius: int) -> list:
     """Density of the radius-ball around each complement, with the growth
-    bound d^(R+1) |Y^c| / |X| it must respect."""
+    bound d^(R+1) |Y^c| / |X| it must respect.
+
+    Test-facing API: no command or other library function calls it; the
+    tests do.
+    """
     out = []
     for g, y in zip(x.graphs, subsets):
         yc = sorted(set(range(g.n)) - set(vertex_set(g, y)))

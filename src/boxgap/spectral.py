@@ -225,7 +225,11 @@ class ExpanderReport:
 
 
 def expander_check(box: BoxSpace, c: float, tol: float = 1e-9) -> ExpanderReport:
-    """Per-graph test of Laplacian gap >= c, plus the minimum gap."""
+    """Per-graph test of Laplacian gap >= c, plus the minimum gap.
+
+    Test-facing API: no command or other library function calls it; the
+    tests do.
+    """
     if c <= 0:
         raise ValueError("threshold must be positive")
     gaps = [graph_spectrum(g, tol=tol).gap for g in box.graphs]
@@ -274,6 +278,9 @@ def markov_contraction_check(
     Returns one boolean per k in 0..k_max for the inequality
     ||M^(k+1)f - M^k f|| <= (1 - c_m)^k ||Mf - f|| + tol. Guaranteed when
     c_m <= gap/(2d); a False entry is a finding, not an error.
+
+    Test-facing API: no command or other library function calls it; the
+    tests do.
     """
     vec = np.asarray(f, dtype=np.float64)
     m = markov(g, d)

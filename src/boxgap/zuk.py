@@ -269,6 +269,9 @@ def sandwich_check(
 
     Requires every edge to lie in at least one triangle; the left inequality
     can fail otherwise and EdgeWithoutTriangle is raised.
+
+    Test-facing API: no command or other library function calls it; the
+    tests do.
     """
     tau_edge, _ = triangle_counts(g)
     for (u, v), t in tau_edge.items():
@@ -307,6 +310,9 @@ def verify_zuk_gap(g: Graph, tol: float = 1e-9) -> ZukGapCheck:
 
     Requires a valid whole-graph certificate; when the certificate is
     invalid the check is reported as not applicable rather than failed.
+
+    Test-facing API: no command or other library function calls it; the
+    tests do.
     """
     cert = zuk_certificate(g, tol=tol)
     if not cert.valid:

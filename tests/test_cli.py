@@ -8,6 +8,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -616,11 +617,16 @@ def _fail_with_degree(*args, **kwargs):
     raise DegreeExceeded(1, 5, 4)  # a constructor of several arguments
 
 
+def _lose_the_worker(*args, **kwargs):
+    os._exit(1)  # as if killed from outside: no exception reaches the pool
+
+
 @forked
 @pytest.mark.parametrize("target, name, fault, code, message", [
     (spla, "eigsh", _fail_in_eigsh, 3, "numerical failure"),
     (cli, "graph_spectrum", _fail_with_degree, 2,
      "vertex 1 has degree 5 > bound 4"),
+    (cli, "graph_spectrum", _lose_the_worker, 1, "worker failure: "),
 ])
 def test_failure_in_a_worker_exits_and_leaves_no_process(
         tmp_path, monkeypatch, capsys, target, name, fault, code, message):
@@ -631,6 +637,23 @@ def test_failure_in_a_worker_exits_and_leaves_no_process(
         assert main(["spectrum", "--input", manifest,
                      "--out", str(tmp_path / "o")]) == code
     assert message in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def _fail_first_then_wait(i, item):
+    if i == 0:
+        raise ValueError("item 0 fails")
+    time.sleep(20)
+
+
+@forked
+def test_failure_in_a_worker_does_not_wait_for_the_others():
+    # Waiting for the other items would take 40 s.
+    start = time.monotonic()
+    with _deadline(60), pytest.raises(ValueError, match="item 0 fails"):
+        with cli._analyses(_fail_first_then_wait, range(4), 2) as results:
+            list(results)
+    assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
 
 

@@ -195,20 +195,46 @@ def test_scan_memory_is_bounded_by_the_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 2 * 2**20
+
+
+def subset_sums(weights):
+    """t[S] = sum of weights[i] over the bits i of S, by doubling."""
+    t = np.empty(1 << len(weights), dtype=np.int32)
+    t[0] = 0
+    for i, w in enumerate(weights):
+        np.add(t[: 1 << i], w, out=t[1 << i : 2 << i])
+    return t
+
+
+def boundary_table(deg, nbrs):
+    """|∂S| for every subset S of len(deg) vertices as int32, one vertex
+    at a time: |∂(S + i)| = |∂S| + deg(i) - 2 |N(i) ∩ S|."""
+    t = np.zeros(1 << len(deg), dtype=np.int32)
+    for i, (d, nb) in enumerate(zip(deg, nbrs)):
+        inner = subset_sums([(nb >> j) & 1 for j in range(i)])
+        t[1 << i : 2 << i] = t[: 1 << i] + d - 2 * inner
+    return t
+
+
+def table_width(degree_sum):
+    """The narrowest integer type holding every value in ±degree_sum."""
+    if degree_sum < 2**7:
+        return np.int8
+    return np.int16 if degree_sum < 2**15 else np.int32
 
 
 def per_scan_size_order(low):
     """The size order as every scan once built it: a popcount table by
     doubling, its stable argsort and one offset per size."""
-    size = ex._subset_sums([1] * low)
+    size = subset_sums([1] * low)
     order = np.argsort(size, kind="stable")
     return order, np.concatenate(([0], np.cumsum(np.bincount(size))))
 
 
 def per_scan_tables(g, region):
-    """(cut, twice_cross) as every scan once built them: both tables by
-    doubling over the low bits, gathered into size order."""
+    """(cut, twice_cross, high_boundary, table width) from int32 tables
+    built by doubling; cut and twice_cross gathered into size order."""
     vs = sorted(set(region))
     pos = {v: i for i, v in enumerate(vs)}
     adj = neighbour_rows(g)
@@ -216,12 +242,13 @@ def per_scan_tables(g, region):
     nbrs = [sum(1 << pos[w] for w in adj[u] if w in pos and w != u) for u in vs]
     low = min(ex.CHUNK_BITS, len(vs))
     order, _ = per_scan_size_order(low)
-    cut = ex._boundary_table(deg[:low], nbrs[:low])[order]
+    cut = boundary_table(deg[:low], nbrs[:low])[order]
     twice_cross = [
-        2 * ex._subset_sums([(nb >> j) & 1 for j in range(low)])[order]
+        2 * subset_sums([(nb >> j) & 1 for j in range(low)])[order]
         for nb in nbrs[low:]
     ]
-    return cut, twice_cross
+    high = boundary_table(deg[low:], [nb >> low for nb in nbrs[low:]])
+    return cut, twice_cross, high.tolist(), table_width(sum(deg))
 
 
 def test_cached_size_order_matches_per_scan_argsort():
@@ -245,11 +272,13 @@ def test_scan_tables_match_per_scan_construction():
                                allow_loops=loops)
             region = [int(v) for v in rng.choice(n, size=m, replace=False)]
             scan = ex._Scan(g, region)
-            cut, twice_cross = per_scan_tables(g, region)
+            cut, twice_cross, high, width = per_scan_tables(g, region)
             np.testing.assert_array_equal(scan.cut, cut)
+            assert scan.cut.dtype == width == np.int8  # degree sum <= 5 m
+            assert scan.high_boundary == high
             assert len(scan.twice_cross) == len(twice_cross) == m - scan.low
             for got, want in zip(scan.twice_cross, twice_cross):
-                assert got.dtype == np.int8
+                assert got.dtype == scan.cut.dtype == np.int8
                 np.testing.assert_array_equal(got, want)
 
 
@@ -342,17 +371,45 @@ def hub_graph(rng, hubs, degree_sum):
     return bg.build_graph(n, edges, int(leaves.max()) + 6, allow_loops=True)
 
 
+def star_forest(rng, centres, degree_sum):
+    """centres stars with degree_sum leaves in all: the centres are pairwise
+    nonadjacent, so the set of all of them has boundary degree_sum."""
+    leaves = rng.multinomial(degree_sum, [1 / centres] * centres)
+    edges, n = [], centres
+    for centre, k in enumerate(leaves.tolist()):
+        edges += [(centre, leaf) for leaf in range(n, n + k)]
+        n += k
+    return bg.build_graph(n, edges, int(leaves.max()))
+
+
 def test_shared_walk_past_int16(monkeypatch):
-    # The running table holds values up to the region's degree sum: int16
-    # below 2**15, int32 from there on. At 48000 the ten low hubs' table
+    # Every table the walk touches holds values within the region's degree
+    # sum: int8 below 2**7, int16 below 2**15, int32 from there on, checked
+    # on both sides of each boundary. At 48000 the ten low hubs' table
     # would wrap int16 in the upper size classes the sparse scan reads.
-    monkeypatch.setattr(ex, "CHUNK_BITS", 10)
     rng = np.random.default_rng(79)
-    for degree_sum, dtype in ((2**15 - 1, np.int16), (2**15, np.int32),
+    for degree_sum, dtype in ((2**7 - 1, np.int8), (2**7, np.int16),
+                              (2**15 - 1, np.int16), (2**15, np.int32),
                               (48000, np.int32)):
+        monkeypatch.setattr(ex, "CHUNK_BITS", 10)
         g = hub_graph(rng, 12, degree_sum)
-        assert ex._Scan(g, range(12)).cut.dtype == dtype
+        scan = ex._Scan(g, range(12))
+        assert table_width(degree_sum) == scan.cut.dtype == dtype
+        assert len(scan.twice_cross) == 2
+        assert all(t.dtype == dtype for t in scan.twice_cross)
+        cut, twice_cross, high, _ = per_scan_tables(g, range(12))
+        np.testing.assert_array_equal(scan.cut, cut)
+        for got, want in zip(scan.twice_cross, twice_cross):
+            np.testing.assert_array_equal(got, want)
+        assert scan.high_boundary == high
         check_shared_walk(g, list(range(12)))
+        # One table holding the whole region, whose boundary is the degree
+        # sum itself: the largest value a table of this width must hold.
+        monkeypatch.setattr(ex, "CHUNK_BITS", 12)
+        stars = star_forest(rng, 12, degree_sum)
+        assert ex._Scan(stars, range(12)).cut.dtype == dtype
+        ref = reference_scan(stars, range(12))
+        assert min_ratio_subset(stars, range(12), 12) == reference_min_ratio(ref, 12)
 
 
 def test_scan_refuses_regions_wider_than_the_mask(monkeypatch):
