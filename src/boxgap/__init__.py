@@ -25,7 +25,7 @@ from .decompose import (
     find_sparse_cut,
     kun_partition,
     level_set_cut,
-    replace_set,
+    replace_step,
 )
 from .generators import (
     ApproxIsoWitness,

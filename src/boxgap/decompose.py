@@ -7,11 +7,19 @@ for the target boundary ratio a, the measure diagnostic
 delta = a^4 / (10^4 d^(3K+1)) and the goodness threshold a^2/100.
 
 A sparse cut T (boundary below C|T|, minimal size) is smoothed with K Markov
-steps; a level set of the result in the band (1/3, 2/3) replaces it. Good
-replacements become pieces; bad cuts send their 3K-ball to the junk part.
-All guarantees that the asymptotic argument provides only in the limit are
-re-checked on the finite output and reported in a certificate instead of
-being assumed.
+steps; a level set U of the result in the band (1/3, 2/3) replaces it. That
+T -> U step is ``replace_step``, the only one: it decides goodness
+(|U △ T| < |T|/2, U nonempty, |∂U| <= (a^2/100)|U|) and reports the lemma's
+checks |U △ T| < |T|/4 and |∂U| < a|U| as data. Good replacements become
+pieces; bad cuts send their 3K-ball to the junk part. All guarantees that
+the asymptotic argument provides only in the limit are re-checked on the
+finite output and reported in a certificate instead of being assumed.
+
+The lemma's third guarantee, U inside the K-ball of T, holds by
+construction and is not measured: M = I - L/(2d) has nonnegative entries,
+nonzero only on the diagonal and on edges, so M^K chi_T is exactly 0.0
+outside ball(T, K), while every set ``level_set_cut`` returns is some
+{f > t} with t at or above the band's lower edge a > 0.
 
 At desk scale the smoothing is the identity. C is tiny (about 2.2e-6 for
 c = 0.2, d = 8), so a cut T with |∂T| < C|T| and fewer than 1/C vertices
@@ -59,6 +67,7 @@ class KunParams:
     C: float = field(init=False)
     K: int = field(init=False)
     delta: float = field(init=False)
+    log10_delta: float = field(init=False)
     good_threshold: float = field(init=False)
 
     def __post_init__(self):
@@ -72,8 +81,9 @@ class KunParams:
         target = self.alpha**2 / (5184.0 * self.d**2)
         k = max(1, math.ceil(math.log(target) / math.log(1.0 - c_m)))
         # Computed in log space: d^(3K+1) overflows a float for large K, and
-        # delta only serves as a reported diagnostic, never a gate.
-        delta = math.exp(
+        # delta only serves as a reported diagnostic, never a gate. delta
+        # itself underflows to 0.0 there; log10_delta stays finite.
+        log_delta = (
             4.0 * math.log(self.alpha)
             - 4.0 * math.log(10.0)
             - (3.0 * k + 1.0) * math.log(self.d)
@@ -81,7 +91,8 @@ class KunParams:
         object.__setattr__(self, "c_m", c_m)
         object.__setattr__(self, "C", c_m**2 / 72.0)
         object.__setattr__(self, "K", k)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", math.exp(log_delta))
+        object.__setattr__(self, "log10_delta", log_delta / math.log(10.0))
         object.__setattr__(self, "good_threshold", self.alpha**2 / 100.0)
 
     def to_dict(self) -> dict:
@@ -93,6 +104,7 @@ class KunParams:
             "C": self.C,
             "K": self.K,
             "delta": self.delta,
+            "log10_delta": self.log10_delta,
             "good_threshold": self.good_threshold,
         }
 
@@ -116,7 +128,8 @@ def level_set_cut(g: Graph, f, a: float, b: float) -> LevelSetCut:
     candidate; ties in |∂U| break toward the smaller nonempty |U|, and the
     empty set (reachable when max f < b) is returned only when it strictly
     beats every nonempty candidate. When no value of f falls inside the
-    band, the two band edges are compared and the result carries
+    band, the super-level sets at the two band edges are compared by the
+    same rule, the lower edge winning a full tie, and the result carries
     empty_band = True. The returned set always satisfies the band-average
     co-area bound |∂U|^2 <= (4 d^2 / (a^2 (b-a)^2)) ||Mf - f|| ||f||^3.
     """
@@ -131,16 +144,13 @@ def level_set_cut(g: Graph, f, a: float, b: float) -> LevelSetCut:
 
     in_band = np.unique(vec[(vec > a) & (vec < b)])
     if in_band.size == 0:
-        u_a = super_level(a)
-        u_b = super_level(b)
-        cand = [((a + b) / 2.0, u_a), (b, u_b)]
-        scored = sorted(
-            ((boundary_size(g, u), len(u), i) for i, (_, u) in enumerate(cand))
+        boundary, _, _, _, t, u = min(
+            (boundary_size(g, u), not u, len(u), i, t, u)
+            for i, (t, u) in enumerate(
+                (((a + b) / 2.0, super_level(a)), (b, super_level(b)))
+            )
         )
-        _, _, pick = scored[0]
-        t, u = cand[pick]
-        return LevelSetCut(t=t, vertices=u, boundary=boundary_size(g, u),
-                           empty_band=True)
+        return LevelSetCut(t=t, vertices=u, boundary=boundary, empty_band=True)
 
     # Sweep from the largest value downward. Tie group j of f-values ends at
     # ends[j] and closes {f >= val}, the super-level set for t in [next, val).
@@ -194,72 +204,60 @@ def markov_level_set(g: Graph, t_set, k: int, d: int,
     return level_set_cut(g, f, a, b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplaceOutcome:
-    """Result of the T -> U replacement, with each guarantee checked."""
+    """One T -> U step: the level set U that replaces T, the goodness
+    decision ``kun_partition`` acts on, and the lemma's checks as data."""
 
-    applicable: bool
     t_set: tuple
-    u_set: tuple = ()
-    threshold: float = 0.0
-    empty_band: bool = False
-    sym_diff: int = 0
-    boundary_u: int = 0
-    sym_diff_ok: bool = False
-    boundary_ok: bool = False
-    within_ball_ok: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.applicable and (
-            self.sym_diff_ok and self.boundary_ok and self.within_ball_ok
-        )
+    cut: LevelSetCut
+    sym_diff: int
+    good: bool  # |U △ T| < |T|/2, U nonempty and |∂U| <= good_threshold |U|
+    sym_diff_ok: bool  # |U △ T| < |T|/4
+    boundary_ok: bool  # |∂U| < alpha |U|
+    density_t: float
+    delta: float
 
     def to_dict(self) -> dict:
+        """The body of a step record."""
         return {
-            "applicable": self.applicable,
-            "t_set": list(self.t_set),
-            "u_set": list(self.u_set),
-            "threshold": self.threshold,
-            "empty_band": self.empty_band,
+            "T": list(self.t_set),
+            "U": list(self.cut.vertices),
+            "threshold": self.cut.t,
+            "empty_band": self.cut.empty_band,
             "sym_diff": self.sym_diff,
-            "boundary_u": self.boundary_u,
+            "boundary_U": self.cut.boundary,
+            "density_T": self.density_t,
+            "delta": self.delta,
             "sym_diff_ok": self.sym_diff_ok,
             "boundary_ok": self.boundary_ok,
-            "within_ball_ok": self.within_ball_ok,
-            "passed": self.passed,
         }
 
 
-def replace_set(g: Graph, t_set, params: KunParams) -> ReplaceOutcome:
+def replace_step(g: Graph, t_set, params: KunParams) -> ReplaceOutcome:
     """Replace a sparse cut T by a level set U of M^K chi_T.
 
-    Applicable only when |∂T| < C|T|. The three guarantees (|U △ T| < |T|/4,
-    |∂U| < alpha |U|, U inside the K-ball of T) hold asymptotically; here
-    each is measured and reported, and a failure is data rather than an
-    error.
+    T must be nonempty with |∂T| < C|T|, else ValueError. The lemma's
+    guarantees |U △ T| < |T|/4 and |∂U| < alpha |U| hold asymptotically;
+    here each is measured and reported, and a failure is data rather than
+    an error. U inside the K-ball of T always holds (module docstring).
     """
     t_set = vertex_set(g, t_set)
-    if not t_set:
-        raise ValueError("T must be nonempty")
-    if boundary_size(g, t_set) >= params.C * len(t_set):
-        return ReplaceOutcome(applicable=False, t_set=t_set)
+    if not t_set or boundary_size(g, t_set) >= params.C * len(t_set):
+        raise ValueError("T must be a nonempty sparse cut, |∂T| < C|T|")
     cut = markov_level_set(g, t_set, params.K, params.d)
     u = set(cut.vertices)
-    t = set(t_set)
-    sym = len(u ^ t)
-    ball = set(ball_of_set(g, t_set, params.K))
+    sym = len(u ^ set(t_set))
     return ReplaceOutcome(
-        applicable=True,
         t_set=t_set,
-        u_set=cut.vertices,
-        threshold=cut.t,
-        empty_band=cut.empty_band,
+        cut=cut,
         sym_diff=sym,
-        boundary_u=cut.boundary,
+        good=(sym < len(t_set) / 2.0 and bool(u)
+              and cut.boundary <= params.good_threshold * len(u)),
         sym_diff_ok=sym < len(t_set) / 4.0,
-        boundary_ok=cut.boundary < params.alpha * len(u) if u else False,
-        within_ball_ok=u <= ball,
+        boundary_ok=cut.boundary < params.alpha * len(u),
+        density_t=len(t_set) / g.n,
+        delta=params.delta,
     )
 
 
@@ -429,10 +427,10 @@ def kun_partition(
 ) -> tuple:
     """Decompose g into junk plus pieces with certified inner expansion.
 
-    Repeatedly extract a minimal sparse cut from the live region; a good cut
-    is replaced by its smoothed level set and becomes a piece, a bad one
-    sends its 3K-ball to junk. When no sparse cut remains the live region is
-    the final piece. A post-pass moves pieces whose boundary ratio reaches
+    Repeatedly extract a minimal sparse cut from the live region and take
+    its ``replace_step``; a good cut is replaced by its level set and
+    becomes a piece, a bad one sends its 3K-ball to junk. When no sparse cut
+    remains the live region is the final piece. A post-pass moves pieces whose boundary ratio reaches
     alpha into the junk part. Returns (Decomposition, PartitionCertificate).
     """
     live = set(range(g.n))
@@ -452,33 +450,20 @@ def kun_partition(
                           "size": len(live)})
             live.clear()
             break
-        cut = markov_level_set(g, t, params.K, params.d)
-        u = set(cut.vertices)
-        sym = len(u ^ set(t))
-        good = sym < len(t) / 2.0 and (
-            bool(u) and cut.boundary <= params.good_threshold * len(u)
-        )
-        diag = {
-            "T": list(t),
-            "U": list(cut.vertices),
-            "threshold": cut.t,
-            "empty_band": cut.empty_band,
-            "sym_diff": sym,
-            "boundary_U": cut.boundary,
-            "density_T": len(t) / g.n if g.n else 0.0,
-            "delta": params.delta,
-        }
-        if good:
-            piece = tuple(sorted(u & live))
+        step = replace_step(g, t, params)
+        if step.good:
+            piece = tuple(sorted(live.intersection(step.cut.vertices)))
             pieces.append(piece)
             live -= set(piece)
-            steps.append({"type": "good", "piece": len(pieces) - 1, **diag})
+            steps.append({"type": "good", "piece": len(pieces) - 1,
+                          **step.to_dict()})
         else:
             ball = set(ball_of_set(g, t, 3 * params.K))
             absorbed = tuple(sorted(ball & live))
             junk.update(absorbed)
             live -= ball
-            steps.append({"type": "bad", "absorbed": list(absorbed), **diag})
+            steps.append({"type": "bad", "absorbed": list(absorbed),
+                          **step.to_dict()})
     else:
         raise IterationCap(g.n)
 

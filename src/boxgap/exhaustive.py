@@ -9,13 +9,14 @@ one chunk holds the 2**L subsets A ∪ B of one B. The scan rests on
 
     |∂(A ∪ B)| = |∂A| + |∂B| - 2 |E(A, B)|.
 
-The order of the low subsets by size (then by mask) and the offset of each
-size class depend only on L, so they are built once per process for each L
-(a stable argsort, cached as read-only uint32 masks on first use, like the
-plain ``arange`` of masks the tables below are built over). Per scan it
-builds a table of |∂A| over the low subsets, gathered into size order, and
-one of |∂B| over the high subsets, each by popcount doubling: the subsets
-holding vertex i are those without it plus i, so
+The order of the low subsets by size, then by sorted vertex tuple, and the
+offset of each size class depend only on L, so they are built once per
+process for each L (a stable sort by size of the masks listed in tuple
+order, cached as read-only uint32 masks on first use, like the plain
+``arange`` of masks the tables below are built over). Per scan it builds a
+table of |∂A| over the low subsets, gathered into size order, and one of
+|∂B| over the high subsets, each by popcount doubling: the subsets holding
+vertex i are those without it plus i, so
 
     t[2**i : 2**(i+1)] = t[:2**i] + deg(i) - 2 popcount(masks[:2**i] & N(i)).
 
@@ -41,8 +42,8 @@ value computed in that width leaves [-S, S], so none wraps:
 
 Chunks of 2**16 subsets keep each table at 64 KiB in int8, so the set-up
 costs little beside the walk even at the cap. A minimum per size class
-then leaves a scalar check over at most L + 1 sizes, and masks are built
-only inside the winning size class.
+then leaves a scalar check over at most L + 1 sizes, and within the
+winning size class the first subset that passes is the chunk's answer.
 
 Both scans read the same per-class minima in the same chunks; only the
 best-so-far bookkeeping and the top size class differ. So the sparse scan
@@ -52,7 +53,8 @@ in the same walk, for a region that turns out to have no sparse subset
 
 Ties between equal-ratio subsets break toward smaller size, then the
 lexicographically smallest sorted vertex tuple, i.e. the largest
-bit-reversed mask.
+bit-reversed mask. Within one chunk the high bits are fixed, so that is the
+low subsets' own order; across chunks the bit-reversed masks are compared.
 """
 
 from __future__ import annotations
@@ -66,17 +68,6 @@ from .graph import Graph, vertex_set
 
 CHUNK_BITS = 16  # subsets processed per chunk: 2**CHUNK_BITS
 MASK_BITS = 32  # masks are uint32: the widest region a scan can cover
-
-
-def _bitrev32(masks: np.ndarray) -> np.ndarray:
-    # Reversing all 32 bits preserves the ordering induced by reversing any
-    # fixed lower n bits, which is all the tie-break needs.
-    x = masks.astype(np.uint32)
-    x = ((x >> 1) & 0x55555555) | ((x & 0x55555555) << 1)
-    x = ((x >> 2) & 0x33333333) | ((x & 0x33333333) << 2)
-    x = ((x >> 4) & 0x0F0F0F0F) | ((x & 0x0F0F0F0F) << 4)
-    x = ((x >> 8) & 0x00FF00FF) | ((x & 0x00FF00FF) << 8)
-    return (x >> 16) | (x << 16)
 
 
 @lru_cache(maxsize=None)
@@ -117,9 +108,18 @@ def _boundary_table(deg, nbrs, dtype) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _size_order(low: int) -> tuple:
     """(order, starts): the masks of all subsets of low bits sorted by size,
-    then by mask, and the offset of each size class in that order."""
-    size = np.bitwise_count(_masks(low))
-    order = np.argsort(size, kind="stable").astype(np.uint32)
+    then by sorted vertex tuple, and the offset of each size class in that
+    order."""
+    # List the subsets of vertices 0..i holding vertex 0 first, each half in
+    # the order of the subsets of 1..i: within one size that is the order of
+    # sorted vertex tuples, and a stable sort by size keeps it.
+    tuples = np.zeros(1 << low, dtype=np.uint32)
+    for i in range(low):
+        half = 1 << i
+        np.left_shift(tuples[:half], 1, out=tuples[half : 2 * half])
+        np.add(tuples[half : 2 * half], 1, out=tuples[:half])
+    size = np.bitwise_count(tuples)
+    order = tuples[np.argsort(size, kind="stable")]
     starts = np.concatenate(([0], np.cumsum(np.bincount(size))))
     order.flags.writeable = starts.flags.writeable = False
     return order, starts
@@ -172,13 +172,12 @@ class _Scan:
 
     def best_in_class(self, h: int, k: int, hit) -> tuple:
         """(bit-reversed mask, mask) of the lexicographically smallest subset
-        of the current chunk with k low vertices for which hit(cut) holds."""
-        span = slice(self.starts[k], self.starts[k + 1])
-        low = self.order[span][hit(self.cut[span])]
-        masks = low | np.uint32(h << self.low)
-        rev = _bitrev32(masks)
-        i = int(np.argmax(rev))
-        return int(rev[i]), int(masks[i])
+        of the current chunk with k low vertices for which hit(cut) holds:
+        the first hit, as the size class is in that order."""
+        start = self.starts[k]
+        i = int(np.argmax(hit(self.cut[start : self.starts[k + 1]])))
+        mask = int(self.order[start + i]) | (h << self.low)
+        return int(f"{mask:032b}"[::-1], 2), mask
 
 
 def _mask_to_tuple(mask: int, vs) -> tuple:

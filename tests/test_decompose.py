@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,19 @@ def test_kun_params_delta_underflows_quietly():
     assert p.delta == 0.0
 
 
+def test_kun_params_log10_delta():
+    # The pipeline's constants: delta underflows, its log10 does not.
+    p = bg.KunParams(c=0.2, d=8, alpha=0.3)
+    assert p.K == 1203 and p.delta == 0.0
+    assert math.isfinite(p.log10_delta)
+    want = 4 * math.log10(0.3) - 4 - (3 * p.K + 1) * math.log10(8)
+    assert p.log10_delta == pytest.approx(want, rel=1e-12)
+    assert p.to_dict()["log10_delta"] == p.log10_delta
+    q = bg.KunParams(c=12, d=8, alpha=0.9)
+    assert q.delta == pytest.approx(6.62e-33, rel=1e-3)
+    assert 10**q.log10_delta == pytest.approx(q.delta, rel=1e-12)
+
+
 def test_level_set_indicator():
     g = bg.cycle_graph(6)
     f = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
@@ -46,8 +61,8 @@ def test_level_set_indicator():
 
 def test_level_set_empty_band_matches_vertex_loop():
     # Oracle: the super-level sets at the two band edges read vertex by
-    # vertex; the cut is the one with the smaller (|∂U|, |U|), the lower
-    # edge on a tie, as a tuple of Python ints.
+    # vertex; the cut is the one with the smaller (|∂U|, U empty, |U|), the
+    # lower edge on a tie, as a tuple of Python ints.
     rng = np.random.default_rng(79)
     for _ in range(40):
         n = int(rng.integers(1, 40))
@@ -58,10 +73,26 @@ def test_level_set_empty_band_matches_vertex_loop():
         cut = bg.level_set_cut(g, f, 1 / 3, 2 / 3)
         assert cut.empty_band
         sets = [tuple(v for v in range(n) if f[v] > t) for t in (1 / 3, 2 / 3)]
-        want = min((bg.boundary_size(g, u), len(u), i, u)
-                   for i, u in enumerate(sets))[3]
+        want = min((bg.boundary_size(g, u), not u, len(u), i, u)
+                   for i, u in enumerate(sets))[4]
         assert cut.vertices == want
         assert all(type(v) is int for v in cut.vertices)
+
+
+def test_level_set_empty_band_tie_keeps_the_nonempty_set():
+    # f = 2/3 everywhere: {f > 1/3} is the whole cycle and {f > 2/3} is
+    # empty, both of boundary 0. The empty set wins only when strictly
+    # better, as in the band (f = 0.5 gives the whole cycle too).
+    g = bg.cycle_graph(6)
+    cut = bg.level_set_cut(g, np.full(6, 2 / 3), 1 / 3, 2 / 3)
+    assert cut.empty_band
+    assert cut.vertices == tuple(range(6)) and cut.boundary == 0
+    assert cut.vertices == bg.level_set_cut(g, np.full(6, 0.5), 1 / 3, 2 / 3).vertices
+    # On a path the lower edge's set {0, 1} has boundary 1, so the empty
+    # set above the upper edge is strictly better.
+    path = bg.path_graph(4)
+    cut = bg.level_set_cut(path, [2 / 3, 2 / 3, 0, 0], 1 / 3, 2 / 3)
+    assert cut.vertices == () and cut.boundary == 0 and cut.empty_band
 
 
 def test_level_set_constant():
@@ -167,18 +198,23 @@ def test_level_set_band_validation():
 def test_replace_whole_component_is_fixed():
     two = bg.disjoint_union(bg.complete_graph(6), bg.complete_graph(6))
     p = bg.KunParams(c=4, d=5, alpha=0.1)
-    out = bg.replace_set(two, tuple(range(6)), p)
-    assert out.applicable and out.passed
-    assert out.u_set == tuple(range(6))
-    assert out.sym_diff == 0 and out.boundary_u == 0
+    out = bg.replace_step(two, tuple(range(6)), p)
+    assert out.good and out.sym_diff_ok and out.boundary_ok
+    assert out.cut.vertices == out.t_set == tuple(range(6))
+    assert out.sym_diff == 0 and out.cut.boundary == 0
+    record = out.to_dict()
+    assert record["U"] == record["T"] == list(range(6))
+    assert record["sym_diff"] == record["boundary_U"] == 0
+    assert record["sym_diff_ok"] and record["boundary_ok"]
 
 
 def test_replace_single_vertex_not_applicable():
     k8 = bg.complete_graph(8)
     p = bg.KunParams(c=7.9, d=7, alpha=0.2)
-    out = bg.replace_set(k8, (0,), p)
-    assert not out.applicable
-    assert not out.passed
+    with pytest.raises(ValueError):
+        bg.replace_step(k8, (0,), p)
+    with pytest.raises(ValueError):
+        bg.replace_step(k8, (), p)
 
 
 def test_replace_bridged_k4_side():
@@ -188,7 +224,8 @@ def test_replace_bridged_k4_side():
     gap = bg.graph_spectrum(pair).gap
     p = bg.KunParams(c=gap, d=4, alpha=0.3)
     side = (0, 1, 2, 3)
-    assert not bg.replace_set(pair, side, p).applicable
+    with pytest.raises(ValueError):
+        bg.replace_step(pair, side, p)
     # With the calibrated K the smoothing flattens out on the connected
     # pair and the boundary-minimizing level set is the whole graph.
     flat = markov_level_set(pair, side, p.K, p.d)
@@ -204,10 +241,29 @@ def test_replace_bridged_k4_side():
 
 
 def test_replace_outcome_within_ball():
-    g = bg.margulis_graph(4)
-    p = bg.KunParams(c=1.0, d=8, alpha=0.5)
-    out = bg.replace_set(g, tuple(range(g.n)), p)
-    assert out.applicable and out.within_ball_ok
+    # U inside ball(T, K) is not measured by replace_step: M^K chi_T is 0.0
+    # outside the ball and every level set sits above the band's lower edge.
+    # Checked on any T and K, with degree bounds whose 2d is not a power of
+    # two, and on replace_step itself for unions of components.
+    rng = np.random.default_rng(89)
+    escaped = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        g = random_bounded_graph(rng, n, int(rng.integers(1, 6)))
+        d = max(1, g.max_degree()) + int(rng.integers(0, 3))
+        k = int(rng.integers(1, 7))
+        t = [int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                        replace=False)]
+        u = set(markov_level_set(g, t, k, d).vertices)
+        assert u <= set(bg.ball_of_set(g, t, k))
+        escaped += not u <= set(t)
+        comps = g.components
+        if len(comps) > 1:
+            t = [v for c in comps[: len(comps) // 2] for v in c]
+            p = bg.KunParams(c=2 * d * rng.uniform(0.05, 0.95), d=d, alpha=0.5)
+            out = bg.replace_step(g, t, p)
+            assert set(out.cut.vertices) <= set(bg.ball_of_set(g, t, p.K))
+    assert escaped > 20  # U often leaves T, so the ball is what holds it
 
 
 def test_find_sparse_cut_k6_none():
@@ -277,6 +333,29 @@ def test_kun_partition_is_a_partition(small_corpus):
         decomp, _ = bg.kun_partition(g, p)
         all_vertices = sorted(decomp.junk + tuple(v for q in decomp.pieces for v in q))
         assert all_vertices == list(range(g.n))
+
+
+def test_kun_partition_steps_are_replace_steps(small_corpus):
+    # Every good or bad step record is replace_step's record of its T plus
+    # the step's own keys. The corpus's sparse cuts are whole components,
+    # so all good; a long path's 76-vertex prefix is a bad cut.
+    p = bg.KunParams(c=0.5, d=8, alpha=0.25)
+    cases = [(g, p) for g in small_corpus if g.n and g.max_degree() <= 8]
+    cases.append((bg.path_graph(200), bg.KunParams(c=3.9, d=2, alpha=0.5)))
+    kinds = []
+    for g, params in cases:
+        decomp, _ = bg.kun_partition(g, params)
+        for step in decomp.steps:
+            if step["type"] == "good":
+                own = {"type": "good", "piece": step["piece"]}
+            elif step["type"] == "bad":
+                own = {"type": "bad", "absorbed": step["absorbed"]}
+            else:
+                continue
+            kinds.append(step["type"])
+            want = bg.replace_step(g, step["T"], params).to_dict()
+            assert step == {**own, **want}
+    assert kinds.count("good") >= 10 and kinds.count("bad") == 2
 
 
 def test_kun_partition_deterministic():

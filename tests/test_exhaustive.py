@@ -225,10 +225,14 @@ def table_width(degree_sum):
 
 
 def per_scan_size_order(low):
-    """The size order as every scan once built it: a popcount table by
-    doubling, its stable argsort and one offset per size."""
+    """The size order from a popcount table by doubling: subsets by size,
+    each size class by sorted vertex tuple (of two subsets of one size, the
+    one holding the lowest vertex where they differ comes first), and one
+    offset per size."""
     size = subset_sums([1] * low)
-    order = np.argsort(size, kind="stable")
+    masks = np.arange(1 << low)
+    absent = [1 - ((masks >> j) & 1) for j in reversed(range(low))]
+    order = np.lexsort(absent + [size])
     return order, np.concatenate(([0], np.cumsum(np.bincount(size))))
 
 
