@@ -24,7 +24,7 @@ from .graph import (
     sweep_profile,
     vertex_set,
 )
-from .spectral import eigenpairs, graph_spectrum, laplacian
+from .spectral import eigenpairs, laplacian
 
 EXACT_CAP = 24
 
@@ -49,10 +49,11 @@ class CheegerReport:
 
 def second_eigenvalue(g: Graph, tol: float = 1e-9) -> float:
     """Second-smallest Laplacian eigenvalue, multiplicity counted (exactly 0
-    for a disconnected graph)."""
+    for a disconnected graph). For a connected graph it is the lambda_2 of
+    ``_fiedler_order``, from the same solve, bit for bit."""
     if g.n < 2 or len(connected_components(g)) > 1:
         return 0.0
-    return graph_spectrum(g, k=2, tol=tol).gap
+    return _fiedler_order(g, tol)[0]
 
 
 def _bounds(g: Graph, lam: float):
@@ -83,7 +84,8 @@ def cheeger_exact(g: Graph, exact_cap: int = EXACT_CAP) -> CheegerReport:
 
 
 def _fiedler_order(sub: Graph, tol: float = 1e-9):
-    """Laplacian lambda_2 and stable Fiedler order of a connected graph."""
+    """Laplacian lambda_2 and stable Fiedler order of a connected graph,
+    both from one ``eigenpairs`` solve of its two smallest pairs."""
     if sub.n < 2:
         return 0.0, np.arange(sub.n)
     vals, vecs = eigenpairs(laplacian(sub), 2, tol)

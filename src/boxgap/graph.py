@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import os
 import re
 import reprlib
@@ -163,9 +164,24 @@ def block_labels(matrix: sp.spmatrix) -> np.ndarray:
     return _csgraph_components(matrix, directed=False)[1]
 
 
+def _vertex(v) -> int:
+    """v as an int if it is a Python or NumPy integer, else ValueError."""
+    if v is not True and v is not False:
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"vertex {v!r} is not an integer")
+
+
 def vertex_set(g: Graph, vertices) -> VertexSet:
-    """Normalize an iterable of vertices into a validated sorted tuple."""
-    vs = sorted(set(int(v) for v in vertices))
+    """Normalize an iterable of vertices into a validated sorted tuple.
+
+    Every entry must be a Python or NumPy integer, not a bool: the first
+    entry that is not raises ValueError naming it (a float is never
+    truncated). An integer outside [0, n) raises VertexOutOfRange.
+    """
+    vs = sorted(set(map(_vertex, vertices)))
     for v in vs:
         if not 0 <= v < g.n:
             raise VertexOutOfRange(v, g.n)

@@ -437,6 +437,55 @@ def test_kun_partition_solves_each_live_component_once(monkeypatch):
     assert cert.to_dict() == ref_cert.to_dict()
 
 
+def test_kun_partition_one_eigen_solve_per_component(monkeypatch):
+    # The pipeline's shape: a bridged Margulis 16 pair, a cycle above the
+    # exact cap, a random junk graph with an isolated vertex and a Margulis
+    # 24 graph above DENSE_LIMIT. The cycle and the pair leave the live
+    # region as good pieces long before the certificate is made.
+    # Every eigen solve inside kun_partition is the one Fiedler solve of a
+    # component; the certificate reads each solved piece's lambda_2 instead
+    # of solving again, and equals one measured without the memos.
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    from boxgap.spectral import DENSE_LIMIT
+
+    m = bg.margulis_graph(16)
+    parts = [bg.glue_pair(m, m, 0, 0, d=8), bg.cycle_graph(40),
+             random_bounded_graph(np.random.default_rng(1), 20, 4, fill=0.8),
+             bg.margulis_graph(24)]
+    g = parts[0]
+    for part in parts[1:]:
+        g = bg.disjoint_union(g, part, d=8)
+    params = bg.KunParams(c=0.2, d=8, alpha=0.3)
+    calls = []
+
+    def counting(name, real):
+        def solve(a, *args, **kwargs):
+            calls.append((name, a.shape[0]))
+            return real(a, *args, **kwargs)
+        return solve
+
+    for mod, fn in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                    (scipy.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")]:
+        name = f"{mod.__name__}.{fn}"
+        monkeypatch.setattr(mod, fn, counting(name, getattr(mod, fn)))
+    decomp, cert = bg.kun_partition(g, params)
+    monkeypatch.undo()
+
+    solved = sorted(len(c) for c in g.components if len(c) > 1)
+    assert solved == [19, 40, 512, 576]
+    assert sorted(n for _, n in calls) == solved
+    assert all(name == ("scipy.sparse.linalg.eigsh" if n > DENSE_LIMIT
+                        else "scipy.linalg.eigh") for name, n in calls)
+    big = [i for i, p in enumerate(decomp.pieces) if len(p) > EXACT_CAP]
+    assert sorted(len(decomp.pieces[i]) for i in big) == [40, 512, 576]
+    assert all(cert.records[i].method == "spectral" for i in big)
+    assert [step["type"] for step in decomp.steps] == ["good"] * 4 + ["final"]
+    ref = decompose.certify_partition(g, decomp, params)
+    assert cert.to_dict() == ref.to_dict() and cert.records == ref.records
+
+
 def test_kun_partition_scans_each_exact_region_once(monkeypatch):
     # Graphs around the exact cap: every region kun_partition scans, live
     # region or piece, is walked once. A final piece of at most EXACT_CAP

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -476,3 +478,28 @@ def test_vertex_set_validation():
     assert bg.vertex_set(g, [3, 1, 1]) == (1, 3)
     with pytest.raises(VertexOutOfRange):
         bg.vertex_set(g, [4])
+
+
+def test_vertex_set_rejects_non_integers():
+    # Floats are never truncated and bools are not vertices: the first entry
+    # that is not a Python or NumPy integer is named in a ValueError.
+    g = bg.cycle_graph(6)
+    for bad, first in [
+        ([1.7, True, np.float64(4.2)], "1.7"),
+        ([1, True], "True"),
+        ([2, np.float64(4.0)], "np.float64(4.0)"),
+        ([0, "1"], "'1'"),
+        (np.array([False, True]), "np.False_"),
+        (np.array([1.0, 2.0]), "np.float64(1.0)"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"vertex {first} ")):
+            bg.vertex_set(g, bad)
+    with pytest.raises(ValueError, match="vertex 0.2 "):
+        bg.inner_expansion_exact(g, [0.2, 1.1, 2.7])
+    with pytest.raises(ValueError, match="vertex 1.5 "):
+        bg.vertex_set(g, [np.int64(6), 1.5])  # every entry is checked first
+    with pytest.raises(VertexOutOfRange):
+        bg.vertex_set(g, [np.int64(6), 1])
+    for ok in (range(1, 5), [4, 1, 2, 4], np.array([4, 1, 2], dtype=np.int32),
+               np.array([4, 1, 2], dtype=np.int64), [np.int32(2), np.uint8(1), 4]):
+        assert bg.vertex_set(g, ok) == tuple(sorted(set(int(v) for v in ok)))

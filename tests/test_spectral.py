@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import boxgap as bg
 from boxgap import spectral
-from boxgap.cheeger import second_eigenvalue
+from boxgap.cheeger import _fiedler_order, second_eigenvalue
 from boxgap.errors import DegreeBoundTooSmall
 from boxgap.spectral import (
     DENSE_LIMIT,
@@ -119,10 +120,11 @@ def test_eigenpairs_dense_matches_iterative_above_limit():
     vals, vecs = eigenpairs(lap, 2)
     dvals, dvecs = np.linalg.eigh(lap.toarray())
     assert np.allclose(vals, dvals[:2], rtol=0, atol=1e-9)
-    head = lap[:DENSE_LIMIT][:, :DENSE_LIMIT]  # at the limit: one plain eigh
-    hvals, hvecs = np.linalg.eigh(head.toarray())
+    # At the limit: one dense solve of only the two wanted pairs.
+    head = lap[:DENSE_LIMIT][:, :DENSE_LIMIT]
+    hvals, hvecs = sla.eigh(head.toarray(), subset_by_index=[0, 1], driver="evr")
     got = eigenpairs(head, 2)
-    assert np.array_equal(got[0], hvals[:2]) and np.array_equal(got[1], hvecs[:, :2])
+    assert np.array_equal(got[0], hvals) and np.array_equal(got[1], hvecs)
     # Same Fiedler order once the sign is aligned; the entries are further
     # apart than the two vectors differ, so the order is not a tie-break.
     fiedler, dense_fiedler = vecs[:, 1], dvecs[:, 1]
@@ -131,6 +133,54 @@ def test_eigenpairs_dense_matches_iterative_above_limit():
     assert np.abs(fiedler - dense_fiedler).max() < spacing / 4
     assert np.array_equal(np.argsort(fiedler, kind="stable"),
                           np.argsort(dense_fiedler, kind="stable"))
+
+
+def _random_path_plus_chords(rng, n, d=5):
+    """Connected random graph: a random Hamiltonian path plus random chords,
+    every degree at most d."""
+    perm = rng.permutation(n).tolist()
+    edges = {tuple(sorted(e)) for e in zip(perm, perm[1:])}
+    deg = np.bincount(np.array(list(edges)).ravel(), minlength=n)
+    for u, v in rng.integers(0, n, size=(2 * n, 2)).tolist():
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and deg[u] < d and deg[v] < d:
+            edges.add(e)
+            deg[[u, v]] += 1
+    return bg.build_graph(n, sorted(edges), d)
+
+
+def _check_dense_subsets(g, ks):
+    """Dense eigenpairs(L, k), k < n, against one full eigh of L."""
+    lap = bg.laplacian(g)
+    full = np.linalg.eigh(lap.toarray())[0]
+    scale = 1.0 + abs(lap).sum(axis=0).max()  # 1 + ||L||_1
+    for k in ks:
+        assert spectral._dense(g.n, k) and k < g.n
+        vals, vecs = eigenpairs(lap, k)
+        assert vals.shape == (k,) and vecs.shape == (g.n, k)
+        assert np.abs(vals - full[:k]).max() <= 1e-12 * scale, (g.n, k)
+        residuals = np.linalg.norm(lap @ vecs - vecs * vals, axis=0)
+        assert residuals.max() <= 1e-10, (g.n, k)
+
+
+def test_dense_subset_eigenpairs_match_full_eigh(small_corpus):
+    # Every dense solve with k < n computes only its k pairs; they are the
+    # full solve's, and lambda_2 is one number whichever routine asks.
+    rng = np.random.default_rng(31)
+    sizes = (3, 4, 9, 40, 131, DENSE_LIMIT - 1, DENSE_LIMIT, DENSE_LIMIT + 1, 600)
+    graphs = small_corpus + [_random_path_plus_chords(rng, n) for n in sizes]
+    for g in graphs:
+        n, connected = g.n, len(g.components) == 1
+        if n <= DENSE_LIMIT:
+            ks = sorted({1, 2, int(rng.integers(1, n)), n - 1} - {0, n})
+        else:
+            ks = [n - 1]  # the one k < n the dense/iterative rule solves dense
+        if ks:
+            _check_dense_subsets(g, ks)
+        if connected and n >= 2:
+            assert second_eigenvalue(g) == _fiedler_order(g)[0]
+        else:
+            assert second_eigenvalue(g) == 0.0
 
 
 def test_kernel_dim_matches_components():
