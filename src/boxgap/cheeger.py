@@ -93,12 +93,36 @@ def _fiedler_order(sub: Graph, tol: float = 1e-9):
     return float(vals[1]), order
 
 
+def induced_fiedler(g: Graph, vs: tuple, tol: float = 1e-9):
+    """(lambda_2, order) of the subgraph induced on vs, a sorted tuple of g's
+    vertices used as given: lambda_2 as ``second_eigenvalue`` gives it and,
+    when that subgraph is connected, its ``_fiedler_order`` as a read-only
+    int64 array of g's vertices (else None). Each (vs, tol) is solved once
+    per graph and kept in ``g.memo``."""
+    key = ("fiedler", vs, tol)
+    pair = g.memo.get(key)
+    if pair is None:
+        sub, _ = induced_subgraph(g, vs)
+        if len(sub.components) > 1:
+            pair = 0.0, None
+        else:
+            lam, local = _fiedler_order(sub, tol)
+            order = np.array(vs, dtype=np.int64)[local]
+            order.flags.writeable = False
+            pair = lam, order
+        g.memo[key] = pair
+    return pair
+
+
 def cheeger_sweep(g: Graph, tol: float = 1e-9) -> CheegerReport:
     """Fiedler sweep upper bound on the Cheeger constant.
 
     On disconnected graphs the answer is exactly 0 (one component is the
-    witness), so the sweep runs only on connected inputs. The first prefix
-    with the smallest ratio wins; its smaller side is the witness.
+    witness), so the sweep runs only on connected inputs. Among the
+    prefixes with the least ratio, the cut whose smaller side has the fewest
+    vertices wins, then the one whose sorted smaller side comes first (at
+    k = n/2 both sides compete); that side is the witness. So the witness
+    does not depend on the sign of the Fiedler vector.
     """
     comps = connected_components(g)
     if len(comps) > 1:
@@ -111,10 +135,16 @@ def cheeger_sweep(g: Graph, tol: float = 1e-9) -> CheegerReport:
         return CheegerReport(0.0, (), "sweep", lower, upper)
     sizes = np.arange(1, n)
     ratios = sweep_profile(g, order)[: n - 1] / np.minimum(sizes, n - sizes)
-    k = int(np.argmin(ratios)) + 1
-    side = order[:k] if k <= n // 2 else order[k:]
-    witness = tuple(sorted(int(v) for v in side))
-    return CheegerReport(float(ratios[k - 1]), witness, "sweep", lower, upper)
+    h = ratios[np.argmin(ratios)]
+    tied = np.flatnonzero(ratios == h) + 1
+    # The fewest vertices on a smaller side: at the first or the last tied
+    # k. Such a side is the prefix at k = s or the suffix at k = n - s; at
+    # s = n/2 these are the two sides of one cut.
+    s = int(min(tied[0], n - tied[-1]))
+    witness = min(tuple(sorted(side.tolist()))
+                  for k, side in ((s, order[:s]), (n - s, order[n - s:]))
+                  if ratios[k - 1] == h)
+    return CheegerReport(float(h), witness, "sweep", lower, upper)
 
 
 def cheeger_report(g: Graph, tol: float = 1e-9,
@@ -167,11 +197,11 @@ class Evidence:
 
 
 def piece_evidence(g: Graph, piece, exact_cap: int = EXACT_CAP) -> Evidence:
-    """Exact scan up to exact_cap vertices, else the spectral bound. Depends
-    only on the CSR rows of the piece's own vertices (loops never count)."""
+    """Exact scan up to exact_cap vertices, else the spectral bound: both
+    read from ``g.memo`` when g has solved the piece before. Depends only on
+    the CSR rows of the piece's own vertices (loops never count)."""
     piece = vertex_set(g, piece)
     if len(piece) <= exact_cap:
         value, witness = inner_expansion_exact(g, piece, exact_cap)
         return Evidence("exact", value, () if witness is None else witness)
-    sub, _ = induced_subgraph(g, piece)
-    return Evidence("spectral", second_eigenvalue(sub) / 2.0, None)
+    return Evidence("spectral", induced_fiedler(g, piece)[0] / 2.0, None)

@@ -37,14 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exhaustive
-from .cheeger import EXACT_CAP, Evidence, _fiedler_order, piece_evidence
+from .cheeger import EXACT_CAP, induced_fiedler, piece_evidence
 from .errors import IterationCap
 from .graph import (
     Graph,
     ball_of_set,
     boundary_size,
     connected_components,
-    induced_subgraph,
     sweep_profile,
     vertex_set,
 )
@@ -261,28 +260,16 @@ def replace_step(g: Graph, t_set, params: KunParams) -> ReplaceOutcome:
     )
 
 
-def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP,
-                    *, fiedler_orders: dict | None = None,
-                    min_ratios: dict | None = None):
+def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP):
     """Smallest proper subset T of the region with |∂T| < c |T|, or None.
 
     Boundaries are ambient. Exhaustive and exact when the region has at most
     exact_cap vertices; above that, candidates come from Fiedler sweeps of
     the region's components (prefixes, suffixes and whole components), and
-    the smallest passing candidate is returned.
-
-    ``fiedler_orders`` is an optional memo from a component's sorted vertex
-    tuple to its (lambda_2, Fiedler order in ambient vertices), the one
-    solve of ``_fiedler_order``. The induced subgraph, and so the pair,
-    depends only on that vertex set, so a component found there is not
-    solved again, and its lambda_2 is bit for bit the ``second_eigenvalue``
-    of that subgraph. The memo is left holding exactly the components of
-    this region: a region that only shrinks between calls, as in
-    ``kun_partition``, never meets a dropped component again.
-
-    ``min_ratios`` is an optional memo passed to ``min_sparse_subset``: an
-    exact-size region with no sparse cut gets its (ratio, witness) inner
-    expansion there, keyed by its sorted vertex tuple, from the same walk.
+    the smallest passing candidate is returned. Each component's Fiedler
+    solve is kept in ``g.memo``, as is the min-ratio answer of an exact
+    region with no sparse cut, so later searches and certificates on g
+    read them from there.
     """
     if c <= 0:
         raise ValueError("ratio must be positive")
@@ -290,30 +277,20 @@ def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP,
     if len(region) <= 1:
         return None
     if len(region) <= exact_cap:
-        return exhaustive.min_sparse_subset(g, region, c, min_ratios)
+        return exhaustive.min_sparse_subset(g, region, c)
 
     # Prefixes of each component's Fiedler order and of its reverse (the
     # suffixes); the full prefix is the whole component. Only the smallest
     # passing prefix of each is materialized.
-    memo = fiedler_orders if fiedler_orders is not None else {}
-    orders = {}
     candidates = []
-    for key in connected_components(g, region):
-        solved = memo.get(key)
-        if solved is None:
-            comp_sub, comp_map = induced_subgraph(g, key)
-            lam, local = _fiedler_order(comp_sub)
-            solved = lam, [comp_map[int(v)] for v in local]
-        orders[key] = solved
-        order = solved[1]
+    for comp in connected_components(g, region):
+        order = induced_fiedler(g, comp)[1]
         sizes = np.arange(1, len(order) + 1)
         for seq in (order, order[::-1]):
             passing = (sweep_profile(g, seq) < c * sizes) & (sizes < len(region))
             if passing.any():
                 size = int(np.argmax(passing)) + 1
-                candidates.append((size, tuple(sorted(seq[:size]))))
-    memo.clear()
-    memo.update(orders)
+                candidates.append((size, tuple(np.sort(seq[:size]).tolist())))
     if not candidates:
         return None
     return min(candidates)[1]
@@ -366,20 +343,14 @@ class PartitionCertificate:
 
 
 def certify_partition(
-    g: Graph, decomp: Decomposition, params: KunParams, exact_cap: int = EXACT_CAP,
-    *, min_ratios: dict | None = None, lambdas: dict | None = None,
+    g: Graph, decomp: Decomposition, params: KunParams, exact_cap: int = EXACT_CAP
 ) -> PartitionCertificate:
     """Measure junk fraction, boundary ratios and inner expansion per piece.
 
     A piece's inner expansion is its ``piece_evidence``: an exact scan is
     conclusive either way, a spectral bound only when it already meets C.
-    Two memos stand in for a fresh measurement and give the same value. A
-    piece found in ``min_ratios`` (``find_sparse_cut``'s memo, filled by
-    the scan that found no sparse cut in it) takes its exact evidence from
-    there instead of scanning again. A piece of more than exact_cap
-    vertices found in ``lambdas`` (a connected vertex set's sorted tuple to
-    the lambda_2 of its induced subgraph, as ``_fiedler_order`` solved it)
-    takes lambda_2/2 from there instead of solving again.
+    A piece that a sparse-cut search on g has already solved or scanned
+    takes its evidence from ``g.memo``.
     """
     n = g.n or 1
     junk_ratio = len(decomp.junk) / n
@@ -387,17 +358,7 @@ def certify_partition(
     ratios = [
         boundary_size(g, p) / len(p) if p else 0.0 for p in decomp.pieces
     ]
-    min_ratios = min_ratios or {}
-    lambdas = lambdas or {}
-
-    def record(piece) -> Evidence:
-        if piece in min_ratios:
-            return Evidence("exact", *min_ratios[piece])
-        if len(piece) > exact_cap and piece in lambdas:
-            return Evidence("spectral", lambdas[piece] / 2.0, None)
-        return piece_evidence(g, piece, exact_cap)
-
-    records = [record(piece) for piece in decomp.pieces]
+    records = [piece_evidence(g, piece, exact_cap) for piece in decomp.pieces]
     evidence = []
     inconclusive = []
     failed = junk_ratio >= params.alpha or any(
@@ -445,22 +406,15 @@ def kun_partition(
     becomes a piece, a bad one sends its 3K-ball to junk. When no sparse cut
     remains the live region is the final piece. A post-pass moves pieces whose boundary ratio reaches
     alpha into the junk part. Returns (Decomposition, PartitionCertificate).
-    Each component any sparse-cut search meets is solved once: its lambda_2
-    stays in a table that only grows, which the certificate reads.
     """
     live = set(range(g.n))
     junk: set = set()
     pieces: list = []
     steps: list = []
-    fiedler_orders: dict = {}  # live components left untouched keep their order
-    lambdas: dict = {}  # every component ever solved, for the certificate
-    min_ratios: dict = {}  # an exact-size final piece is scanned once
     for _ in range(g.n + 1):
         if not live:
             break
-        t = find_sparse_cut(g, params.C, region=sorted(live), exact_cap=exact_cap,
-                            fiedler_orders=fiedler_orders, min_ratios=min_ratios)
-        lambdas.update((key, lam) for key, (lam, _) in fiedler_orders.items())
+        t = find_sparse_cut(g, params.C, region=sorted(live), exact_cap=exact_cap)
         if t is None:
             pieces.append(tuple(sorted(live)))
             steps.append({"type": "final", "piece": len(pieces) - 1,
@@ -493,6 +447,5 @@ def kun_partition(
         else:
             kept.append(piece)
     decomp = Decomposition(junk=tuple(sorted(junk)), pieces=kept, steps=steps)
-    cert = certify_partition(g, decomp, params, exact_cap,
-                             min_ratios=min_ratios, lambdas=lambdas)
+    cert = certify_partition(g, decomp, params, exact_cap)
     return decomp, cert

@@ -47,9 +47,9 @@ winning size class the first subset that passes is the chunk's answer.
 
 Both scans read the same per-class minima in the same chunks; only the
 best-so-far bookkeeping and the top size class differ. So the sparse scan
-can also find the region's min-ratio answer over at most m // 2 vertices
-in the same walk, for a region that turns out to have no sparse subset
-(``min_sparse_subset(..., min_ratios=memo)``).
+also finds the region's min-ratio answer over at most m // 2 vertices in
+the same walk, and a region that turns out to have no sparse subset leaves
+it in ``g.memo``, where ``min_ratio_subset`` finds it.
 
 Ties between equal-ratio subsets break toward smaller size, then the
 lexicographically smallest sorted vertex tuple, i.e. the largest
@@ -126,10 +126,11 @@ def _size_order(low: int) -> tuple:
 
 
 class _Scan:
-    """One region's per-scan tables, and its chunks in Gray-code order."""
+    """One region's per-scan tables, and its chunks in Gray-code order. The
+    region vs is a sorted tuple of g's vertices, used as given."""
 
-    def __init__(self, g: Graph, region):
-        self.vs = vs = vertex_set(g, region)
+    def __init__(self, g: Graph, vs):
+        self.vs = vs
         if len(vs) > MASK_BITS:
             raise TooLargeForExact(len(vs), MASK_BITS)
         pos = {v: i for i, v in enumerate(vs)}
@@ -206,31 +207,32 @@ def min_ratio_subset(g: Graph, region, max_size: int):
     """Exact min of |∂S|/|S| over nonempty S within the region, |S| <= max_size.
 
     The boundary is taken in g (ambient). Returns (ratio, witness_tuple) or
-    (None, None) if max_size < 1.
+    (None, None) if max_size < 1. Each (region, max_size) is scanned once
+    per graph and kept in ``g.memo``.
     """
-    scan = _Scan(g, region)
-    if scan.m == 0 or max_size < 1:
-        return None, None
-    best = None
-    for h, hs, hb in scan.chunks():
-        top = min(scan.low, max_size - hs)
-        if top >= 0:
-            best = _ratio_step(scan, best, h, hs, hb, scan.minima(top), top)
-    return _ratio_answer(best, scan.vs)
+    vs = vertex_set(g, region)
+    key = ("min_ratio", vs, max_size)
+    if key not in g.memo:
+        scan, best = _Scan(g, vs), None
+        if scan.m and max_size >= 1:
+            for h, hs, hb in scan.chunks():
+                top = min(scan.low, max_size - hs)
+                if top >= 0:
+                    best = _ratio_step(scan, best, h, hs, hb, scan.minima(top), top)
+        g.memo[key] = (None, None) if best is None else _ratio_answer(best, vs)
+    return g.memo[key]
 
 
-def min_sparse_subset(g: Graph, region, c: float, min_ratios: dict | None = None):
+def min_sparse_subset(g: Graph, region, c: float):
     """Smallest nonempty proper subset S of the region with |∂S| < c|S|.
 
     Boundary in g (ambient). Ties at the minimal size break toward the
-    lexicographically smallest vertex tuple. Returns a tuple or None.
-
-    ``min_ratios`` is an optional memo. When the region has no sparse
-    subset, the same walk also finds ``min_ratio_subset(g, region, m // 2)``
-    for its m >= 2 vertices and stores it there under the region's sorted
-    vertex tuple.
+    lexicographically smallest vertex tuple. Returns a tuple or None. When
+    the region of m >= 2 vertices has no sparse subset, the same walk also
+    finds ``min_ratio_subset(g, region, m // 2)`` and leaves it in
+    ``g.memo``.
     """
-    scan = _Scan(g, region)
+    scan = _Scan(g, vertex_set(g, region))
     if scan.m <= 1:
         return None
     best = None  # ((size, -bit-reversed mask), mask)
@@ -242,7 +244,7 @@ def min_sparse_subset(g: Graph, region, c: float, min_ratios: dict | None = None
             continue
         mins = scan.minima(top)
         half = min(scan.low, scan.m // 2 - hs)  # <= top while best is None
-        if min_ratios is not None and best is None and half >= 0:
+        if best is None and half >= 0:
             ratio = _ratio_step(scan, ratio, h, hs, hb, mins, half)
         sizes = range(1 if hs == 0 else 0, top + 1)  # k = 0 at h = 0 is empty
         k = next((k for k in sizes if mins[k] + hb < c * (k + hs)), None)
@@ -253,7 +255,6 @@ def min_sparse_subset(g: Graph, region, c: float, min_ratios: dict | None = None
         if best is None or key < best[0]:
             best = key, mask
     if best is None:
-        if min_ratios is not None:
-            min_ratios[scan.vs] = _ratio_answer(ratio, scan.vs)
+        g.memo["min_ratio", scan.vs, scan.m // 2] = _ratio_answer(ratio, scan.vs)
         return None
     return _mask_to_tuple(best[1], scan.vs)

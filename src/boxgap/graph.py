@@ -11,7 +11,9 @@ between, and ``edge_array`` gives the edges back in that form, so code that
 edits a graph works on the array and builds a new graph from it.
 ``matrix`` (a zero-copy sparse wrap that the Laplacians, triangle weights
 and ``block_labels``, the one component finder, read) and the component
-labels are derived and built once on first use. Vertex subsets are plain
+labels are derived and built once on first use, and ``memo`` keeps what
+is solved about one vertex set (a Fiedler pair, an exact min-ratio scan)
+for as long as the graph lives. Vertex subsets are plain
 sorted tuples of indices. Disconnected graphs are first class throughout;
 distance across components is treated as infinite and never compared.
 
@@ -142,6 +144,14 @@ class Graph:
             (np.ones(len(self.indices)), self.indices, self.indptr),
             shape=(self.n, self.n),
         )
+
+    @cached_property
+    def memo(self) -> dict:
+        """Answers that are pure functions of this graph and one of its
+        vertex sets, keyed by (producer, sorted vertex tuple, arguments).
+        Only their producers fill and read it; it is not part of equality
+        or hashing, and it lives and dies with the graph."""
+        return {}
 
     @cached_property
     def component_labels(self) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DisconnectedLink, EdgeWithoutTriangle, EmptyLink
-from .graph import Graph
+from .graph import Graph, vertex_set
 from .spectral import (
     SpectrumReport,
     _weighted_laplacian,
@@ -196,10 +196,12 @@ def zuk_certificate(g: Graph, subset=None, tol: float = 1e-9) -> ZukCertificate:
     valid certificate claims the full gap for the triangle-weighted
     Laplacian.
 
+    The subset goes through ``vertex_set``, so a repeated vertex counts once.
+
     Links are handled LINK_CHUNK vertices at a time: per chunk, one stack of
     adjacency matrices and one ``eigvalsh`` call per link size.
     """
-    vertices = tuple(sorted(subset)) if subset is not None else tuple(range(g.n))
+    vertices = vertex_set(g, subset) if subset is not None else tuple(range(g.n))
     wanted = np.zeros(g.n, dtype=bool)
     wanted[list(vertices)] = True
     keys = _edge_keys(g)

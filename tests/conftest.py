@@ -37,6 +37,12 @@ def random_bounded_graph(rng, n, d, fill=0.6):
     return bg.build_graph(n, sorted(edges), d)
 
 
+def fresh_copy(g):
+    """A new graph equal to g, with nothing in its memo yet."""
+    return bg.build_graph(g.n, g.edge_array(), g.degree_bound,
+                          allow_loops=g.allows_loops)
+
+
 def random_triangle_graph(rng, n, d):
     """Random graph in which every edge lies in at least one triangle."""
     edges = set()

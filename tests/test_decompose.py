@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import boxgap as bg
-from boxgap import decompose
+from boxgap import cheeger, decompose
 from boxgap.cheeger import EXACT_CAP
 from boxgap.decompose import markov_level_set
 
-from conftest import bridged_k4_pair, random_bounded_graph
+from conftest import bridged_k4_pair, fresh_copy, random_bounded_graph
 
 
 def test_kun_params_values():
@@ -405,22 +405,21 @@ def test_kun_partition_solves_each_live_component_once(monkeypatch):
         bg.disjoint_union(pair, bg.cycle_graph(8), d=8), bg.path_graph(30), d=8
     )
     params = bg.KunParams(c=12, d=8, alpha=0.9)
-    real_cut, real_order = decompose.find_sparse_cut, decompose._fiedler_order
+    real_cut, real_order = decompose.find_sparse_cut, cheeger._fiedler_order
 
-    # Reference: the same loop with every find_sparse_cut call unmemoized,
-    # recording the components each sweep search solves.
+    # Reference: the same loop with every find_sparse_cut call made on a
+    # fresh equal graph, recording the components each sweep search solves.
     swept = []
 
-    def without_memo(g, c, region=None, exact_cap=EXACT_CAP, *,
-                     fiedler_orders=None, min_ratios=None):
+    def unmemoized(g, c, region=None, exact_cap=EXACT_CAP):
         region = sorted(region)
         if len(region) > exact_cap:
             sub, idx = bg.induced_subgraph(g, region)
             swept.extend(tuple(idx[v] for v in comp) for comp in sub.components)
-        return real_cut(g, c, region, exact_cap)
+        return real_cut(fresh_copy(g), c, region, exact_cap)
 
-    monkeypatch.setattr(decompose, "find_sparse_cut", without_memo)
-    ref_decomp, ref_cert = bg.kun_partition(g, params)
+    monkeypatch.setattr(decompose, "find_sparse_cut", unmemoized)
+    ref_decomp, ref_cert = bg.kun_partition(fresh_copy(g), params)
     monkeypatch.setattr(decompose, "find_sparse_cut", real_cut)
     assert len(set(swept)) < len(swept)  # some component is searched again
 
@@ -430,9 +429,13 @@ def test_kun_partition_solves_each_live_component_once(monkeypatch):
         solved.append(sub.n)
         return real_order(sub, *args, **kwargs)
 
-    monkeypatch.setattr(decompose, "_fiedler_order", counting)
+    monkeypatch.setattr(cheeger, "_fiedler_order", counting)
     decomp, cert = bg.kun_partition(g, params)
-    assert len(solved) == len(set(swept))
+    # One solve per vertex set: each searched component, and each spectral
+    # piece of the certificate that no search met as a component.
+    big = {p for p in decomp.pieces if len(p) > EXACT_CAP}
+    assert big - set(swept) and big & set(swept)
+    assert len(solved) == len(set(swept) | big)
     assert decomp.to_dict() == ref_decomp.to_dict()
     assert cert.to_dict() == ref_cert.to_dict()
 
@@ -482,7 +485,7 @@ def test_kun_partition_one_eigen_solve_per_component(monkeypatch):
     assert sorted(len(decomp.pieces[i]) for i in big) == [40, 512, 576]
     assert all(cert.records[i].method == "spectral" for i in big)
     assert [step["type"] for step in decomp.steps] == ["good"] * 4 + ["final"]
-    ref = decompose.certify_partition(g, decomp, params)
+    ref = decompose.certify_partition(fresh_copy(g), decomp, params)
     assert cert.to_dict() == ref.to_dict() and cert.records == ref.records
 
 
@@ -490,7 +493,9 @@ def test_kun_partition_scans_each_exact_region_once(monkeypatch):
     # Graphs around the exact cap: every region kun_partition scans, live
     # region or piece, is walked once. A final piece of at most EXACT_CAP
     # vertices takes its evidence from the sparse-cut walk that found no cut
-    # in it, and the certificate equals one made without that memo.
+    # in it, and the certificate equals one made on a fresh equal graph.
+    # Each run gets its own fresh graph, as a second run on one graph would
+    # find every answer in its memo.
     from boxgap import exhaustive
 
     rng = np.random.default_rng(83)
@@ -512,14 +517,44 @@ def test_kun_partition_scans_each_exact_region_once(monkeypatch):
                 return real_scan(graph, region)
 
             monkeypatch.setattr(exhaustive, "_Scan", counting)
-            decomp, cert = bg.kun_partition(g, params)
+            decomp, cert = bg.kun_partition(fresh_copy(g), params)
             monkeypatch.setattr(exhaustive, "_Scan", real_scan)
             exact = {p for p in decomp.pieces if 2 <= len(p) <= EXACT_CAP}
             assert len(scanned) == len(set(scanned))
             assert exact <= set(scanned)
-            ref = decompose.certify_partition(g, decomp, params)
+            ref = decompose.certify_partition(fresh_copy(g), decomp, params)
             assert cert.to_dict() == ref.to_dict()
             assert cert.records == ref.records
             final = [s for s in decomp.steps if s["type"] == "final"]
             memo_hits += any(2 <= s["size"] <= EXACT_CAP for s in final)
     assert memo_hits >= 8
+
+
+def test_memo_answers_only_for_its_own_graph():
+    # A cycle and a path on the same 30 vertices share every vertex tuple a
+    # search or a certificate asks about, but not one answer: once one of
+    # them has been solved and certified, the other still answers as a
+    # fresh copy of itself does. Filling a memo leaves equality and hashing
+    # as they were.
+    params = bg.KunParams(c=1, d=2, alpha=0.9)
+
+    def answers(g):
+        decomp, cert = bg.kun_partition(g, params)
+        return [bg.find_sparse_cut(g, 0.5), bg.find_sparse_cut(g, 0.5, range(20)),
+                bg.find_sparse_cut(g, 0.05, range(20)),
+                bg.piece_evidence(g, range(30)), bg.piece_evidence(g, range(20)),
+                decomp.to_dict(), cert.to_dict(), cert.records]
+
+    cycle, path = bg.cycle_graph(30), bg.path_graph(30)
+    for first, second in ((cycle, path), (path, bg.cycle_graph(30))):
+        want = answers(fresh_copy(second))
+        answers(first)
+        assert answers(second) == want
+    assert answers(cycle) != answers(path)
+
+    twin = fresh_copy(cycle)
+    before = hash(twin)
+    assert cycle.memo and not twin.memo
+    assert cycle == twin and hash(cycle) == hash(twin) == before
+    answers(twin)
+    assert cycle == twin and hash(twin) == before

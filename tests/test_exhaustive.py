@@ -9,7 +9,7 @@ import boxgap.exhaustive as ex
 from boxgap.errors import TooLargeForExact
 from boxgap.exhaustive import min_ratio_subset, min_sparse_subset
 
-from conftest import neighbour_rows, random_bounded_graph
+from conftest import fresh_copy, neighbour_rows, random_bounded_graph
 
 
 def brute_min_ratio(g, region, max_size):
@@ -275,7 +275,7 @@ def test_scan_tables_match_per_scan_construction():
             g = bg.build_graph(n, list(base.edges()) + extra, d + 1,
                                allow_loops=loops)
             region = [int(v) for v in rng.choice(n, size=m, replace=False)]
-            scan = ex._Scan(g, region)
+            scan = ex._Scan(g, tuple(sorted(region)))
             cut, twice_cross, high, width = per_scan_tables(g, region)
             np.testing.assert_array_equal(scan.cut, cut)
             assert scan.cut.dtype == width == np.int8  # degree sum <= 5 m
@@ -320,9 +320,9 @@ def random_region(rng, m):
 
 
 def check_shared_walk(g, region):
-    """min_sparse_subset with a memo against the oracles: its sparse answer
-    always, and for a region with no sparse subset the min-ratio answer it
-    leaves in the memo, witness and tie-break included."""
+    """min_sparse_subset on a fresh graph against the oracles: its sparse
+    answer always, and for a region with no sparse subset the min-ratio
+    answer it leaves in the graph's memo, witness and tie-break included."""
     m = len(region)
     ref = reference_scan(g, region) if 10 < m <= 21 else None
 
@@ -343,12 +343,13 @@ def check_shared_walk(g, region):
     # No proper subset is sparse at the least ratio over all of them.
     floor = min_ratio_subset(g, region, m - 1)[0] if m >= 2 else 1.0
     for c in (floor, floor + 0.3, 0.4, 1.7):
-        memo = {}
-        got = min_sparse_subset(g, region, c, memo)
+        fresh = fresh_copy(g)
+        got = min_sparse_subset(fresh, region, c)
         assert got == oracle_sparse(c)
         if m >= 2:
             assert (got is None) == (c <= floor)
-        assert memo == ({tuple(region): half} if got is None and m >= 2 else {})
+        left = {("min_ratio", tuple(region), m // 2): half}
+        assert fresh.memo == (left if got is None and m >= 2 else {})
 
 
 def test_shared_walk_matches_both_scans(monkeypatch):
@@ -424,7 +425,7 @@ def test_scan_refuses_regions_wider_than_the_mask(monkeypatch):
     monkeypatch.setattr(ex, "_size_order", no_table)
     g = bg.path_graph(ex.MASK_BITS + 1)
     for scan in (lambda: min_ratio_subset(g, range(g.n), g.n // 2),
-                 lambda: min_sparse_subset(g, range(g.n), 0.5, {}),
+                 lambda: min_sparse_subset(g, range(g.n), 0.5),
                  lambda: bg.cheeger_exact(g, exact_cap=40)):
         with pytest.raises(TooLargeForExact) as exc:
             scan()

@@ -150,12 +150,12 @@ def _random_path_plus_chords(rng, n, d=5):
 
 
 def _check_dense_subsets(g, ks):
-    """Dense eigenpairs(L, k), k < n, against one full eigh of L."""
+    """Dense eigenpairs(L, k), k <= n, against one full eigh of L."""
     lap = bg.laplacian(g)
     full = np.linalg.eigh(lap.toarray())[0]
     scale = 1.0 + abs(lap).sum(axis=0).max()  # 1 + ||L||_1
     for k in ks:
-        assert spectral._dense(g.n, k) and k < g.n
+        assert spectral._dense(g.n, k) and k <= g.n
         vals, vecs = eigenpairs(lap, k)
         assert vals.shape == (k,) and vecs.shape == (g.n, k)
         assert np.abs(vals - full[:k]).max() <= 1e-12 * scale, (g.n, k)
@@ -164,23 +164,26 @@ def _check_dense_subsets(g, ks):
 
 
 def test_dense_subset_eigenpairs_match_full_eigh(small_corpus):
-    # Every dense solve with k < n computes only its k pairs; they are the
-    # full solve's, and lambda_2 is one number whichever routine asks.
+    # Every dense solve computes only its k pairs, through one driver up to
+    # k = n; they are the full solve's, and lambda_2 is one number whichever
+    # routine asks.
     rng = np.random.default_rng(31)
     sizes = (3, 4, 9, 40, 131, DENSE_LIMIT - 1, DENSE_LIMIT, DENSE_LIMIT + 1, 600)
     graphs = small_corpus + [_random_path_plus_chords(rng, n) for n in sizes]
     for g in graphs:
         n, connected = g.n, len(g.components) == 1
         if n <= DENSE_LIMIT:
-            ks = sorted({1, 2, int(rng.integers(1, n)), n - 1} - {0, n})
+            ks = sorted({1, 2, int(rng.integers(1, n)), n - 1, n} - {0})
         else:
-            ks = [n - 1]  # the one k < n the dense/iterative rule solves dense
+            ks = [n - 1, n]  # the two k the dense/iterative rule solves dense
         if ks:
             _check_dense_subsets(g, ks)
         if connected and n >= 2:
             assert second_eigenvalue(g) == _fiedler_order(g)[0]
         else:
             assert second_eigenvalue(g) == 0.0
+    # k = n at n = 2: a 2-vertex component's Fiedler solve.
+    assert eigenpairs(bg.laplacian(bg.path_graph(2)), 2)[0].tolist() == [0.0, 2.0]
 
 
 def test_kernel_dim_matches_components():

@@ -67,12 +67,39 @@ def test_cheeger_sweep_is_best_fiedler_prefix():
             b / min(k + 1, n - k - 1)
             for k, b in enumerate(_recount(g, order)[: n - 1])
         ]
-        k = int(np.argmin(ratios)) + 1
-        side = order[:k] if k <= n // 2 else order[k:]
+        h = min(ratios)
+        # The smaller side of every least-ratio cut, both sides at k = n/2;
+        # the fewest vertices win, then the first sorted tuple.
+        sides = []
+        for k in range(1, n):
+            if ratios[k - 1] == h:
+                sides += [tuple(sorted(side)) for side in (order[:k], order[k:])
+                          if len(side) <= n // 2]
         rep = bg.cheeger_sweep(g)
-        assert rep.h == ratios[k - 1]
-        assert rep.witness == tuple(sorted(side))
+        assert rep.h == h
+        assert rep.witness == min(sides, key=lambda side: (len(side), side))
         assert bg.boundary_size(g, rep.witness) / len(rep.witness) == rep.h
+
+
+def test_cheeger_sweep_ignores_the_fiedler_sign(monkeypatch):
+    # Negated eigenvectors reverse the order: the same cuts in the other
+    # direction. Cycles, paths and tori tie on many prefixes, and on k = n/2.
+    from boxgap import cheeger
+
+    rng = np.random.default_rng(53)
+    graphs = [bg.cycle_graph(n) for n in (6, 9, 26, 40)]
+    graphs += [bg.path_graph(n) for n in (4, 25, 31)]
+    graphs += [bg.triangular_torus(6), bg.margulis_graph(5)]
+    graphs += [_connected_random_graph(rng) for _ in range(30)]
+    want = [bg.cheeger_sweep(g) for g in graphs]
+    real = cheeger.eigenpairs
+
+    def negated(*args):
+        vals, vecs = real(*args)
+        return vals, -vecs
+
+    monkeypatch.setattr(cheeger, "eigenpairs", negated)
+    assert [bg.cheeger_sweep(g) for g in graphs] == want
 
 
 def _sparse_cut_candidates(g, c, region):

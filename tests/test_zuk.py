@@ -5,7 +5,7 @@ import pytest
 
 import boxgap as bg
 import boxgap.zuk as zuk_mod
-from boxgap.errors import DisconnectedLink, EdgeWithoutTriangle
+from boxgap.errors import DisconnectedLink, EdgeWithoutTriangle, VertexOutOfRange
 
 from conftest import neighbour_rows, random_triangle_graph
 
@@ -166,6 +166,22 @@ def test_zuk_certificate_subset_must_still_cover_links():
     g = bg.glue_pair(bg.complete_graph(4), bg.cycle_graph(5), 0, 0, d=4)
     with pytest.raises(DisconnectedLink):
         bg.zuk_certificate(g, subset=(1, 2, 3))
+
+
+def test_zuk_certificate_subset_is_a_vertex_set():
+    g = bg.octahedron()
+    for bad in ([-1], [6], [0, 6]):
+        with pytest.raises(VertexOutOfRange):
+            bg.zuk_certificate(g, subset=bad)
+    for bad in ([1.7], [True], [0, np.float64(2.0)]):
+        with pytest.raises(ValueError):
+            bg.zuk_certificate(g, subset=bad)
+    once = bg.zuk_certificate(g, subset=[0])
+    twice = bg.zuk_certificate(g, subset=[0, 0])
+    assert twice.to_dict() == once.to_dict() and twice.subset == (0,)
+    assert twice.coverage == 1 / 6
+    mixed = bg.zuk_certificate(g, subset=[np.int64(3), 1, 3])
+    assert mixed.subset == (1, 3) and mixed.coverage == 2 / 6
 
 
 def test_delta_tau_k4():
