@@ -610,9 +610,20 @@ def _exact_cap(text: str) -> int:
     return cap
 
 
+def _tol(text: str) -> float:
+    """A --tol value: a finite float, 0 or more."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return abs(tol)  # -0 is written as 0.0
+
+
 # Each flag's definition; a subcommand registers only the flags it reads.
 _FLAGS = {
-    "--tol": dict(type=float, default=1e-9, help="eigensolver tolerance"),
+    "--tol": dict(type=_tol, default=1e-9, help="eigensolver tolerance"),
     "--exact-cap": dict(type=_exact_cap, default=EXACT_CAP,
                         help="largest vertex count for exhaustive scans"),
     "--alpha": dict(type=float, required=True),

@@ -323,7 +323,6 @@ class PartitionCertificate:
     piece_sizes: list
     boundary_ratios: list
     evidence: list  # per piece: {piece, method, value, witness, conclusive, meets_C}
-    records: list  # per piece: the Evidence behind evidence; not in to_dict
     inconclusive: list  # piece indices with positive spectral bound below C
     passed: bool
     alpha: float
@@ -349,8 +348,8 @@ def certify_partition(
 
     A piece's inner expansion is its ``piece_evidence``: an exact scan is
     conclusive either way, a spectral bound only when it already meets C.
-    A piece that a sparse-cut search on g has already solved or scanned
-    takes its evidence from ``g.memo``.
+    It is read from, or left in, ``g.memo``, where sparse-cut searches
+    and ``rewire_piece`` find it.
     """
     n = g.n or 1
     junk_ratio = len(decomp.junk) / n
@@ -358,13 +357,13 @@ def certify_partition(
     ratios = [
         boundary_size(g, p) / len(p) if p else 0.0 for p in decomp.pieces
     ]
-    records = [piece_evidence(g, piece, exact_cap) for piece in decomp.pieces]
     evidence = []
     inconclusive = []
     failed = junk_ratio >= params.alpha or any(
         r >= params.alpha for r in ratios
     )
-    for i, ev in enumerate(records):
+    for i, piece in enumerate(decomp.pieces):
+        ev = piece_evidence(g, piece, exact_cap)
         exact = ev.method == "exact"
         # value None: no subset of at most half the piece exists, so C is met
         # vacuously (None, as math.inf would not survive strict JSON).
@@ -388,7 +387,6 @@ def certify_partition(
         piece_sizes=sizes,
         boundary_ratios=ratios,
         evidence=evidence,
-        records=records,
         inconclusive=inconclusive,
         passed=not failed,
         alpha=params.alpha,
@@ -404,8 +402,9 @@ def kun_partition(
     Repeatedly extract a minimal sparse cut from the live region and take
     its ``replace_step``; a good cut is replaced by its level set and
     becomes a piece, a bad one sends its 3K-ball to junk. When no sparse cut
-    remains the live region is the final piece. A post-pass moves pieces whose boundary ratio reaches
-    alpha into the junk part. Returns (Decomposition, PartitionCertificate).
+    remains the live region is the final piece. A post-pass moves pieces
+    whose boundary ratio reaches alpha into the junk part. Returns
+    (Decomposition, PartitionCertificate).
     """
     live = set(range(g.n))
     junk: set = set()

@@ -147,11 +147,17 @@ class Graph:
 
     @cached_property
     def memo(self) -> dict:
-        """Answers that are pure functions of this graph and one of its
-        vertex sets, keyed by (producer, sorted vertex tuple, arguments).
-        Only their producers fill and read it; it is not part of equality
-        or hashing, and it lives and dies with the graph."""
+        """Answers keyed by (producer, sorted vertex tuple, arguments), filled
+        and read only by their producers; not part of equality or hashing.
+        Each is a pure function of its arguments and of the CSR rows of its
+        vertex tuple, so it holds on any graph where those rows are equal."""
         return {}
+
+    def hand_over_memo(self, edited: Graph, touched: set) -> None:
+        """Give ``edited``, this graph with only the touched vertices' rows
+        changed, every memo entry whose vertex set avoids them."""
+        edited.memo.update((key, answer) for key, answer in self.memo.items()
+                           if touched.isdisjoint(key[1]))
 
     @cached_property
     def component_labels(self) -> np.ndarray:

@@ -9,9 +9,9 @@ keeps degree at most d and, in the regime the construction targets, has
 Cheeger constant at least C/6; at small sizes that is verified exactly.
 
 The hypothesis check and the detached piece's Cheeger evidence both come
-from ``cheeger.piece_evidence``; the pipeline reuses the decomposition
-certificate's evidence while a piece's rows are unchanged, and a piece is
-measured again only after it has been rewired.
+from ``cheeger.piece_evidence``, which reads ``Graph.memo``; a rewired graph
+takes over the entries of every vertex set its edits did not touch, so a
+piece is measured again only once an edit has reached its rows.
 
 The pipeline entry point runs the level-set decomposition, rewires every
 piece sequentially on a shared working graph, drops the junk part and tiny
@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheeger import EXACT_CAP, Evidence, piece_evidence
+from .cheeger import EXACT_CAP, piece_evidence
 from .decompose import KunParams, kun_partition
 from .errors import HypothesisFailed, InsufficientSeparatedEdges
 from .generators import ApproxIsoWitness, WitnessEntry
 from .graph import (
     BoxSpace,
     Graph,
-    _gather,
     ball_of_set,
     boundary_edges,
     build_graph,
@@ -89,12 +88,6 @@ def select_separated_edges(g: Graph, piece, r: int, count: int) -> list:
     raise InsufficientSeparatedEdges(len(selected), count)
 
 
-def _rows(g: Graph, piece) -> tuple:
-    """The CSR rows of the piece's vertices, as bytes."""
-    vs = np.asarray(piece, dtype=np.int64)
-    return np.diff(g.indptr)[vs].tobytes(), _gather(g, vs)[1].tobytes()
-
-
 @dataclass
 class RewireResult:
     new_graph: Graph
@@ -135,7 +128,6 @@ def rewire_piece(
     c_inner: float,
     alpha: float,
     exact_cap: int = EXACT_CAP,
-    evidence: Evidence | None = None,
 ) -> RewireResult:
     """Remove the piece's boundary and restore expansion by rewiring.
 
@@ -143,8 +135,8 @@ def rewire_piece(
     most half the piece has ambient boundary at least c_inner |T|) is
     verified exhaustively up to exact_cap vertices, raising HypothesisFailed
     with a witness; larger pieces carry hypothesis_verified = False. The
-    separation radius is r = separation_radius(c_inner).
-    evidence, if given, is ``piece_evidence(g, piece, exact_cap)``, precomputed.
+    separation radius is r = separation_radius(c_inner). The edited graph
+    takes over g's memo entries of vertex sets the edits do not touch.
     """
     piece = vertex_set(g, piece)
     if not piece:
@@ -157,11 +149,10 @@ def rewire_piece(
             f"boundary {len(bedges)} not below alpha |P| = {alpha * len(piece):.3g}"
         )
     hypothesis_verified = len(piece) <= exact_cap
-    if evidence is None and (hypothesis_verified or not bedges):
-        evidence = piece_evidence(g, piece, exact_cap)
-    if (hypothesis_verified and evidence.value is not None
-            and evidence.value < c_inner):
-        raise HypothesisFailed(evidence.witness, evidence.value, c_inner)
+    if hypothesis_verified:
+        ev = piece_evidence(g, piece, exact_cap)
+        if ev.value is not None and ev.value < c_inner:
+            raise HypothesisFailed(ev.witness, ev.value, c_inner)
     r = separation_radius(c_inner)
     edits = []
     removed_vertices = ()
@@ -198,16 +189,17 @@ def rewire_piece(
             edits += [{"op": "remove_vertex", "vertex": x} for x in removed_vertices]
             new_piece = tuple(x for x in piece if not drop[x])
             new_graph = rebuild(edges[~drop[edges[:, 0]]])
+        g.hand_over_memo(new_graph, {x for e in cut + added for x in e}
+                         .union(removed_vertices))
 
     degree_ok = new_graph.max_degree() <= g.degree_bound
     if new_piece:
         assert not boundary_edges(new_graph, new_piece)
 
     # With no boundary left the piece is a union of components, and its inner
-    # expansion is its Cheeger constant; if unedited, it keeps its evidence.
+    # expansion is its Cheeger constant; if unedited, it is read from the memo.
     connected = new_piece in new_graph.components
-    if bedges:
-        evidence = piece_evidence(new_graph, new_piece, exact_cap)
+    evidence = piece_evidence(new_graph, new_piece, exact_cap)
     units = len(bedges)
     return RewireResult(
         new_graph=new_graph,
@@ -228,7 +220,7 @@ def rewire_piece(
         connected=connected,
         cheeger_evidence={
             "method": evidence.method,
-            "value": 0.0 if evidence.value is None else evidence.value,
+            "value": evidence.value,
             "witness": None if evidence.witness is None
             else np.searchsorted(new_piece, evidence.witness).tolist(),
         },
@@ -282,12 +274,8 @@ def expanderize(
         skipped = []
         survivors = []
         for j, piece in enumerate(decomp.pieces):
-            same = work is g or _rows(work, piece) == _rows(g, piece)
             try:
-                res = rewire_piece(
-                    work, piece, params.C, params.alpha, exact_cap,
-                    evidence=cert.records[j] if same else None,
-                )
+                res = rewire_piece(work, piece, params.C, params.alpha, exact_cap)
             except (HypothesisFailed, InsufficientSeparatedEdges, ValueError) as exc:
                 skipped.append({"piece": j, "reason": str(exc)})
                 continue

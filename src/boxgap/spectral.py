@@ -21,7 +21,6 @@ from .errors import DegreeBoundTooSmall, NoConvergence
 from .graph import BoxSpace, Graph, block_labels
 
 DENSE_LIMIT = 512  # exact dense solve at or below this dimension
-KERNEL_TOL_DENSE = 1e-9  # dense eigenvalues within this of 0 count as kernel
 
 
 def _weighted_laplacian(w: sp.csr_matrix) -> sp.csr_matrix:
@@ -105,19 +104,18 @@ def eigenpairs(mat: sp.csr_matrix, k: int, tol: float = 1e-9):
                    overwrite_a=True)
 
 
-def spectrum(mat: sp.csr_matrix, k: int | None = None, tol: float = 1e-9,
-             kernel_dim: int | None = None) -> SpectrumReport:
+def spectrum(mat: sp.csr_matrix, k: int | None = None, tol: float = 1e-9, *,
+             kernel_dim: int) -> SpectrumReport:
     """Report the k smallest eigenvalues of a symmetric sparse matrix: one
     dense ``eigvalsh`` of the whole matrix under the dense/iterative rule,
     restarted Krylov otherwise.
 
-    Unless ``kernel_dim`` is given, the kernel is the set of eigenvalues
-    within 1e-9 (dense) or tol (iterative) of zero; iterative solves should
-    always receive it (for graph Laplacians: the component count), since
-    Krylov residuals cannot separate a near-zero cluster reliably. The
-    iterative path can list a repeated eigenvalue once (torus m=48: its
-    6-fold lambda_2); a connected graph's gap, the entry above its simple
-    kernel, holds.
+    The caller states the kernel dimension (for a graph Laplacian, the
+    component count): no tolerance can tell a near-zero cluster from the
+    kernel, least of all from Krylov residuals. The gap is the entry just
+    above the kernel, 0.0 when none is listed. The iterative path can list
+    a repeated eigenvalue once (torus m=48: its 6-fold lambda_2); a
+    connected graph's gap, the entry above its simple kernel, holds.
     """
     n = mat.shape[0]
     if k is None:
@@ -130,9 +128,6 @@ def spectrum(mat: sp.csr_matrix, k: int | None = None, tol: float = 1e-9,
     else:
         evs, _ = iterative_eigenpairs(mat, k, tol)
         used = "iterative"
-    if kernel_dim is None:
-        cut = KERNEL_TOL_DENSE if used == "exact-dense" else tol
-        kernel_dim = int(np.sum(np.abs(evs) <= cut))
     gap = float(evs[kernel_dim]) if kernel_dim < len(evs) else 0.0
     return SpectrumReport(
         eigenvalues=[float(v) for v in evs],

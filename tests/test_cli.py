@@ -180,6 +180,28 @@ def test_exact_cap_outside_the_mask_width_exits_2(tmp_path, capsys):
     assert read_csv(tmp_path / "out" / "summary.csv")[1].endswith(",sweep")
 
 
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
+    # nan used to run ARPACK to its iteration cap, inf to switch off the
+    # residual check, and -1 to be written into the report as given.
+    manifest = make_box(tmp_path, [bg.octahedron()], d=4)
+    out = tmp_path / "out"
+    for command in ("spectrum", "cheeger", "zuk"):
+        argv = [command, "--input", manifest, "--out", str(out)]
+        for tol in ("nan", "inf", "-inf", "-1", "-1e-300"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"--tol={tol}"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --tol: must be finite and >= 0, got {tol}" in err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "tiny"])
+        assert exc.value.code == 2
+        assert "argument --tol: invalid float value: 'tiny'" in capsys.readouterr().err
+        assert main([*argv, "--tol=-0"]) == 0
+    tol = json.loads((out / "spectrum_0000.json").read_text())["delta"]["tol"]
+    assert math.copysign(1.0, tol) == 1.0 and tol == 0.0
+
+
 def test_zuk_command_octahedron_and_c5(tmp_path):
     manifest = make_box(tmp_path, [bg.octahedron(), bg.cycle_graph(5)], d=4)
     out = tmp_path / "out"

@@ -483,10 +483,10 @@ def test_kun_partition_one_eigen_solve_per_component(monkeypatch):
                         else "scipy.linalg.eigh") for name, n in calls)
     big = [i for i, p in enumerate(decomp.pieces) if len(p) > EXACT_CAP]
     assert sorted(len(decomp.pieces[i]) for i in big) == [40, 512, 576]
-    assert all(cert.records[i].method == "spectral" for i in big)
+    assert all(cert.evidence[i]["method"] == "spectral" for i in big)
     assert [step["type"] for step in decomp.steps] == ["good"] * 4 + ["final"]
     ref = decompose.certify_partition(fresh_copy(g), decomp, params)
-    assert cert.to_dict() == ref.to_dict() and cert.records == ref.records
+    assert cert.to_dict() == ref.to_dict()
 
 
 def test_kun_partition_scans_each_exact_region_once(monkeypatch):
@@ -524,7 +524,6 @@ def test_kun_partition_scans_each_exact_region_once(monkeypatch):
             assert exact <= set(scanned)
             ref = decompose.certify_partition(fresh_copy(g), decomp, params)
             assert cert.to_dict() == ref.to_dict()
-            assert cert.records == ref.records
             final = [s for s in decomp.steps if s["type"] == "final"]
             memo_hits += any(2 <= s["size"] <= EXACT_CAP for s in final)
     assert memo_hits >= 8
@@ -543,7 +542,7 @@ def test_memo_answers_only_for_its_own_graph():
         return [bg.find_sparse_cut(g, 0.5), bg.find_sparse_cut(g, 0.5, range(20)),
                 bg.find_sparse_cut(g, 0.05, range(20)),
                 bg.piece_evidence(g, range(30)), bg.piece_evidence(g, range(20)),
-                decomp.to_dict(), cert.to_dict(), cert.records]
+                decomp.to_dict(), cert.to_dict()]
 
     cycle, path = bg.cycle_graph(30), bg.path_graph(30)
     for first, second in ((cycle, path), (path, bg.cycle_graph(30))):

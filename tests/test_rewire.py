@@ -5,7 +5,8 @@ import pytest
 
 import boxgap as bg
 import boxgap.rewire as rewire_mod
-from boxgap.cheeger import second_eigenvalue
+from boxgap import exhaustive
+from boxgap.cheeger import induced_fiedler, second_eigenvalue
 from boxgap.decompose import certify_partition
 from boxgap.errors import HypothesisFailed, InsufficientSeparatedEdges
 from boxgap.graph import boundary_edges
@@ -330,18 +331,160 @@ def test_rewire_matches_set_reference():
         g, piece = random_piece_graph(rng)
         alpha = min(0.99, (len(boundary_edges(g, piece)) + 0.5) / len(piece))
         exact_cap = int(rng.choice([8, 16]))
-        evidence = bg.piece_evidence(g, piece, exact_cap)
         for c_inner in (0.5, 1, 2, 4, 8):
             args = (g, piece, c_inner, alpha, exact_cap)
             want = rewire_outcome(reference_rewire, *args)
             got = rewire_outcome(bg.rewire_piece, *args)
             assert got == want, args
-            given = rewire_outcome(bg.rewire_piece, *args, evidence)
-            assert given == want, args
             if isinstance(got[0], dict) and got[0]["edits"]:
                 rewired += 1
                 dropped += bool(got[0]["removed_vertices"])
     assert rewired and dropped
+
+
+def memo_answer(g, key):
+    """What the producer of a memo key computes on g, arrays as bytes."""
+    producer, vs, arg = key
+    if producer == "fiedler":
+        answer = induced_fiedler(g, vs, arg)
+    else:
+        answer = exhaustive.min_ratio_subset(g, vs, arg)
+    return [x.tobytes() if isinstance(x, np.ndarray) else x for x in answer]
+
+
+def record_hand_overs(monkeypatch):
+    """Wrap Graph.hand_over_memo; each call appends (the old memo, the edited
+    graph, the entries the edited graph then holds)."""
+    real = bg.Graph.hand_over_memo
+    calls = []
+
+    def recording(self, edited, touched):
+        before = dict(self.memo)
+        real(self, edited, touched)
+        calls.append((before, edited, dict(edited.memo)))
+
+    monkeypatch.setattr(bg.Graph, "hand_over_memo", recording)
+    return calls
+
+
+def check_hand_over(old_memo, edited, got, edits) -> int:
+    """The edited graph received exactly the old entries whose vertex set
+    holds no vertex an edit touches, each as a fresh equal graph computes
+    it. Returns how many it received."""
+    touched = set().union(*(e["edge"] if "edge" in e else [e["vertex"]]
+                            for e in edits))
+    want = {k: v for k, v in old_memo.items() if touched.isdisjoint(k[1])}
+    assert got.keys() == want.keys()
+    assert all(got[k] is want[k] for k in got)
+    fresh = fresh_copy(edited)
+    for key in got:
+        assert memo_answer(edited, key) == memo_answer(fresh, key), key
+    return len(got)
+
+
+def test_rewire_hands_over_the_memo_of_untouched_vertex_sets(monkeypatch):
+    """Before each rewiring, g's memo holds scans and Fiedler pairs of
+    random vertex sets, some touched by the edits and some not."""
+    rng = np.random.default_rng(43)
+    calls = record_hand_overs(monkeypatch)
+    handed = withheld = 0
+    for _ in range(40):
+        g, piece = random_piece_graph(rng)
+        for _ in range(6):
+            vs = tuple(sorted(rng.choice(g.n, size=int(rng.integers(2, 9)),
+                                         replace=False).tolist()))
+            exhaustive.min_ratio_subset(g, vs, len(vs) // 2)
+            induced_fiedler(g, vs)
+        alpha = min(0.99, (len(boundary_edges(g, piece)) + 0.5) / len(piece))
+        for c_inner in (0.5, 1, 2):
+            calls.clear()
+            got = rewire_outcome(bg.rewire_piece, g, piece, c_inner, alpha, 16)
+            if not isinstance(got[0], dict) or not got[0]["edits"]:
+                assert calls == []
+                continue
+            (old_memo, edited, entries), = calls
+            assert edited is got[1]
+            n = check_hand_over(old_memo, edited, entries, got[0]["edits"])
+            handed += n
+            withheld += len(old_memo) - n
+    assert handed and withheld
+
+
+def bridged_margulis_pair(m, bridge):
+    mg = bg.margulis_graph(m)
+    return bg.glue_pair(mg, mg, *bridge, d=12)
+
+
+def count_eigensolves(monkeypatch):
+    """Wrap every numpy and scipy eigensolver boxgap calls; returns the
+    dimension of each matrix solved."""
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    dims = []
+    for mod, fn in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                    (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"),
+                    (scipy.sparse.linalg, "eigsh")]:
+        def solve(a, *args, _real=getattr(mod, fn), **kwargs):
+            dims.append(a.shape[0])
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(mod, fn, solve)
+    return dims
+
+
+MARGULIS_PAIR_PARAMS = bg.KunParams(c=12, d=12, alpha=0.9)
+
+
+@pytest.mark.parametrize("m, bridge, extra", [
+    (24, (5, 7), 0), (48, (0, 0), 0), (24, (5, 7), 25)])
+def test_expanderize_hands_over_the_memo(monkeypatch, m, bridge, extra):
+    """Bridged Margulis pairs, one with a Margulis graph beside it that
+    becomes the last piece: each edited graph receives the untouched memo
+    entries, and the reports equal those of a run without any hand-over."""
+    g = bridged_margulis_pair(m, bridge)
+    if extra:
+        g = bg.disjoint_union(g, bg.margulis_graph(extra), d=12)
+    monkeypatch.setattr(bg.Graph, "hand_over_memo", lambda *args: None)
+    want = bg.expanderize(bg.BoxSpace(graphs=[fresh_copy(g)], d=12),
+                          MARGULIS_PAIR_PARAMS).reports[0].to_dict()
+    monkeypatch.undo()
+    calls = record_hand_overs(monkeypatch)
+    got = bg.expanderize(bg.BoxSpace(graphs=[g], d=12),
+                         MARGULIS_PAIR_PARAMS).reports[0].to_dict()
+    assert got == want
+    edited = [o["edits"] for o in got["piece_outcomes"] if o["edits"]]
+    assert len(edited) == len(calls) == 1
+    handed = sum(check_hand_over(*call, edits) for call, edits in zip(calls, edited))
+    assert handed == (1 if extra else 0)
+
+
+def test_expanderize_margulis_pair_eigensolves(monkeypatch):
+    """The Margulis 24 pair takes five solves: the whole graph, the live
+    side after the first cut, piece 0 for the certificate, and both pieces
+    on the rewired graph (piece 1 holds the bridge's far end). A Margulis
+    25 graph beside it, the last piece, is solved once: its certificate
+    solve is handed over to the rewired graph."""
+    pair = bridged_margulis_pair(24, (5, 7))
+    for g, want in [(pair, {576: 4, 1152: 1}),
+                    (bg.disjoint_union(pair, bg.margulis_graph(25), d=12),
+                     {576: 4, 625: 1, 1152: 1})]:
+        dims = count_eigensolves(monkeypatch)
+        bg.expanderize(bg.BoxSpace(graphs=[g], d=12), MARGULIS_PAIR_PARAMS)
+        monkeypatch.undo()
+        assert {n: dims.count(n) for n in dims} == want
+
+
+def test_expanderize_reports_a_singleton_piece_as_the_certificate_does():
+    """A piece of one vertex has no subset of at most half its size: its
+    value is null in the certificate and in the rewiring outcome alike."""
+    g = bg.disjoint_union(bg.complete_graph(6), bg.build_graph(1, [], 1), d=5)
+    rep = bg.expanderize(bg.BoxSpace(graphs=[g], d=5),
+                         bg.KunParams(c=4, d=5, alpha=0.2)).reports[0]
+    assert rep.decomposition["pieces"][0] == [6]
+    assert rep.certificate["evidence"][0]["value"] is None
+    assert rep.piece_outcomes[0]["vertices"] == [6]
+    assert rep.piece_outcomes[0]["cheeger_evidence"] == {
+        "method": "exact", "value": None, "witness": []}
 
 
 def test_rewire_degree_never_exceeds_bound():
@@ -427,8 +570,9 @@ def test_expanderize_scans_each_untouched_piece_once(monkeypatch):
 
 def test_expanderize_rescans_a_piece_whose_rows_changed(monkeypatch):
     """Rewiring piece 0 removes its one boundary edge, which ends in piece
-    1, so piece 1's certificate scan is stale: piece 1 is scanned again, and
-    the report equals one made without any certificate evidence."""
+    1, so piece 1's certificate scan is not handed over to the rewired
+    graph: piece 1 is scanned again, and the report equals one made with no
+    memo hand-over at all, on an equal graph of its own."""
     import boxgap.exhaustive as exhaustive_mod
 
     cycle = [(i, (i + 1) % 8) for i in range(8)]
@@ -443,12 +587,12 @@ def test_expanderize_rescans_a_piece_whose_rows_changed(monkeypatch):
         return decomp, certify_partition(g, decomp, params, exact_cap)
 
     monkeypatch.setattr(rewire_mod, "kun_partition", fixed_partition)
-    real_rewire = rewire_mod.rewire_piece
-    monkeypatch.setattr(rewire_mod, "rewire_piece",
-                        lambda *args, evidence=None: real_rewire(*args))
-    want = bg.expanderize(box, params).reports[0].to_dict()
-    monkeypatch.setattr(rewire_mod, "rewire_piece", real_rewire)
-    scans = count_calls(monkeypatch, exhaustive_mod, "min_ratio_subset")
+    real_hand_over = bg.Graph.hand_over_memo
+    monkeypatch.setattr(bg.Graph, "hand_over_memo", lambda *args: None)
+    ref_box = bg.BoxSpace(graphs=[fresh_copy(g)], d=4)
+    want = bg.expanderize(ref_box, params).reports[0].to_dict()
+    monkeypatch.setattr(bg.Graph, "hand_over_memo", real_hand_over)
+    scans = count_calls(monkeypatch, exhaustive_mod, "_Scan")
     got = bg.expanderize(box, params).reports[0].to_dict()
     assert got == want
     assert got["piece_outcomes"][0]["edit_units"] == 1

@@ -70,7 +70,7 @@ def test_spectrum_c8_gap():
 
 def test_spectrum_zero_operator():
     g = bg.build_graph(5, [], 2)
-    rep = bg.spectrum(bg.laplacian(g))
+    rep = bg.spectrum(bg.laplacian(g), kernel_dim=5)
     assert rep.kernel_dim == 5
     assert rep.gap == 0.0
     assert rep.eigenvalues == [0.0] * 5
@@ -79,7 +79,7 @@ def test_spectrum_zero_operator():
 def test_spectrum_k_validation():
     op = bg.laplacian(bg.cycle_graph(4))
     with pytest.raises(ValueError):
-        bg.spectrum(op, k=5)
+        bg.spectrum(op, k=5, kernel_dim=1)
 
 
 def test_dense_vs_iterative_agree():
