@@ -111,62 +111,93 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(text)
 
 
-def _json_text(obj, level: int = 0) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, built with one
-    ``str.join`` per container.
+_SCALAR_TYPES = {str, type(None), bool, int, float}
+
+
+def _flat_texts(values, inner: str):
+    """The text of each value when none needs recursion, else None: every
+    value a scalar, or every value a 2-int list or tuple (an edge), laid out
+    at the indent ``inner``."""
+    types = set(map(type, values))
+    if types == {int}:
+        return map(int.__repr__, values)
+    if types == {float}:
+        return map(_float_text, values)
+    if types <= _SCALAR_TYPES:
+        return map(_scalar_text, values)
+    if (types <= {list, tuple} and set(map(len, values)) == {2}
+            and set(map(type, chain.from_iterable(values))) == {int}):
+        deeper = inner + "  "
+        pair = "[" + deeper + "{}," + deeper + "{}" + inner + "]"
+        return starmap(pair.format, values)
+    return None
+
+
+def _json_chunks(obj, level: int = 0):
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, as a stream of
+    pieces.
 
     json's indented encoder runs in pure Python, one generator step per
-    value. Here a list of exact ints, a list of 2-int lists or tuples (edge
-    lists) and a dict from str keys to ints and floats are each joined at
-    once; everything else recurses. A cyclic container raises
-    RecursionError where json raises ValueError.
+    value. Here a container whose values are all scalars, or all 2-int
+    lists or tuples (edge lists), is one piece, built by one ``str.join``;
+    any other container yields its brackets, separators and keys and
+    recurses, so no piece holds the text of a nested container. A cyclic
+    container raises RecursionError where json raises ValueError.
     """
     text = _scalar_text(obj)
     if text is not None:
-        return text
+        yield text
+        return
     inner = "\n" + "  " * (level + 1)
     sep = "," + inner
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        types = set(map(type, obj))
-        if types == {int}:
-            body = sep.join(map(int.__repr__, obj))
-        elif (types <= {list, tuple} and set(map(len, obj)) == {2}
-              and set(map(type, chain.from_iterable(obj))) == {int}):
-            deeper = inner + "  "
-            pair = "[" + deeper + "{}," + deeper + "{}" + inner + "]"
-            body = sep.join(starmap(pair.format, obj))
+            yield "[]"
+            return
+        texts = _flat_texts(obj, inner)
+        yield "[" + inner
+        if texts is not None:
+            yield sep.join(texts)
         else:
-            body = sep.join([_json_text(v, level + 1) for v in obj])
-        return "[" + inner + body + inner[:-2] + "]"
+            for j, v in enumerate(obj):
+                if j:
+                    yield sep
+                yield from _json_chunks(v, level + 1)
+        yield inner[:-2] + "]"
+        return
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            yield "{}"
+            return
         items = sorted(obj.items())
-        if set(map(type, obj)) == {str} and set(map(type, obj.values())) <= {
-            int, float
-        }:
-            body = sep.join([
-                encode_basestring_ascii(k) + ": "
-                + (int.__repr__(v) if type(v) is int else _float_text(v))
-                for k, v in items
-            ])
+        texts = _flat_texts([v for _, v in items], inner)
+        yield "{" + inner
+        if texts is not None:
+            yield sep.join([_key_text(k) + ": " + t
+                            for (k, _), t in zip(items, texts)])
         else:
-            body = sep.join([
-                _key_text(k) + ": " + _json_text(v, level + 1) for k, v in items
-            ])
-        return "{" + inner + body + inner[:-2] + "}"
+            for j, (k, v) in enumerate(items):
+                if j:
+                    yield sep
+                yield _key_text(k) + ": "
+                yield from _json_chunks(v, level + 1)
+        yield inner[:-2] + "}"
+        return
     raise TypeError(
         f"Object of type {obj.__class__.__name__} is not JSON serializable"
     )
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``: the joined stream."""
+    return "".join(_json_chunks(obj))
 
 
 def _write_json(path, obj, config_hash) -> None:
     data = dict(obj)
     data["config_hash"] = config_hash
     with open(path, "w") as fh:
-        fh.write(_json_text(data))
+        fh.writelines(_json_chunks(data))
         fh.write("\n")
 
 

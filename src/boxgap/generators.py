@@ -435,18 +435,40 @@ def sofic_verify(action: PermAction, relations, check_fixed) -> SoficReport:
 @dataclass
 class WitnessEntry:
     """Matched subgraphs at one index: vertices_x[i] maps to vertices_x2[i],
-    and edges_x (in x coordinates) exist on both sides."""
+    and edges_x (in x coordinates) exist on both sides. edges_x is a
+    sequence of (u, v) pairs or an (m, 2) int64 array, the form that
+    ``expanderize`` and ``from_dict`` give."""
 
     vertices_x: tuple
     vertices_x2: tuple
-    edges_x: tuple
+    edges_x: tuple | np.ndarray
 
     def to_dict(self) -> dict:
+        edges = self.edges_x
         return {
             "vertices_x": list(self.vertices_x),
             "vertices_x2": list(self.vertices_x2),
-            "edges_x": [list(e) for e in self.edges_x],
+            "edges_x": (edges.tolist() if isinstance(edges, np.ndarray)
+                        else [list(e) for e in edges]),
         }
+
+
+def _edge_pairs(value, what: str) -> np.ndarray:
+    """value as an (m, 2) int64 array if it is a list of 2-element lists of
+    int64 integers (bools excluded), else a ValueError naming the first
+    entry that is not."""
+    pairs = expect(value, list, what)
+    if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(pairs))) <= {int}):
+        try:
+            return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            pass
+    j = next(j for j, p in enumerate(pairs)
+             if not (type(p) is list and len(p) == 2
+                     and all(type(x) is int and -2**63 <= x < 2**63 for x in p)))
+    raise ValueError(f"{what}[{j}] must be a pair of int64 integers, "
+                     f"got {reprlib.repr(pairs[j])}")
 
 
 @dataclass
@@ -464,12 +486,7 @@ class ApproxIsoWitness:
                                      list, "entries")):
             what = f"entries[{i}]"
             e = _Spec(e, what)
-            pairs = e["edges_x"]
-            try:
-                edges = tuple((int(u), int(v)) for u, v in pairs)
-            except (TypeError, ValueError):
-                raise ValueError(f"{what}.edges_x must be a list of [u, v] pairs, "
-                                 f"got {reprlib.repr(pairs)}") from None
+            edges = _edge_pairs(e["edges_x"], f"{what}.edges_x")
             entries.append(WitnessEntry(
                 vertices_x=tuple(
                     expect_items(e["vertices_x"], int, f"{what}.vertices_x")),
@@ -538,7 +555,8 @@ def approx_iso_check(
         if fails.any():
             k = int(np.argmax(fails.any(axis=1)))
             reason = _ISO_FAILURES[int(np.argmax(fails[k]))]
-            raise NotAnIsomorphism(i, tuple(entry.edges_x[k]), reason)
+            raise NotAnIsomorphism(i, tuple(map(int, entry.edges_x[k])),
+                                   reason)
         e_matched = len(entry.edges_x)
         ratios.append(
             {

@@ -51,11 +51,13 @@ class Graph:
     Row x of ``indptr``/``indices`` (int32, read-only) lists the neighbours
     of x other than x itself, sorted; ``loops`` is the sorted tuple of
     vertices carrying a loop. These arrays and ``loops`` are the whole
-    graph: ``edge_array`` and ``edges`` list its edges and ``has_edge``
-    searches row u; ``has_edge`` and the degrees raise VertexOutOfRange for
-    a vertex outside [0, n). Build graphs with ``build_graph``, which
-    validates symmetry and the degree bound. Two graphs are equal when they
-    have the same vertex count, edges, loops, degree bound and loop flag.
+    graph: ``edge_array`` and ``edges`` list its edges, ``has_edge``
+    searches row u and ``has_edges`` searches the row-major keys once for
+    many pairs; ``has_edge`` and the degrees raise VertexOutOfRange for a
+    vertex outside [0, n), and ``has_edges`` answers False. Build graphs
+    with ``build_graph``, which validates symmetry and the degree bound.
+    Two graphs are equal when they have the same vertex count, edges,
+    loops, degree bound and loop flag.
     """
 
     n: int
@@ -117,10 +119,22 @@ class Graph:
                          np.insert(v, at, self.loops)), axis=1)
 
     def has_edges(self, pairs: np.ndarray) -> np.ndarray:
-        """Whether each row (u, v) of an int64 array, in either order, is an
-        edge (or, for u == v, a loop) of the graph."""
-        return np.isin(np.sort(pairs, axis=1) @ (self.n, 1),
-                       self.edge_array() @ (self.n, 1))
+        """Whether each row (u, v) of an (m, 2) int64 array, in either
+        order, is an edge (or, for u == v, a loop) of the graph; False when
+        u or v lies outside [0, n)."""
+        n = self.n
+        u, v = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+        # The CSR arrays list the row-major keys row * n + col in sorted
+        # order; the closing key n * n is no pair's, so every search lands
+        # on a key, and -1 (for a pair outside) matches none.
+        rows = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(self.indptr))
+        keys = np.append(rows + self.indices, n * n)
+        want = np.where(inside, u * n + v, -1)
+        found = keys[np.searchsorted(keys, want)] == want
+        loop = inside & (u == v)
+        found[loop] = np.isin(u[loop], self.loops)
+        return found
 
     def edges(self):
         """``edge_array`` as (u, v) tuples of Python ints."""
@@ -205,10 +219,11 @@ def vertex_set(g: Graph, vertices) -> VertexSet:
 
 
 def int64_pairs(pairs, n: int) -> np.ndarray:
-    """A list of (u, v) pairs as an int64 array; a vertex past int64 becomes
-    -1 or n, which is out of range all the same."""
+    """A list of (u, v) pairs as an int64 array, or an int64 array as it
+    is; a vertex past int64 becomes -1 or n, which is out of range all the
+    same."""
     try:
-        return np.array(pairs, dtype=np.int64)
+        return np.asarray(pairs, dtype=np.int64)
     except OverflowError:
         return np.array([[min(max(x, -1), n) for x in uv] for uv in pairs],
                         dtype=np.int64)

@@ -294,7 +294,7 @@ def expanderize(
             WitnessEntry(
                 vertices_x=kept,
                 vertices_x2=tuple(range(len(kept))),
-                edges_x=tuple(map(tuple, matched.tolist())),
+                edges_x=matched,
             )
         )
         reports.append(

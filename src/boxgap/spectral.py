@@ -96,12 +96,14 @@ def eigenpairs(mat: sp.csr_matrix, k: int, tol: float = 1e-9):
     """The k smallest eigenvalues of a symmetric PSD matrix, ascending, and
     their eigenvectors as columns. Under the dense/iterative rule a dense
     solve computes only those k pairs, with LAPACK's ``evr`` on the index
-    range 0..k-1 for every k; ``iterative_eigenpairs`` otherwise."""
+    range 0..k-1 for every k; ``iterative_eigenpairs`` otherwise. The
+    dense matrix is built in Fortran order, which LAPACK reads without a
+    copy; being symmetric, it holds the same numbers either way."""
     n = mat.shape[0]
     if not _dense(n, k):
         return iterative_eigenpairs(mat, k, tol)
-    return sla.eigh(mat.toarray(), subset_by_index=[0, k - 1], driver="evr",
-                   overwrite_a=True)
+    return sla.eigh(mat.toarray(order="F"), subset_by_index=[0, k - 1],
+                    driver="evr", overwrite_a=True)
 
 
 def spectrum(mat: sp.csr_matrix, k: int | None = None, tol: float = 1e-9, *,

@@ -8,7 +8,9 @@ import shlex
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +483,24 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, entries, names, command):
      "entries[0] has no 'edges_x'"),
     ({"entries": [{"vertices_x2": [0, 1], "edges_x": [[0, 1]]}]},
      "entries[0] has no 'vertices_x'"),
+    # An edge is a 2-element list of int64 integers, never coerced: int()
+    # would read "12" as edge (1, 2), [0.7, true] as (0, 1), [2.9, 1] as (2, 1).
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": "01"}]},
+     "entries[0].edges_x must be a list"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": ["12"]}]},
+     "entries[0].edges_x[0] must be a pair"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[0, 1], [0.7, True]]}]},
+     "entries[0].edges_x[1] must be a pair"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": [["1", 0]]}]},
+     "entries[0].edges_x[0] must be a pair"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[0, 1], [2.9, 1]]}]},
+     "entries[0].edges_x[1] must be a pair"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[True, 0]]}]},
+     "entries[0].edges_x[0] must be a pair"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[0, 1, 1]]}]},
+     "entries[0].edges_x[0] must be a pair"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[0, 2**70]]}]},
+     "entries[0].edges_x[0] must be a pair"),
 ])
 def test_approx_iso_malformed_witness_exits_2(tmp_path, capsys, witness, names):
     manifest = make_box(tmp_path, [bg.path_graph(2)], d=1)
@@ -753,6 +773,8 @@ _fast_shapes = st.one_of(
     st.lists(st.lists(_ints | st.booleans(), min_size=2, max_size=2)),
     st.dictionaries(st.text(), _ints | _floats),
     st.dictionaries(st.text(), _ints | _floats | st.booleans()),
+    st.dictionaries(_ints, _scalars),
+    st.lists(_scalars),
 )
 # Keys of one dict are mutually comparable, as sort_keys needs; a rare
 # mixed or unsupported key checks that both encoders raise the same error.
@@ -807,3 +829,37 @@ def test_json_text_rejects_numpy_ints_and_sets(obj):
     with pytest.raises(TypeError, match="is not JSON serializable"):
         _json_text(obj)
     _assert_same_json(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), _json_values))
+def test_write_json_matches_json_dumps(obj):
+    # The file is json.dumps's text and a newline; where json raises (a
+    # mixed or unsupported key), the writer raises the same error.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        try:
+            want = json.dumps({**obj, "config_hash": "0123abcd"}, indent=2,
+                              sort_keys=True)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as got:
+                cli._write_json(path, obj, "0123abcd")
+            assert str(got.value) == str(exc)
+            return
+        cli._write_json(path, obj, "0123abcd")
+        with open(path) as fh:
+            assert fh.read() == want + "\n"
+
+
+def test_write_json_streams(tmp_path):
+    # The writer never holds the whole document: eight edge lists of 5000
+    # pairs each are written one list at a time.
+    obj = {f"edges_{i}": [[j, j + i + 1] for j in range(5000)] for i in range(8)}
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        cli._write_json(path, obj, "0123abcd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size

@@ -715,7 +715,7 @@ def test_witness_json_roundtrip():
     )
     back = bg.ApproxIsoWitness.from_dict(w.to_dict())
     assert back.entries[0].vertices_x == (0, 1)
-    assert back.entries[0].edges_x == ((0, 1),)
+    assert back.entries[0].edges_x.tolist() == [[0, 1]]
 
 
 def test_core_density_trivial_cases():

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxgap as bg
 import boxgap.graph as graph_mod
@@ -174,6 +176,31 @@ def test_core_matches_set_oracles(small_corpus):
             )
             assert (sub.degree_bound, sub.allows_loops) == (
                 g.degree_bound, g.allows_loops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_has_edges_matches_set_oracle(data):
+    # Random graphs with loops; pairs in either order, with endpoints past
+    # either end of [0, n), where a row-major key would alias another pair.
+    n = data.draw(st.integers(0, 12), label="n")
+    vertex = st.integers(0, max(n - 1, 0))
+    picks = data.draw(st.lists(st.tuples(vertex, vertex), max_size=30)) if n else []
+    edges = {(min(u, v), max(u, v)) for u, v in picks}
+    degree = np.bincount([x for e in edges for x in set(e)], minlength=n)
+    g = bg.build_graph(n, sorted(edges), max(int(degree.max(initial=0)), 1),
+                       allow_loops=True)
+    end = st.integers(-3, n + 3) | st.sampled_from([-2**63, 2**63 - 1])
+    pairs = data.draw(st.lists(st.tuples(end, end), max_size=40), label="pairs")
+    got = g.has_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert got.dtype == bool
+    assert got.tolist() == [(min(u, v), max(u, v)) in edges for u, v in pairs]
+
+
+def test_has_edges_out_of_range_pair_is_no_edge():
+    # 0 * 6 + 8 is the key of edge (1, 2); the pair (0, 8) is no edge.
+    assert bg.cycle_graph(6).has_edges([[0, 8], [8, 0], [1, 2]]).tolist() == [
+        False, False, True]
 
 
 def test_equal_edge_sets_give_equal_graphs(small_corpus):

@@ -186,6 +186,21 @@ def test_dense_subset_eigenpairs_match_full_eigh(small_corpus):
     assert eigenpairs(bg.laplacian(bg.path_graph(2)), 2)[0].tolist() == [0.0, 2.0]
 
 
+def test_dense_eigenpairs_bit_identical_to_c_order_eigh():
+    # eigenpairs hands LAPACK a Fortran-order matrix; being symmetric, it
+    # holds the same numbers as the C-order one, so the bits agree.
+    rng = np.random.default_rng(47)
+    for n in (2, 7, 40, 133, DENSE_LIMIT):
+        g = random_bounded_graph(rng, n, 4)
+        for mat in (bg.laplacian(g), bg.markov(g)):
+            for k in sorted({1, 2, int(rng.integers(1, n + 1)), n}):
+                vals, vecs = eigenpairs(mat, k)
+                want_vals, want_vecs = sla.eigh(
+                    mat.toarray(), subset_by_index=[0, k - 1], driver="evr")
+                assert vals.tobytes() == want_vals.tobytes(), (n, k)
+                assert vecs.tobytes() == want_vecs.tobytes(), (n, k)
+
+
 def test_kernel_dim_matches_components():
     rng = np.random.default_rng(5)
     for _ in range(15):
