@@ -29,6 +29,12 @@ from .spectral import eigenpairs, laplacian
 EXACT_CAP = 24
 
 
+def _exact(n: int) -> bool:
+    """The one exact/spectral rule: scan exhaustively up to EXACT_CAP
+    vertices, read when called."""
+    return n <= EXACT_CAP
+
+
 @dataclass
 class CheegerReport:
     h: float
@@ -65,7 +71,7 @@ def _smallest_component(comps) -> tuple:
     return min(comps, key=lambda c: (len(c), c))
 
 
-def cheeger_exact(g: Graph, exact_cap: int = EXACT_CAP) -> CheegerReport:
+def cheeger_exact(g: Graph) -> CheegerReport:
     """Exact Cheeger constant by exhaustive subset scan.
 
     Disconnected graphs short-circuit to h = 0 with the smallest component
@@ -73,8 +79,8 @@ def cheeger_exact(g: Graph, exact_cap: int = EXACT_CAP) -> CheegerReport:
     """
     comps = connected_components(g)
     connected = g.n >= 2 and len(comps) == 1
-    if connected and g.n > exact_cap:
-        raise TooLargeForExact(g.n, exact_cap)
+    if connected and not _exact(g.n):
+        raise TooLargeForExact(g.n, EXACT_CAP)
     lower, upper = _bounds(g, second_eigenvalue(g))
     if not connected:
         witness = _smallest_component(comps) if g.n >= 2 else ()
@@ -147,16 +153,13 @@ def cheeger_sweep(g: Graph, tol: float = 1e-9) -> CheegerReport:
     return CheegerReport(float(h), witness, "sweep", lower, upper)
 
 
-def cheeger_report(g: Graph, tol: float = 1e-9,
-                   exact_cap: int = EXACT_CAP) -> CheegerReport:
-    """Exact report if n < 2, n <= exact_cap or g is disconnected, else sweep."""
-    exact = g.n < 2 or g.n <= exact_cap or len(connected_components(g)) > 1
-    return cheeger_exact(g, exact_cap) if exact else cheeger_sweep(g, tol)
+def cheeger_report(g: Graph, tol: float = 1e-9) -> CheegerReport:
+    """Exact report if n < 2, n <= EXACT_CAP or g is disconnected, else sweep."""
+    exact = g.n < 2 or _exact(g.n) or len(connected_components(g)) > 1
+    return cheeger_exact(g) if exact else cheeger_sweep(g, tol)
 
 
-def cheeger_sandwich_check(
-    g: Graph, tol: float = 1e-9, exact_cap: int = EXACT_CAP
-) -> bool:
+def cheeger_sandwich_check(g: Graph, tol: float = 1e-9) -> bool:
     """Verify lambda/2 - tol <= h <= sqrt(2 d lambda) + tol.
 
     Uses the exact Cheeger value when feasible, else the Fiedler sweep
@@ -167,11 +170,11 @@ def cheeger_sandwich_check(
     Test-facing API: no command or other library function calls it; the
     tests do.
     """
-    rep = cheeger_report(g, tol, exact_cap)
+    rep = cheeger_report(g, tol)
     return rep.lower_bound - tol <= rep.h <= rep.upper_bound + tol
 
 
-def inner_expansion_exact(g: Graph, piece, exact_cap: int = EXACT_CAP):
+def inner_expansion_exact(g: Graph, piece):
     """Exact min over T within the piece, |T| <= |piece|/2, of |∂T|/|T|.
 
     The boundary is ambient (edges leaving the piece count), so for a piece
@@ -179,8 +182,8 @@ def inner_expansion_exact(g: Graph, piece, exact_cap: int = EXACT_CAP):
     vertices count once.
     """
     piece = vertex_set(g, piece)
-    if len(piece) > exact_cap:
-        raise TooLargeForExact(len(piece), exact_cap)
+    if not _exact(len(piece)):
+        raise TooLargeForExact(len(piece), EXACT_CAP)
     if len(piece) < 2:
         return None, None
     return exhaustive.min_ratio_subset(g, piece, len(piece) // 2)
@@ -196,12 +199,12 @@ class Evidence:
     witness: tuple | None
 
 
-def piece_evidence(g: Graph, piece, exact_cap: int = EXACT_CAP) -> Evidence:
-    """Exact scan up to exact_cap vertices, else the spectral bound: both
+def piece_evidence(g: Graph, piece) -> Evidence:
+    """Exact scan up to EXACT_CAP vertices, else the spectral bound: both
     read from ``g.memo`` when g has solved the piece before. Depends only on
     the CSR rows of the piece's own vertices (loops never count)."""
     piece = vertex_set(g, piece)
-    if len(piece) <= exact_cap:
-        value, witness = inner_expansion_exact(g, piece, exact_cap)
+    if _exact(len(piece)):
+        value, witness = inner_expansion_exact(g, piece)
         return Evidence("exact", value, () if witness is None else witness)
     return Evidence("spectral", induced_fiedler(g, piece)[0] / 2.0, None)

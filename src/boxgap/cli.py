@@ -37,10 +37,9 @@ from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 
 from . import generators
-from .cheeger import EXACT_CAP, cheeger_report
+from .cheeger import cheeger_report
 from .decompose import KunParams, kun_partition
 from .errors import BoxgapError, DisconnectedLink, NoConvergence
-from .exhaustive import MASK_BITS
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
 from .graph import (
     BoxSpace,
@@ -397,7 +396,7 @@ def cmd_cheeger(args) -> int:
     box = read_manifest(args.input)
 
     def analyze(i, g):
-        rep = cheeger_report(g, tol=args.tol, exact_cap=args.exact_cap)
+        rep = cheeger_report(g, tol=args.tol)
         return {"index": i, "n": g.n, **rep.to_dict()}, [i, g.n, rep.h, rep.method]
 
     _report(args, "cheeger", box.graphs, analyze, ["index", "n", "h", "method"])
@@ -409,7 +408,7 @@ def cmd_decompose(args) -> int:
     params = KunParams(c=args.gap, d=box.d, alpha=args.alpha)
 
     def analyze(i, g):
-        decomp, cert = kun_partition(g, params, exact_cap=args.exact_cap)
+        decomp, cert = kun_partition(g, params)
         payload = {
             "index": i,
             "n": g.n,
@@ -438,9 +437,7 @@ def cmd_expanderize(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    result = expanderize(
-        box, params, min_component=args.min_component, exact_cap=args.exact_cap
-    )
+    result = expanderize(box, params, min_component=args.min_component)
 
     def analyze(i, rep):
         n = box.graphs[i].n
@@ -630,17 +627,6 @@ def cmd_approx_iso(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _exact_cap(text: str) -> int:
-    """An --exact-cap value: a vertex count the scans' masks can hold."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= cap <= MASK_BITS:
-        raise argparse.ArgumentTypeError(f"must lie in [0, {MASK_BITS}], got {cap}")
-    return cap
-
-
 def _tol(text: str) -> float:
     """A --tol value: a finite float, 0 or more."""
     try:
@@ -655,8 +641,6 @@ def _tol(text: str) -> float:
 # Each flag's definition; a subcommand registers only the flags it reads.
 _FLAGS = {
     "--tol": dict(type=_tol, default=1e-9, help="eigensolver tolerance"),
-    "--exact-cap": dict(type=_exact_cap, default=EXACT_CAP,
-                        help="largest vertex count for exhaustive scans"),
     "--alpha": dict(type=float, required=True),
     "--gap": dict(type=float, required=True, help="assumed Laplacian gap c"),
     "--min-component": dict(type=int, default=0,
@@ -670,13 +654,13 @@ _FLAGS = {
     "--tol-ratio": dict(type=float, default=0.05),
 }
 
-_PIPELINE = ("--exact-cap", "--alpha", "--gap")
+_PIPELINE = ("--alpha", "--gap")
 
 _COMMANDS = (
     ("spectrum", cmd_spectrum, "Laplacian / Markov / triangle spectra",
      ("--tol",)),
     ("cheeger", cmd_cheeger, "exact or sweep Cheeger constants",
-     ("--tol", "--exact-cap")),
+     ("--tol",)),
     ("decompose", cmd_decompose, "level-set decomposition with certificates",
      _PIPELINE),
     ("expanderize", cmd_expanderize, "decompose, rewire and prune",

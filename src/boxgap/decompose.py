@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exhaustive
-from .cheeger import EXACT_CAP, induced_fiedler, piece_evidence
+from .cheeger import _exact, induced_fiedler, piece_evidence
 from .errors import IterationCap
 from .graph import (
     Graph,
@@ -114,10 +114,6 @@ class LevelSetCut:
     vertices: tuple
     boundary: int
     empty_band: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
 
 
 def level_set_cut(g: Graph, f, a: float, b: float) -> LevelSetCut:
@@ -260,11 +256,11 @@ def replace_step(g: Graph, t_set, params: KunParams) -> ReplaceOutcome:
     )
 
 
-def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP):
+def find_sparse_cut(g: Graph, c: float, region=None):
     """Smallest proper subset T of the region with |∂T| < c |T|, or None.
 
     Boundaries are ambient. Exhaustive and exact when the region has at most
-    exact_cap vertices; above that, candidates come from Fiedler sweeps of
+    EXACT_CAP vertices; above that, candidates come from Fiedler sweeps of
     the region's components (prefixes, suffixes and whole components), and
     the smallest passing candidate is returned. Each component's Fiedler
     solve is kept in ``g.memo``, as is the min-ratio answer of an exact
@@ -276,7 +272,7 @@ def find_sparse_cut(g: Graph, c: float, region=None, exact_cap: int = EXACT_CAP)
     region = vertex_set(g, region if region is not None else range(g.n))
     if len(region) <= 1:
         return None
-    if len(region) <= exact_cap:
+    if _exact(len(region)):
         return exhaustive.min_sparse_subset(g, region, c)
 
     # Prefixes of each component's Fiedler order and of its reverse (the
@@ -303,9 +299,6 @@ class Decomposition:
     junk: tuple
     pieces: list
     steps: list  # chronological log of the construction
-
-    def parts(self) -> list:
-        return [self.junk] + list(self.pieces)
 
     def to_dict(self) -> dict:
         return {
@@ -342,7 +335,7 @@ class PartitionCertificate:
 
 
 def certify_partition(
-    g: Graph, decomp: Decomposition, params: KunParams, exact_cap: int = EXACT_CAP
+    g: Graph, decomp: Decomposition, params: KunParams
 ) -> PartitionCertificate:
     """Measure junk fraction, boundary ratios and inner expansion per piece.
 
@@ -363,7 +356,7 @@ def certify_partition(
         r >= params.alpha for r in ratios
     )
     for i, piece in enumerate(decomp.pieces):
-        ev = piece_evidence(g, piece, exact_cap)
+        ev = piece_evidence(g, piece)
         exact = ev.method == "exact"
         # value None: no subset of at most half the piece exists, so C is met
         # vacuously (None, as math.inf would not survive strict JSON).
@@ -394,9 +387,7 @@ def certify_partition(
     )
 
 
-def kun_partition(
-    g: Graph, params: KunParams, exact_cap: int = EXACT_CAP
-) -> tuple:
+def kun_partition(g: Graph, params: KunParams) -> tuple:
     """Decompose g into junk plus pieces with certified inner expansion.
 
     Repeatedly extract a minimal sparse cut from the live region and take
@@ -413,7 +404,7 @@ def kun_partition(
     for _ in range(g.n + 1):
         if not live:
             break
-        t = find_sparse_cut(g, params.C, region=sorted(live), exact_cap=exact_cap)
+        t = find_sparse_cut(g, params.C, region=sorted(live))
         if t is None:
             pieces.append(tuple(sorted(live)))
             steps.append({"type": "final", "piece": len(pieces) - 1,
@@ -446,5 +437,5 @@ def kun_partition(
         else:
             kept.append(piece)
     decomp = Decomposition(junk=tuple(sorted(junk)), pieces=kept, steps=steps)
-    cert = certify_partition(g, decomp, params, exact_cap)
+    cert = certify_partition(g, decomp, params)
     return decomp, cert

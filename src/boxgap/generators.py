@@ -517,6 +517,7 @@ _ISO_FAILURES = (
     "edge endpoint not matched",
     "not an edge on the left",
     "not an edge on the right",
+    "edge repeated",
 )
 
 
@@ -525,11 +526,12 @@ def approx_iso_check(
 ) -> ApproxIsoReport:
     """Verify a matched-subgraph witness and report the four ratio sequences.
 
-    Witness vertices must lie in their graphs (VertexOutOfRange otherwise).
-    Every listed edge must exist in x and, under the vertex map, in x2
-    (NotAnIsomorphism for the first edge that fails). The verdict requires
-    all four ratios to reach 1 - tolerance on the last quarter of the
-    indices.
+    Witness vertices must lie in their graphs (VertexOutOfRange otherwise)
+    and the vertex map must be injective. Every listed edge must exist in x
+    and, under the vertex map, in x2, and be listed once in either
+    orientation (NotAnIsomorphism for the first edge that fails). The
+    verdict requires all four ratios to reach 1 - tolerance on the last
+    quarter of the indices.
     """
     if not (len(x.graphs) == len(x2.graphs) == len(witness.entries)):
         raise ValueError("witness must align with both sequences")
@@ -538,7 +540,8 @@ def approx_iso_check(
         g, g2 = x.graphs[i], x2.graphs[i]
         if len(entry.vertices_x) != len(entry.vertices_x2):
             raise NotAnIsomorphism(i, None, "vertex lists differ in length")
-        if len(set(entry.vertices_x)) != len(entry.vertices_x):
+        if any(len(set(vs)) != len(vs)
+               for vs in (entry.vertices_x, entry.vertices_x2)):
             raise NotAnIsomorphism(i, None, "duplicate vertices in witness")
         for vs, h in ((entry.vertices_x, g), (entry.vertices_x2, g2)):
             bad = [v for v in vs if not 0 <= v < h.n]
@@ -549,9 +552,14 @@ def approx_iso_check(
         image = np.full(g.n + 1, -1, dtype=np.int64)
         image[list(entry.vertices_x)] = entry.vertices_x2
         edges = int64_pairs(entry.edges_x, g.n).reshape(-1, 2)
-        mapped = image[np.where((edges >= 0) & (edges < g.n), edges, g.n)]
+        inside = np.where((edges >= 0) & (edges < g.n), edges, g.n)
+        mapped = image[inside]
+        # An edge is a repeat unless it is the first with its key {u, v}.
+        key = np.sort(inside, axis=1) @ np.array([g.n + 1, 1])
+        repeat = np.ones(len(key), dtype=bool)
+        repeat[np.unique(key, return_index=True)[1]] = False
         fails = np.stack(((mapped < 0).any(axis=1), ~g.has_edges(edges),
-                          ~g2.has_edges(mapped)), axis=1)
+                          ~g2.has_edges(mapped), repeat), axis=1)
         if fails.any():
             k = int(np.argmax(fails.any(axis=1)))
             reason = _ISO_FAILURES[int(np.argmax(fails[k]))]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheeger import EXACT_CAP, piece_evidence
+from .cheeger import _exact, piece_evidence
 from .decompose import KunParams, kun_partition
 from .errors import HypothesisFailed, InsufficientSeparatedEdges
 from .generators import ApproxIsoWitness, WitnessEntry
@@ -127,13 +127,12 @@ def rewire_piece(
     piece,
     c_inner: float,
     alpha: float,
-    exact_cap: int = EXACT_CAP,
 ) -> RewireResult:
     """Remove the piece's boundary and restore expansion by rewiring.
 
     Requires |∂P| < alpha |P|. The inner-expansion hypothesis (every T of at
     most half the piece has ambient boundary at least c_inner |T|) is
-    verified exhaustively up to exact_cap vertices, raising HypothesisFailed
+    verified exhaustively up to EXACT_CAP vertices, raising HypothesisFailed
     with a witness; larger pieces carry hypothesis_verified = False. The
     separation radius is r = separation_radius(c_inner). The edited graph
     takes over g's memo entries of vertex sets the edits do not touch.
@@ -148,9 +147,9 @@ def rewire_piece(
         raise ValueError(
             f"boundary {len(bedges)} not below alpha |P| = {alpha * len(piece):.3g}"
         )
-    hypothesis_verified = len(piece) <= exact_cap
+    hypothesis_verified = _exact(len(piece))
     if hypothesis_verified:
-        ev = piece_evidence(g, piece, exact_cap)
+        ev = piece_evidence(g, piece)
         if ev.value is not None and ev.value < c_inner:
             raise HypothesisFailed(ev.witness, ev.value, c_inner)
     r = separation_radius(c_inner)
@@ -199,7 +198,7 @@ def rewire_piece(
     # With no boundary left the piece is a union of components, and its inner
     # expansion is its Cheeger constant; if unedited, it is read from the memo.
     connected = new_piece in new_graph.components
-    evidence = piece_evidence(new_graph, new_piece, exact_cap)
+    evidence = piece_evidence(new_graph, new_piece)
     units = len(bedges)
     return RewireResult(
         new_graph=new_graph,
@@ -254,7 +253,6 @@ def expanderize(
     box: BoxSpace,
     params: KunParams,
     min_component: int = 0,
-    exact_cap: int = EXACT_CAP,
 ) -> ExpanderizeResult:
     """Decompose, rewire and prune every graph of the sequence.
 
@@ -268,14 +266,14 @@ def expanderize(
     entries = []
     reports = []
     for i, g in enumerate(box.graphs):
-        decomp, cert = kun_partition(g, params, exact_cap)
+        decomp, cert = kun_partition(g, params)
         work = g
         outcomes = []
         skipped = []
         survivors = []
         for j, piece in enumerate(decomp.pieces):
             try:
-                res = rewire_piece(work, piece, params.C, params.alpha, exact_cap)
+                res = rewire_piece(work, piece, params.C, params.alpha)
             except (HypothesisFailed, InsufficientSeparatedEdges, ValueError) as exc:
                 skipped.append({"piece": j, "reason": str(exc)})
                 continue

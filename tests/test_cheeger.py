@@ -73,7 +73,8 @@ def test_exact_cap(monkeypatch):
         for big in (g, bg.margulis_graph(64)):
             with pytest.raises(TooLargeForExact):
                 bg.cheeger_exact(big)
-    rep = bg.cheeger_exact(g, exact_cap=25)
+    monkeypatch.setattr(cheeger_mod, "EXACT_CAP", 25)
+    rep = bg.cheeger_exact(g)
     assert rep.h == pytest.approx(2 / 12, abs=0)
 
 

@@ -23,7 +23,6 @@ import boxgap as bg
 from boxgap import cli
 from boxgap.cli import _json_text, build_parser, main
 from boxgap.errors import DegreeExceeded, NoConvergence
-from boxgap.exhaustive import MASK_BITS
 from boxgap.spectral import DENSE_LIMIT, pinned_spectrum
 
 
@@ -118,11 +117,11 @@ def test_missing_input_is_io_error(tmp_path, kind):
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
-    pipeline = {"--exact-cap", "--alpha", "--gap"}
+    pipeline = {"--alpha", "--gap"}
     expected = {
         "spectrum": {"--tol"},
         "zuk": {"--tol"},
-        "cheeger": {"--tol", "--exact-cap"},
+        "cheeger": {"--tol"},
         "decompose": pipeline,
         "expanderize": pipeline | {"--min-component", "--allow-infeasible-alpha"},
         "generate": {"--seed"},
@@ -135,8 +134,12 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         for name, p in sub.choices.items()
     }
     assert flags == {k: v | {"--input", "--out"} for k, v in expected.items()}
-    for argv in (["rewire", "--alpha", "0.1", "--gap", "4.0"],
-                 ["spectrum", "--workers", "2"]):
+    pipeline_argv = ["--alpha", "0.1", "--gap", "4.0"]
+    for argv in (["rewire", *pipeline_argv],
+                 ["spectrum", "--workers", "2"],
+                 ["cheeger", "--exact-cap", "24"],
+                 ["decompose", "--exact-cap", "24", *pipeline_argv],
+                 ["expanderize", "--exact-cap", "24", *pipeline_argv]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--input", "m.json", "--out", "o"])
         assert exc.value.code == 2
@@ -162,24 +165,6 @@ def test_cheeger_command(tmp_path):
     rows = read_csv(out / "summary.csv")[1:]
     assert rows[0].split(",")[2:] == ["1.0", "exact"]
     assert rows[1].split(",")[3] == "sweep"
-
-
-def test_exact_cap_outside_the_mask_width_exits_2(tmp_path, capsys):
-    manifest = make_box(tmp_path, [bg.path_graph(MASK_BITS + 1)], d=2)
-    out = str(tmp_path / "out")
-    for command in ("cheeger", "decompose"):
-        for cap in ("-1", str(MASK_BITS + 1), "40"):
-            argv = [command, "--input", manifest, "--out", out, "--exact-cap", cap]
-            if command == "decompose":
-                argv += ["--alpha", "0.3", "--gap", "0.2"]
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert f"argument --exact-cap: must lie in [0, {MASK_BITS}]" in err
-    argv = ["cheeger", "--input", manifest, "--out", out, "--exact-cap"]
-    assert main([*argv, str(MASK_BITS)]) == 0
-    assert read_csv(tmp_path / "out" / "summary.csv")[1].endswith(",sweep")
 
 
 def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
@@ -501,6 +486,12 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, entries, names, command):
      "entries[0].edges_x[0] must be a pair"),
     ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[0, 2**70]]}]},
      "entries[0].edges_x[0] must be a pair"),
+    # A map that is not injective, or an edge listed twice, would let a
+    # ratio count one vertex or edge more than once.
+    ({"entries": [{**_WITNESS_ENTRY, "vertices_x2": [0, 0]}]},
+     "(edge None): duplicate vertices in witness"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[0, 1], [1, 0]]}]},
+     "(edge (1, 0)): edge repeated"),
 ])
 def test_approx_iso_malformed_witness_exits_2(tmp_path, capsys, witness, names):
     manifest = make_box(tmp_path, [bg.path_graph(2)], d=1)

@@ -274,11 +274,12 @@ def test_find_sparse_cut_bridged_pair():
     assert bg.find_sparse_cut(bridged_k4_pair(), 0.5) == (0, 1, 2, 3)
 
 
-def test_find_sparse_cut_disjoint_triangles():
+def test_find_sparse_cut_disjoint_triangles(monkeypatch):
     two = bg.disjoint_union(bg.complete_graph(3), bg.complete_graph(3))
     assert bg.find_sparse_cut(two, 0.5) == (0, 1, 2)
     # the sweep path finds a zero-boundary component as well
-    assert bg.find_sparse_cut(two, 0.5, exact_cap=1) == (0, 1, 2)
+    monkeypatch.setattr(cheeger, "EXACT_CAP", 1)
+    assert bg.find_sparse_cut(two, 0.5) == (0, 1, 2)
 
 
 def test_find_sparse_cut_minimality():
@@ -411,12 +412,12 @@ def test_kun_partition_solves_each_live_component_once(monkeypatch):
     # fresh equal graph, recording the components each sweep search solves.
     swept = []
 
-    def unmemoized(g, c, region=None, exact_cap=EXACT_CAP):
+    def unmemoized(g, c, region=None):
         region = sorted(region)
-        if len(region) > exact_cap:
+        if len(region) > EXACT_CAP:
             sub, idx = bg.induced_subgraph(g, region)
             swept.extend(tuple(idx[v] for v in comp) for comp in sub.components)
-        return real_cut(fresh_copy(g), c, region, exact_cap)
+        return real_cut(fresh_copy(g), c, region)
 
     monkeypatch.setattr(decompose, "find_sparse_cut", unmemoized)
     ref_decomp, ref_cert = bg.kun_partition(fresh_copy(g), params)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import boxgap as bg
+import boxgap.cheeger as cheeger_mod
 import boxgap.exhaustive as ex
 from boxgap.errors import TooLargeForExact
 from boxgap.exhaustive import min_ratio_subset, min_sparse_subset
@@ -423,10 +424,11 @@ def test_scan_refuses_regions_wider_than_the_mask(monkeypatch):
 
     monkeypatch.setattr(ex, "_boundary_table", no_table)
     monkeypatch.setattr(ex, "_size_order", no_table)
+    monkeypatch.setattr(cheeger_mod, "EXACT_CAP", 40)
     g = bg.path_graph(ex.MASK_BITS + 1)
     for scan in (lambda: min_ratio_subset(g, range(g.n), g.n // 2),
                  lambda: min_sparse_subset(g, range(g.n), 0.5),
-                 lambda: bg.cheeger_exact(g, exact_cap=40)):
+                 lambda: bg.cheeger_exact(g)):
         with pytest.raises(TooLargeForExact) as exc:
             scan()
         assert (exc.value.n, exc.value.cap) == (ex.MASK_BITS + 1, ex.MASK_BITS)

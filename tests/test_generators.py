@@ -640,6 +640,26 @@ def test_approx_iso_corrupted_witness():
         bg.approx_iso_check(box, box, witness)
 
 
+@pytest.mark.parametrize("g, entry, message", [
+    # C4 folded two-to-one onto the edge (0, 1): every ratio would read 1.0
+    (bg.cycle_graph(4),
+     bg.WitnessEntry((0, 1, 2, 3), (0, 1, 0, 1), tuple(bg.cycle_graph(4).edges())),
+     "(edge None): duplicate vertices in witness"),
+    # one edge of three listed three times: an edge ratio of 1.0
+    (bg.path_graph(4),
+     bg.WitnessEntry((0, 1, 2, 3), (0, 1, 2, 3), ((0, 1), (0, 1), (1, 0))),
+     "(edge (0, 1)): edge repeated"),
+    (bg.path_graph(4),
+     bg.WitnessEntry((0, 1, 2, 3), (0, 1, 2, 3), ((0, 1), (2, 3), (1, 0))),
+     "(edge (1, 0)): edge repeated"),
+])
+def test_approx_iso_refuses_a_fold_and_repeated_edges(g, entry, message):
+    box = bg.BoxSpace(graphs=[g], d=2)
+    with pytest.raises(NotAnIsomorphism) as exc:
+        bg.approx_iso_check(box, box, bg.ApproxIsoWitness([entry]))
+    assert str(exc.value).endswith(message)
+
+
 def test_approx_iso_tail_verdict():
     graphs = [bg.cycle_graph(8)] * 8
     box = bg.BoxSpace(graphs=graphs, d=2)
@@ -659,6 +679,7 @@ def edge_loop_check(x, x2, witness):
     and witness edge, in order, on witnesses whose vertices are valid."""
     for i, entry in enumerate(witness.entries):
         vmap = dict(zip(entry.vertices_x, entry.vertices_x2))
+        seen = set()
         for u, v in entry.edges_x:
             if u not in vmap or v not in vmap:
                 raise NotAnIsomorphism(i, (u, v), "edge endpoint not matched")
@@ -666,6 +687,9 @@ def edge_loop_check(x, x2, witness):
                 raise NotAnIsomorphism(i, (u, v), "not an edge on the left")
             if not x2.graphs[i].has_edge(vmap[u], vmap[v]):
                 raise NotAnIsomorphism(i, (u, v), "not an edge on the right")
+            if frozenset((u, v)) in seen:
+                raise NotAnIsomorphism(i, (u, v), "edge repeated")
+            seen.add(frozenset((u, v)))
 
 
 def test_approx_iso_first_failing_edge_matches_loop(small_corpus):
@@ -688,7 +712,8 @@ def test_approx_iso_first_failing_edge_matches_loop(small_corpus):
             inside = [e for e in g.edges() if e[0] in vs and e[1] in vs]
             junk = [tuple(rng.integers(-2, g.n + 2, size=2).tolist())
                     for _ in range(3)]
-            pool = inside + junk + [(g.n + 2**70, 0)]
+            pool = inside + junk + [(g.n + 2**70, 0)] + inside[:1] + [
+                e[::-1] for e in inside[1:2]]
             picks = rng.permutation(len(pool))[: int(rng.integers(0, 8))]
             edges = tuple(pool[k] for k in picks)
             entry = bg.WitnessEntry(tuple(vs), tuple(perm[vs].tolist()), edges)
@@ -706,7 +731,8 @@ def test_approx_iso_first_failing_edge_matches_loop(small_corpus):
             assert got == want, (g.n, entry)
             outcomes.add(want and want.rsplit(": ", 1)[1])
     assert outcomes == {None, "edge endpoint not matched",
-                        "not an edge on the left", "not an edge on the right"}
+                        "not an edge on the left", "not an edge on the right",
+                        "edge repeated"}
 
 
 def test_witness_json_roundtrip():

@@ -5,7 +5,7 @@ import pytest
 
 import boxgap as bg
 import boxgap.rewire as rewire_mod
-from boxgap import exhaustive
+from boxgap import cheeger, exhaustive
 from boxgap.cheeger import induced_fiedler, second_eigenvalue
 from boxgap.decompose import certify_partition
 from boxgap.errors import HypothesisFailed, InsufficientSeparatedEdges
@@ -184,7 +184,8 @@ def reference_select(g, piece, r, count):
 
 def reference_rewire(g, piece, c_inner, alpha, exact_cap):
     """Set oracle for rewire_piece: the graph copied into per-vertex sets and
-    edited in place, its piece components found on a rebuilt subgraph."""
+    edited in place, its piece components found on a rebuilt subgraph.
+    Pieces of at most exact_cap vertices are scanned exhaustively."""
     piece = bg.vertex_set(g, piece)
     bedges = sorted(boundary_edges(g, piece))
     if len(bedges) >= alpha * len(piece):
@@ -193,7 +194,7 @@ def reference_rewire(g, piece, c_inner, alpha, exact_cap):
         )
     hypothesis_verified = False
     if len(piece) <= exact_cap:
-        value, witness = bg.inner_expansion_exact(g, piece, exact_cap)
+        value, witness = bg.inner_expansion_exact(g, piece)
         if value is not None and value < c_inner:
             raise HypothesisFailed(witness, value, c_inner)
         hypothesis_verified = True
@@ -263,7 +264,7 @@ def reference_rewire(g, piece, c_inner, alpha, exact_cap):
     sub, _ = bg.induced_subgraph(new_graph, new_piece)
     connected = len(bg.connected_components(sub)) == 1 if new_piece else False
     if len(new_piece) <= exact_cap:
-        rep = bg.cheeger_exact(sub, exact_cap)
+        rep = bg.cheeger_exact(sub)
         evidence = {"method": "exact", "value": rep.h, "witness": list(rep.witness)}
     else:
         evidence = {"method": "spectral", "value": second_eigenvalue(sub) / 2.0,
@@ -322,20 +323,22 @@ def rewire_outcome(rewire, *args):
     return res.to_dict(), res.new_graph
 
 
-def test_rewire_matches_set_reference():
+def test_rewire_matches_set_reference(monkeypatch):
     """rewire_piece on the edge array gives the edits, result and graph of
-    the set-editing construction, exceptions included."""
+    the set-editing construction, exceptions included, under an exact cap
+    of 8 or 16."""
     rng = np.random.default_rng(41)
     rewired = dropped = 0
     for _ in range(60):
         g, piece = random_piece_graph(rng)
         alpha = min(0.99, (len(boundary_edges(g, piece)) + 0.5) / len(piece))
         exact_cap = int(rng.choice([8, 16]))
+        monkeypatch.setattr(cheeger, "EXACT_CAP", exact_cap)
         for c_inner in (0.5, 1, 2, 4, 8):
-            args = (g, piece, c_inner, alpha, exact_cap)
-            want = rewire_outcome(reference_rewire, *args)
+            args = (g, piece, c_inner, alpha)
+            want = rewire_outcome(reference_rewire, *args, exact_cap)
             got = rewire_outcome(bg.rewire_piece, *args)
-            assert got == want, args
+            assert got == want, (*args, exact_cap)
             if isinstance(got[0], dict) and got[0]["edits"]:
                 rewired += 1
                 dropped += bool(got[0]["removed_vertices"])
@@ -386,6 +389,7 @@ def test_rewire_hands_over_the_memo_of_untouched_vertex_sets(monkeypatch):
     """Before each rewiring, g's memo holds scans and Fiedler pairs of
     random vertex sets, some touched by the edits and some not."""
     rng = np.random.default_rng(43)
+    monkeypatch.setattr(cheeger, "EXACT_CAP", 16)
     calls = record_hand_overs(monkeypatch)
     handed = withheld = 0
     for _ in range(40):
@@ -398,7 +402,7 @@ def test_rewire_hands_over_the_memo_of_untouched_vertex_sets(monkeypatch):
         alpha = min(0.99, (len(boundary_edges(g, piece)) + 0.5) / len(piece))
         for c_inner in (0.5, 1, 2):
             calls.clear()
-            got = rewire_outcome(bg.rewire_piece, g, piece, c_inner, alpha, 16)
+            got = rewire_outcome(bg.rewire_piece, g, piece, c_inner, alpha)
             if not isinstance(got[0], dict) or not got[0]["edits"]:
                 assert calls == []
                 continue
@@ -583,8 +587,8 @@ def test_expanderize_rescans_a_piece_whose_rows_changed(monkeypatch):
     decomp = bg.Decomposition(junk=(), pieces=[tuple(range(8)),
                                                tuple(range(8, 12))], steps=[])
 
-    def fixed_partition(g, params, exact_cap):
-        return decomp, certify_partition(g, decomp, params, exact_cap)
+    def fixed_partition(g, params):
+        return decomp, certify_partition(g, decomp, params)
 
     monkeypatch.setattr(rewire_mod, "kun_partition", fixed_partition)
     real_hand_over = bg.Graph.hand_over_memo

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import boxgap as bg
+from boxgap import cheeger
 from boxgap.cheeger import _fiedler_order
 from boxgap.graph import sweep_profile
 
@@ -117,7 +118,8 @@ def _sparse_cut_candidates(g, c, region):
     return found
 
 
-def test_find_sparse_cut_sweep_matches_oracle():
+def test_find_sparse_cut_sweep_matches_oracle(monkeypatch):
+    monkeypatch.setattr(cheeger, "EXACT_CAP", 1)
     rng = np.random.default_rng(59)
     for _ in range(60):
         g = _random_graph(rng, loops=bool(rng.integers(0, 2)))
@@ -126,10 +128,10 @@ def test_find_sparse_cut_sweep_matches_oracle():
         c = float(rng.choice([0.05, 0.5, 1.0, 2.0]))
         found = _sparse_cut_candidates(g, c, region)
         want = min(found)[1] if found else None
-        assert bg.find_sparse_cut(g, c, region=region, exact_cap=1) == want
+        assert bg.find_sparse_cut(g, c, region=region) == want
 
 
-def test_find_sparse_cut_sweep_breaks_size_ties_lexicographically():
+def test_find_sparse_cut_sweep_breaks_size_ties_lexicographically(monkeypatch):
     # On a path the Fiedler order runs end to end, so the halves {0..3} and
     # {4..7} are a prefix and a suffix with one boundary edge each; no
     # smaller set passes at c = 0.3.
@@ -139,7 +141,8 @@ def test_find_sparse_cut_sweep_breaks_size_ties_lexicographically():
         (4, (0, 1, 2, 3)),
         (4, (4, 5, 6, 7)),
     ]
-    assert bg.find_sparse_cut(g, 0.3, exact_cap=1) == (0, 1, 2, 3)
+    monkeypatch.setattr(cheeger, "EXACT_CAP", 1)
+    assert bg.find_sparse_cut(g, 0.3) == (0, 1, 2, 3)
 
 
 def _level_set_oracle(g, f, a, b):
