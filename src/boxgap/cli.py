@@ -34,7 +34,6 @@ import sys
 import time
 from concurrent.futures import BrokenExecutor
 from itertools import chain, starmap
-from json.encoder import encode_basestring_ascii
 
 from . import generators
 from .cheeger import cheeger_report
@@ -72,64 +71,15 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _scalar_text(x) -> str | None:
-    """json's text for a str, None, bool, int or float; None for others."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _float_text(x)
-    return None
-
-
 def _key_text(key) -> str:
-    """A dict key coerced to a string as json coerces it, then encoded."""
-    text = key if isinstance(key, str) else _scalar_text(key)
-    if text is None:
-        raise TypeError(
-            "keys must be str, int, float, bool or None, "
-            f"not {key.__class__.__name__}"
-        )
-    return encode_basestring_ascii(text)
+    """A dict key coerced to a string and encoded, as json does both. A
+    string key is encoded as a string value is, without the one-item dict."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    return json.dumps({key: 0})[1:-4]
 
 
 _SCALAR_TYPES = {str, type(None), bool, int, float}
-
-
-def _flat_texts(values, inner: str):
-    """The text of each value when none needs recursion, else None: every
-    value a scalar, or every value a 2-int list or tuple (an edge), laid out
-    at the indent ``inner``."""
-    types = set(map(type, values))
-    if types == {int}:
-        return map(int.__repr__, values)
-    if types == {float}:
-        return map(_float_text, values)
-    if types <= _SCALAR_TYPES:
-        return map(_scalar_text, values)
-    if (types <= {list, tuple} and set(map(len, values)) == {2}
-            and set(map(type, chain.from_iterable(values))) == {int}):
-        deeper = inner + "  "
-        pair = "[" + deeper + "{}," + deeper + "{}" + inner + "]"
-        return starmap(pair.format, values)
-    return None
 
 
 def _json_chunks(obj, level: int = 0):
@@ -137,59 +87,51 @@ def _json_chunks(obj, level: int = 0):
     pieces.
 
     json's indented encoder runs in pure Python, one generator step per
-    value. Here a container whose values are all scalars, or all 2-int
-    lists or tuples (edge lists), is one piece, built by one ``str.join``;
-    any other container yields its brackets, separators and keys and
-    recurses, so no piece holds the text of a nested container. A cyclic
-    container raises RecursionError where json raises ValueError.
+    value, while its C encoder runs only without ``indent``. A container
+    whose values are all scalars has no nesting, so one C-encoder call with
+    the item separator ``","`` plus the newline and indent gives its body,
+    and json itself sorts, coerces keys and raises (where the C module is
+    missing, json's Python encoder gives the same text). A container of 2-int
+    lists or tuples (an edge list) is joined in one step. Any other
+    container yields its brackets, separators and keys and recurses, so no
+    piece holds the text of a nested container. A cyclic container raises
+    RecursionError where json raises ValueError.
     """
-    text = _scalar_text(obj)
-    if text is not None:
-        yield text
+    if not isinstance(obj, (list, tuple, dict)):
+        yield json.dumps(obj)
         return
     inner = "\n" + "  " * (level + 1)
     sep = "," + inner
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        texts = _flat_texts(obj, inner)
-        yield "[" + inner
-        if texts is not None:
-            yield sep.join(texts)
-        else:
-            for j, v in enumerate(obj):
-                if j:
-                    yield sep
-                yield from _json_chunks(v, level + 1)
-        yield inner[:-2] + "]"
+    is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    types = set(map(type, obj.values() if is_dict else obj))
+    if types <= _SCALAR_TYPES:
+        text = json.dumps(obj, sort_keys=True, separators=(sep, ": "))
+        yield (opening + inner + text[1:-1] + inner[:-2] + closing
+               if obj else text)
         return
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
+    if is_dict:
         items = sorted(obj.items())
-        texts = _flat_texts([v for _, v in items], inner)
-        yield "{" + inner
-        if texts is not None:
-            yield sep.join([_key_text(k) + ": " + t
-                            for (k, _), t in zip(items, texts)])
-        else:
-            for j, (k, v) in enumerate(items):
-                if j:
-                    yield sep
-                yield _key_text(k) + ": "
-                yield from _json_chunks(v, level + 1)
-        yield inner[:-2] + "}"
-        return
-    raise TypeError(
-        f"Object of type {obj.__class__.__name__} is not JSON serializable"
-    )
-
-
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``: the joined stream."""
-    return "".join(_json_chunks(obj))
+        values = [v for _, v in items]
+    else:
+        values = obj
+    yield opening + inner
+    if (types <= {list, tuple} and set(map(len, values)) == {2}
+            and set(map(type, chain.from_iterable(values))) == {int}):
+        deeper = inner + "  "
+        pair = "[" + deeper + "{}," + deeper + "{}" + inner + "]"
+        texts = starmap(pair.format, values)
+        if is_dict:
+            texts = [_key_text(k) + ": " + t for (k, _), t in zip(items, texts)]
+        yield sep.join(texts)
+    else:
+        for j, v in enumerate(values):
+            if j:
+                yield sep
+            if is_dict:
+                yield _key_text(items[j][0]) + ": "
+            yield from _json_chunks(v, level + 1)
+    yield inner[:-2] + closing
 
 
 def _write_json(path, obj, config_hash) -> None:
@@ -576,8 +518,11 @@ def _words(value, what) -> list:
 def cmd_sofic(args) -> int:
     with open(args.input) as fh:
         spec = _Spec(json.load(fh), "sofic spec")
-    act = _Spec(spec.get("action", {}), "action")
-    if act.get("kind") == "cyclic":
+    if "action" in spec:
+        act = _Spec(spec["action"], "action")
+        kind = expect(act["kind"], str, "action.kind")
+        if kind != "cyclic":
+            raise ValueError(f"action.kind must be 'cyclic', got {kind!r}")
         action = cyclic_action(expect(act["m"], int, "action.m"),
                                expect_items(act["shifts"], int, "action.shifts"))
     else:
@@ -627,15 +572,26 @@ def cmd_approx_iso(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tol(text: str) -> float:
-    """A --tol value: a finite float, 0 or more."""
+def _float_in(text: str, top: float, rule: str) -> float:
+    """text as a finite float in [0, top]; else an argparse error citing
+    rule."""
     try:
-        tol = float(text)
+        x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return abs(tol)  # -0 is written as 0.0
+    if not (math.isfinite(x) and 0 <= x <= top):
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+    return abs(x)  # -0 is written as 0.0
+
+
+def _tol(text: str) -> float:
+    """A --tol value: a finite float, 0 or more."""
+    return _float_in(text, math.inf, "finite and >= 0")
+
+
+def _tol_ratio(text: str) -> float:
+    """A --tol-ratio value: a float in [0, 1]."""
+    return _float_in(text, 1.0, "in [0, 1]")
 
 
 # Each flag's definition; a subcommand registers only the flags it reads.
@@ -651,7 +607,7 @@ _FLAGS = {
                    help="seed for specs that do not set their own"),
     "--input2": dict(required=True, help="second manifest"),
     "--witness": dict(required=True, help="witness JSON"),
-    "--tol-ratio": dict(type=float, default=0.05),
+    "--tol-ratio": dict(type=_tol_ratio, default=0.05),
 }
 
 _PIPELINE = ("--alpha", "--gap")

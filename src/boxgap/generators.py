@@ -531,8 +531,11 @@ def approx_iso_check(
     and, under the vertex map, in x2, and be listed once in either
     orientation (NotAnIsomorphism for the first edge that fails). The
     verdict requires all four ratios to reach 1 - tolerance on the last
-    quarter of the indices.
+    quarter of the indices; the tolerance must lie in [0, 1] (ValueError
+    otherwise, NaN and infinities included).
     """
+    if not 0 <= tolerance <= 1:
+        raise ValueError(f"tolerance must be in [0, 1], got {tolerance}")
     if not (len(x.graphs) == len(x2.graphs) == len(witness.entries)):
         raise ValueError("witness must align with both sequences")
     ratios = []

@@ -125,11 +125,9 @@ class Graph:
         n = self.n
         u, v = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
-        # The CSR arrays list the row-major keys row * n + col in sorted
-        # order; the closing key n * n is no pair's, so every search lands
-        # on a key, and -1 (for a pair outside) matches none.
-        rows = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(self.indptr))
-        keys = np.append(rows + self.indices, n * n)
+        # Every search lands on a key (edge_keys closes with n * n), and -1
+        # (for a pair outside) matches none.
+        keys = edge_keys(self)
         want = np.where(inside, u * n + v, -1)
         found = keys[np.searchsorted(keys, want)] == want
         loop = inside & (u == v)
@@ -186,6 +184,14 @@ class Graph:
         members = np.argsort(labels, kind="stable")
         ends = np.cumsum(np.bincount(labels))
         return tuple(tuple(c.tolist()) for c in np.split(members, ends)[:-1])
+
+
+def edge_keys(g: Graph) -> np.ndarray:
+    """The row-major keys u * n + v of g's loop-free pairs (u, v), sorted,
+    as the CSR arrays list them, closed by n * n, which is no pair's key: a
+    search for the key of any pair inside [0, n) lands on an entry."""
+    rows = np.repeat(np.arange(g.n, dtype=np.int64) * g.n, np.diff(g.indptr))
+    return np.append(rows + g.indices, g.n * g.n)
 
 
 def block_labels(matrix: sp.spmatrix) -> np.ndarray:

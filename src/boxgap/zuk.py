@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DisconnectedLink, EdgeWithoutTriangle, EmptyLink
-from .graph import Graph, vertex_set
+from .graph import Graph, edge_keys, vertex_set
 from .spectral import (
     SpectrumReport,
     _weighted_laplacian,
@@ -77,23 +77,17 @@ class LinkGraph:
 LINK_CHUNK = 2048  # vertices whose links are stacked at once; bounds memory
 
 
-def _edge_keys(g: Graph) -> np.ndarray:
-    """u * n + v for every loop-free (u, v) of g, sorted (the CSR order)."""
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    return rows * g.n + g.indices
-
-
 def _link_stack(g: Graph, keys: np.ndarray, xs: np.ndarray, m: int):
     """Links of the vertices xs, each of loop-free degree m.
 
     Returns (nbrs, a): nbrs[k] is the sorted neighbour row of xs[k] and
     a[k, i, j] whether nbrs[k, i] and nbrs[k, j] are adjacent, a (c, m, m)
-    boolean stack found by searching the pair keys in ``keys``.
+    boolean stack found by searching the pair keys in ``keys``
+    (``edge_keys``).
     """
     nbrs = g.indices[g.indptr[xs][:, None] + np.arange(m)].astype(np.int64)
     q = nbrs[:, :, None] * g.n + nbrs[:, None, :]
-    pos = np.minimum(np.searchsorted(keys, q), max(len(keys) - 1, 0))
-    return nbrs, keys[pos] == q
+    return nbrs, keys[np.searchsorted(keys, q)] == q
 
 
 def _links_connected(a: np.ndarray) -> np.ndarray:
@@ -127,7 +121,7 @@ def link_graph(g: Graph, x: int) -> LinkGraph:
     convention that the certificate hypothesis fails there.
     """
     m = g.nonloop_degree(x)
-    nbrs, a = _link_stack(g, _edge_keys(g), np.array([x]), m)
+    nbrs, a = _link_stack(g, edge_keys(g), np.array([x]), m)
     i, j = np.nonzero(np.triu(a[0], 1))
     deg = a[0].sum(axis=1)
     return LinkGraph(
@@ -204,7 +198,7 @@ def zuk_certificate(g: Graph, subset=None, tol: float = 1e-9) -> ZukCertificate:
     vertices = vertex_set(g, subset) if subset is not None else tuple(range(g.n))
     wanted = np.zeros(g.n, dtype=bool)
     wanted[list(vertices)] = True
-    keys = _edge_keys(g)
+    keys = edge_keys(g)
     size = np.diff(g.indptr)
     lambda1 = np.zeros(g.n)
     off_kernel = g.n  # first subset vertex with |lambda_0| > 100 tol

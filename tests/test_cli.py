@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import boxgap as bg
 from boxgap import cli
-from boxgap.cli import _json_text, build_parser, main
+from boxgap.cli import _json_chunks, build_parser, main
 from boxgap.errors import DegreeExceeded, NoConvergence
 from boxgap.spectral import DENSE_LIMIT, pinned_spectrum
 
@@ -187,6 +187,36 @@ def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
         assert main([*argv, "--tol=-0"]) == 0
     tol = json.loads((out / "spectrum_0000.json").read_text())["delta"]["tol"]
     assert math.copysign(1.0, tol) == 1.0 and tol == 0.0
+
+
+def test_tol_ratio_must_be_in_unit_interval(tmp_path, capsys):
+    # inf used to pass every witness (each ratio is >= 1 - inf), and nan to
+    # fail a perfect one and be written into approx_iso.json.
+    g = bg.cycle_graph(6)
+    manifest = make_box(tmp_path, [g], d=2)
+    witness = bg.ApproxIsoWitness(entries=[
+        bg.WitnessEntry(tuple(range(6)), tuple(range(6)), tuple(g.edges()))
+    ])
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(witness.to_dict()))
+    out = tmp_path / "out"
+    argv = ["approx-iso", "--input", manifest, "--input2", manifest,
+            "--witness", str(wpath), "--out", str(out)]
+    for ratio in ("nan", "inf", "-inf", "-1", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol-ratio={ratio}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --tol-ratio: must be in [0, 1], got {ratio}" in err
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol-ratio", "half"])
+    assert exc.value.code == 2
+    assert "argument --tol-ratio: invalid float value: 'half'" in capsys.readouterr().err
+    assert not out.exists()
+    for ratio in ("0", "1", "-0"):
+        assert main([*argv, f"--tol-ratio={ratio}"]) == 0
+        rep = json.loads((out / "approx_iso.json").read_text())
+        assert rep["verdict"] and rep["tolerance"] == abs(float(ratio))
 
 
 def test_zuk_command_octahedron_and_c5(tmp_path):
@@ -422,6 +452,10 @@ _PERMS = {"m": 2, "perms": {"a": [1, 0]}, "inverses": {"a": "a"}}
     ({"perms": {"a": [1, 0]}, "inverses": {"a": "a"}}, "sofic spec has no 'm'"),
     ({"m": 2, "perms": {"a": [1, 0]}}, "sofic spec has no 'inverses'"),
     ({"action": {"kind": "cyclic", "m": 5}}, "action has no 'shifts'"),
+    ({"action": {**_CYCLIC, "kind": "dihedral"}},
+     "action.kind must be 'cyclic', got 'dihedral'"),
+    ({"action": {"m": 5, "shifts": [1]}}, "action has no 'kind'"),
+    ({"action": {**_CYCLIC, "kind": 3}}, "action.kind must be a string"),
 ])
 def test_sofic_malformed_spec_exits_2(tmp_path, capsys, spec, names):
     spath = tmp_path / "sofic.json"
@@ -744,6 +778,46 @@ def test_results_do_not_depend_on_blas_threads(tmp_path):
     assert results[0] == results[1]
 
 
+def test_result_files_are_json_dumps_text(tmp_path):
+    # The payloads the commands really write: tuples, lists from .tolist(),
+    # zuk's string-keyed lambda_1 dict (16 keys, so "10" sorts before "2")
+    # and None values (c5's links are disconnected).
+    graphs = [bg.octahedron(), bg.cycle_graph(5), bg.triangular_torus(4),
+              bg.disjoint_union(bg.complete_graph(6), bg.complete_graph(6))]
+    manifest = make_box(tmp_path, graphs, d=6)
+    out = tmp_path / "out"
+    pipeline = ["--alpha", "0.1", "--gap", "4.0"]
+    rewired = out / "expanderize"
+    spec = tmp_path / "sofic.json"
+    spec.write_text(json.dumps({"action": _CYCLIC,
+                                "relations": [[["t^1"], ["t^-1"], []]],
+                                "check_fixed": [["t^1", "t^1"]]}))
+    runs = [
+        ["spectrum", "--input", manifest],
+        ["cheeger", "--input", manifest],
+        ["zuk", "--input", manifest],
+        ["decompose", "--input", manifest, *pipeline],
+        ["expanderize", "--input", manifest, *pipeline,
+         "--allow-infeasible-alpha"],
+        ["approx-iso", "--input", manifest,
+         "--input2", str(rewired / "graphs" / "manifest.json"),
+         "--witness", str(rewired / "witness.json")],
+        ["sofic", "--input", str(spec)],
+    ]
+    for argv in runs:
+        assert main([*argv, "--out", str(out / argv[0])]) == 0
+    files = sorted(out.rglob("*.json"))
+    # One file per graph of five commands, witness.json, the rewired
+    # manifest, approx_iso.json, sofic.json and each run's run_metadata.json.
+    assert len(files) == 5 * len(graphs) + 4 + len(runs)
+    zuk = json.loads((out / "zuk" / "zuk_0002.json").read_text())
+    assert len(zuk["per_vertex_lambda1"]) == 16
+    assert json.loads((out / "zuk" / "zuk_0001.json").read_text())["c"] is None
+    for path in files:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 # JSON text: the result-file encoder against json.dumps(indent=2, sort_keys=True).
 
 _BIG = 2**70  # above 2**63, beyond any fixed-width integer
@@ -796,10 +870,10 @@ def _assert_same_json(obj):
         want = json.dumps(obj, indent=2, sort_keys=True)
     except TypeError as exc:
         with pytest.raises(TypeError) as got:
-            _json_text(obj)
+            "".join(_json_chunks(obj))
         assert str(got.value) == str(exc)
     else:
-        assert _json_text(obj) == want
+        assert "".join(_json_chunks(obj)) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -818,7 +892,7 @@ def test_json_text_raises_what_json_raises(obj):
                                  [[1, np.int64(2)]], {"a": {3}}])
 def test_json_text_rejects_numpy_ints_and_sets(obj):
     with pytest.raises(TypeError, match="is not JSON serializable"):
-        _json_text(obj)
+        "".join(_json_chunks(obj))
     _assert_same_json(obj)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -623,6 +624,18 @@ def test_approx_iso_identity():
     rep = bg.approx_iso_check(box, box, witness, tolerance=0.0)
     assert rep.verdict
     assert all(v == 1.0 for r in rep.ratios for v in r.values())
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0, 1.5])
+def test_approx_iso_tolerance_must_be_in_unit_interval(tolerance):
+    # inf would pass every witness and nan fail a perfect one.
+    g = bg.cycle_graph(6)
+    box = bg.BoxSpace(graphs=[g], d=2)
+    witness = bg.ApproxIsoWitness(
+        entries=[bg.WitnessEntry(tuple(range(6)), tuple(range(6)), tuple(g.edges()))]
+    )
+    with pytest.raises(ValueError, match=r"tolerance must be in \[0, 1\]"):
+        bg.approx_iso_check(box, box, witness, tolerance=tolerance)
 
 
 def test_approx_iso_corrupted_witness():
