@@ -5,17 +5,20 @@ Each subcommand registers only the flags it reads (``_COMMANDS``). The
 per-graph commands (spectrum, cheeger, decompose, zuk, expanderize) share one
 report loop, ``_report``: the command supplies ``analyze(i, item)``, which
 returns the graph's JSON payload and its summary row, and the loop writes
-``{command}_{i:04d}.json`` and ``summary.csv``. Graphs above DENSE_LIMIT
-are analysed in forked worker processes (``_worker_count``); ``main`` pins
-OpenBLAS to one thread first, so results do not depend on the worker or
-BLAS thread count.
+``{command}_{i:04d}.json`` and ``summary.csv``. For spectrum, cheeger,
+decompose and zuk the items are the manifest's edge-list files, of which the
+parent reads only the header lines: each graph is parsed by the process that
+analyses it. Graphs above DENSE_LIMIT are analysed in forked worker
+processes (``_worker_count``), largest first; ``main`` pins OpenBLAS to one
+thread first, so results do not depend on the worker or BLAS thread count.
 
 Outputs are deterministic given the inputs and flags: JSON files are written
 with sorted keys, the CSV summaries are plain tables, and every output embeds
-a hash of the resolved configuration. Wall-clock metadata goes to a separate
-run_metadata.json so reruns stay byte-identical. Exit codes: 0 success
-(including negative findings), 1 I/O failure or a worker process lost, 2
-validation failure, 3 numerical failure.
+a hash of the resolved configuration, in which input files enter by their
+contents. Wall-clock metadata goes to a separate run_metadata.json so reruns
+stay byte-identical. Exit codes: 0 success (including negative findings), 1
+I/O failure or a worker process lost, 2 validation failure, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import sys
 import time
 from concurrent.futures import BrokenExecutor
 from itertools import chain, starmap
+from typing import NamedTuple
 
 from . import generators
 from .cheeger import cheeger_report
@@ -42,12 +46,14 @@ from .errors import BoxgapError, DisconnectedLink, NoConvergence
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
 from .graph import (
     BoxSpace,
-    Graph,
+    _manifest_entries,
+    _read_header,
     _Spec,
     ball,
     connected_components,
     expect,
     expect_items,
+    read_edge_list,
     read_manifest,
     write_manifest,
 )
@@ -60,13 +66,34 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+# Commands whose --input is a spec file; every other --input is a manifest.
+_SPEC_INPUT = ("generate", "sofic")
+
+
+def _file_digest(path, manifest: bool) -> str:
+    """Hex sha256 of the bytes of the file at path, followed for a manifest
+    by those of each edge-list file it lists, in manifest order."""
+    digest = hashlib.sha256()
+    paths = [path] + ([p for p, _ in _manifest_entries(path)] if manifest else [])
+    for p in paths:
+        with open(p, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
 
 def _config_hash(args: argparse.Namespace) -> str:
     # The output directory is where files land, not part of what was
-    # computed, so reruns into a fresh directory stay byte-identical.
+    # computed, so reruns into a fresh directory stay byte-identical. Input
+    # files enter by their contents, not their paths, so one input gives one
+    # hash wherever it lies.
     payload = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")
     }
+    is_manifest = {"input": args.command not in _SPEC_INPUT, "input2": True,
+                   "witness": False}
+    for key, manifest in is_manifest.items():
+        if key in payload:
+            payload[key] = _file_digest(payload[key], manifest)
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -219,9 +246,33 @@ def _pin_blas() -> tuple:
                  for path in paths)
 
 
+class _GraphFile(NamedTuple):
+    """A manifest's edge-list file and its header's vertex count n and
+    degree bound d. The graph itself is read by the process analysing it."""
+
+    path: str
+    n: int
+    d: int
+
+
+def _graph_files(manifest) -> tuple:
+    """(the _GraphFile of each manifest entry, the largest header d). That d,
+    1 for no graphs, is read_manifest's degree bound, since a graph's
+    degree bound is its header d."""
+    files = [_GraphFile(path, *_read_header(path))
+             for path, _ in _manifest_entries(manifest)]
+    return files, max((f.d for f in files), default=1)
+
+
+def _size(item) -> int:
+    """A _report item's vertex count: a _GraphFile's header n, else 0 (a
+    finished result)."""
+    return item.n if isinstance(item, _GraphFile) else 0
+
+
 def _worker_count(items) -> int:
-    """Worker processes for _report's items: one per graph above DENSE_LIMIT,
-    at most one per CPU.
+    """Worker processes for _report's items: one per graph file above
+    DENSE_LIMIT, at most one per CPU.
 
     Smaller graphs take less time than starting a worker, and other items
     are finished results. Workers are forked, so there are none where fork
@@ -231,7 +282,7 @@ def _worker_count(items) -> int:
     if (sys.version_info >= (3, 12)
             or "fork" not in multiprocessing.get_all_start_methods()):
         return 1
-    large = sum(isinstance(g, Graph) and g.n > DENSE_LIMIT for g in items)
+    large = sum(_size(item) > DENSE_LIMIT for item in items)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return max(1, min(large, cpus))
@@ -257,11 +308,14 @@ def _analyses(analyze, items, workers):
     """Yield analyze(i, item) for every item in index order, computed in
     `workers` forked processes when that is 2 or more.
 
-    A worker that dies, even one killed from outside, makes reading the
-    next pending result raise BrokenProcessPool at once. On any exception
-    the workers are terminated, so the items they hold are not waited for.
-    When the block ends, queued items are cancelled and the pool is shut
-    down; no worker outlives the block.
+    The pool takes the items largest first (_size; ties by index), so the
+    slowest graph does not start last while the other workers idle (Graham's
+    LPT rule); the results still come in index order. A worker that dies,
+    even one killed from outside, makes reading the next pending result
+    raise BrokenProcessPool at once. On any exception the workers are
+    terminated, so the items they hold are not waited for. When the block
+    ends, queued items are cancelled and the pool is shut down; no worker
+    outlives the block.
     """
     if workers < 2:
         yield starmap(analyze, enumerate(items))
@@ -273,7 +327,9 @@ def _analyses(analyze, items, workers):
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                _start_worker, (analyze, items))
     try:
-        yield pool.map(_run_task, range(len(items)))
+        order = sorted(range(len(items)), key=lambda i: -_size(items[i]))
+        futures = {i: pool.submit(_run_task, i) for i in order}
+        yield (futures[i].result() for i in range(len(items)))
     except BaseException:
         # shutdown() alone would wait for the items the workers already hold.
         for proc in set(multiprocessing.active_children()) - others:
@@ -287,9 +343,12 @@ def _report(args, name, items, analyze, header) -> str:
     """Write {name}_{i:04d}.json for each item and summary.csv, one row per
     item, where analyze(i, item) returns (JSON payload, summary row).
 
-    Large graphs are analysed in parallel (_worker_count); the files are
-    written here, in index order, so they do not depend on the worker count
-    and an item that fails leaves the files of those before it.
+    An item is a _GraphFile, which analyze reads itself, or a finished
+    result. Large graphs are analysed in parallel (_worker_count), largest
+    first (_analyses); the files are written here, in index order, so they
+    do not depend on the worker count or order, and an item that fails,
+    a malformed edge-list body included, leaves the files of those before
+    it.
 
     Returns the configuration hash, for any further files of the command.
     """
@@ -310,15 +369,16 @@ def _report(args, name, items, analyze, header) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    box = read_manifest(args.input)
+    files, d = _graph_files(args.input)
 
-    def analyze(i, g):
+    def analyze(i, item):
+        g = read_edge_list(item.path)
         delta_rep = graph_spectrum(g, tol=args.tol)
         k_markov = g.n if g.n <= DENSE_LIMIT else 8
         # Above DENSE_LIMIT one component at a time, as graph_spectrum solves
         # the Laplacian, so a value shared by components is listed per copy.
         m_rep = pinned_spectrum(
-            g, markov(g, box.d), k_markov, args.tol, kernel_dim=0
+            g, markov(g, d), k_markov, args.tol, kernel_dim=0
         ) if g.n else None
         payload = {
             "index": i,
@@ -330,26 +390,28 @@ def cmd_spectrum(args) -> int:
         }
         return payload, [i, g.n, delta_rep.gap]
 
-    _report(args, "spectrum", box.graphs, analyze, ["index", "n", "gap"])
+    _report(args, "spectrum", files, analyze, ["index", "n", "gap"])
     return EXIT_OK
 
 
 def cmd_cheeger(args) -> int:
-    box = read_manifest(args.input)
+    files, _ = _graph_files(args.input)
 
-    def analyze(i, g):
+    def analyze(i, item):
+        g = read_edge_list(item.path)
         rep = cheeger_report(g, tol=args.tol)
         return {"index": i, "n": g.n, **rep.to_dict()}, [i, g.n, rep.h, rep.method]
 
-    _report(args, "cheeger", box.graphs, analyze, ["index", "n", "h", "method"])
+    _report(args, "cheeger", files, analyze, ["index", "n", "h", "method"])
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    box = read_manifest(args.input)
-    params = KunParams(c=args.gap, d=box.d, alpha=args.alpha)
+    files, d = _graph_files(args.input)
+    params = KunParams(c=args.gap, d=d, alpha=args.alpha)
 
-    def analyze(i, g):
+    def analyze(i, item):
+        g = read_edge_list(item.path)
         decomp, cert = kun_partition(g, params)
         payload = {
             "index": i,
@@ -360,7 +422,7 @@ def cmd_decompose(args) -> int:
         }
         return payload, [i, g.n, cert.junk_ratio, len(decomp.pieces), cert.passed]
 
-    _report(args, "decompose", box.graphs, analyze,
+    _report(args, "decompose", files, analyze,
             ["index", "n", "junk_ratio", "pieces", "passed"])
     return EXIT_OK
 
@@ -396,9 +458,10 @@ def cmd_expanderize(args) -> int:
 
 
 def cmd_zuk(args) -> int:
-    box = read_manifest(args.input)
+    files, _ = _graph_files(args.input)
 
-    def analyze(i, g):
+    def analyze(i, item):
+        g = read_edge_list(item.path)
         try:
             cert = zuk_certificate(g, tol=args.tol).to_dict()
         except DisconnectedLink as exc:
@@ -412,7 +475,7 @@ def cmd_zuk(args) -> int:
         payload = {"index": i, "n": g.n, **cert}
         return payload, [i, g.n, cert["valid"], cert["min_lambda"], cert["c"]]
 
-    _report(args, "zuk", box.graphs, analyze,
+    _report(args, "zuk", files, analyze,
             ["index", "n", "valid", "min_lambda", "c"])
     return EXIT_OK
 

@@ -235,6 +235,13 @@ def int64_pairs(pairs, n: int) -> np.ndarray:
                         dtype=np.int64)
 
 
+def _check_size(n, d) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if d < 1:
+        raise ValueError("degree bound must be positive")
+
+
 def build_graph(n, edges, d, allow_loops=False) -> Graph:
     """Build a validated graph from an edge list.
 
@@ -246,10 +253,7 @@ def build_graph(n, edges, d, allow_loops=False) -> Graph:
     orientation, or a loop that is repeated or not allowed. Degrees are
     checked once every edge is valid. Equal edge sets give equal graphs.
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    if d < 1:
-        raise ValueError("degree bound must be positive")
+    _check_size(n, d)
     if isinstance(edges, np.ndarray):
         given = e = edges.astype(np.int64, casting="safe", copy=False)
     else:
@@ -511,18 +515,24 @@ def _parse_bulk(text):
     return (n, d, edges) if edges.shape[1] == 2 else None
 
 
-def _parse_lines(path, text):
-    """(n, d, edges) with edges a list of int pairs, one line at a time."""
-    lines = text.splitlines()
+def _parse_header(path, lines):
+    """(n, d) from the first of lines, the file's text split by
+    str.splitlines."""
     if not lines:
         raise ValueError(f"{path}: empty file")
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"{path}:1: expected header 'n d'")
     try:
-        n, d = int(head[0]), int(head[1])
+        return int(head[0]), int(head[1])
     except ValueError:
         raise ValueError(f"{path}:1: expected header 'n d'") from None
+
+
+def _parse_lines(path, text):
+    """(n, d, edges) with edges a list of int pairs, one line at a time."""
+    lines = text.splitlines()
+    n, d = _parse_header(path, lines)
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -554,6 +564,17 @@ def read_edge_list(path) -> Graph:
     return build_graph(n, edges, d, allow_loops=loops)
 
 
+def _read_header(path) -> tuple:
+    """(n, d) from an edge-list file's header line, without reading the
+    body. Raises what read_edge_list raises for a bad header."""
+    with open(path) as fh:
+        # str.splitlines ends a line at \n or earlier, so the first line of
+        # the first \n-terminated line is the first line of the file.
+        n, d = _parse_header(path, fh.readline().splitlines())
+    _check_size(n, d)
+    return n, d
+
+
 def write_manifest(box: BoxSpace, directory, name="manifest.json") -> str:
     """Write each graph as an edge list plus a manifest referencing them."""
     os.makedirs(directory, exist_ok=True)
@@ -570,18 +591,26 @@ def write_manifest(box: BoxSpace, directory, name="manifest.json") -> str:
     return mpath
 
 
-def read_manifest(path) -> BoxSpace:
-    """Read a manifest of write_manifest's form; a ValueError names the first
-    entry that is not an object with a string path."""
+def _manifest_entries(path):
+    """Yield (edge-list path, label) for each entry of a manifest of
+    write_manifest's form, checking each entry as it is reached: a
+    ValueError names the first that is not an object with a string path."""
     with open(path) as fh:
         entries = expect(json.load(fh), list, "manifest")
     base = os.path.dirname(os.path.abspath(path))
-    graphs = []
-    labels = []
     for i, entry in enumerate(entries):
         what = f"manifest[{i}]"
         rel = expect(expect(entry, dict, what).get("path"), str, f"{what}.path")
-        graphs.append(read_edge_list(os.path.join(base, rel)))
-        labels.append(entry.get("label"))
+        yield os.path.join(base, rel), entry.get("label")
+
+
+def read_manifest(path) -> BoxSpace:
+    """Read a manifest of write_manifest's form; a ValueError names the first
+    entry that is not an object with a string path."""
+    graphs = []
+    labels = []
+    for graph_path, label in _manifest_entries(path):
+        graphs.append(read_edge_list(graph_path))
+        labels.append(label)
     d = max((g.degree_bound for g in graphs), default=1)
     return BoxSpace(graphs=graphs, d=d, labels=labels)

@@ -1,5 +1,6 @@
 import contextlib
 import ctypes.util
+import functools
 import json
 import math
 import multiprocessing
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import boxgap as bg
 from boxgap import cli
 from boxgap.cli import _json_chunks, build_parser, main
-from boxgap.errors import DegreeExceeded, NoConvergence
+from boxgap.errors import DegreeExceeded, DuplicateEdge, NoConvergence
 from boxgap.spectral import DENSE_LIMIT, pinned_spectrum
 
 
@@ -492,6 +493,7 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, entries, names, command):
         argv += ["--alpha", "0.001", "--gap", "0.5"]
     assert main(argv) == 2
     assert names in capsys.readouterr().err
+    assert not (tmp_path / "o" / "run_metadata.json").exists()
 
 
 @pytest.mark.parametrize("witness, names", [
@@ -619,6 +621,37 @@ def test_metadata_written_separately(tmp_path):
     assert "timestamp" not in report
 
 
+def _config_hash_of(path):
+    return json.loads(path.read_text())["config_hash"]
+
+
+def test_config_hash_names_input_contents(tmp_path):
+    # One manifest in two directories gives one hash; a rewritten edge-list
+    # file gives another, though the manifest and its path are unchanged.
+    hashes = []
+    for name in ("a", "b"):
+        manifest = make_box(tmp_path, [bg.cycle_graph(6), bg.cycle_graph(8)],
+                            d=2, name=name)
+        out = tmp_path / name / "o"
+        assert main(["cheeger", "--input", manifest, "--out", str(out)]) == 0
+        hashes.append(_config_hash_of(out / "cheeger_0000.json"))
+    assert hashes[0] == hashes[1]
+    bg.write_edge_list(bg.cycle_graph(7), tmp_path / "a" / "graph_0001.txt")
+    out = tmp_path / "a" / "o2"
+    assert main(["cheeger", "--input", str(tmp_path / "a" / "manifest.json"),
+                 "--out", str(out)]) == 0
+    assert _config_hash_of(out / "cheeger_0000.json") != hashes[0]
+    # A spec file is hashed as a file.
+    spec_hashes = []
+    for name in ("a", "b"):
+        spec = tmp_path / name / "spec.json"
+        spec.write_text(json.dumps({"family": "cycle", "params": {"n": 5}}))
+        out = tmp_path / name / "g"
+        assert main(["generate", "--input", str(spec), "--out", str(out)]) == 0
+        spec_hashes.append((out / "summary.csv").read_text().splitlines()[0])
+    assert spec_hashes[0] == spec_hashes[1]
+
+
 def test_pin_openblas_without_setter_is_unpinned(tmp_path):
     assert cli._pin_openblas(str(tmp_path / "missing.so")) == "unpinned"
     libc = ctypes.util.find_library("c")
@@ -638,6 +671,14 @@ forked = pytest.mark.skipif(
 def _two_tori_and_k5(tmp_path):
     torus = bg.triangular_torus(40)  # above DENSE_LIMIT
     return make_box(tmp_path, [torus, bg.complete_graph(5), torus], d=6)
+
+
+def _largest_last(tmp_path):
+    # Index order would start the largest graph last.
+    graphs = [bg.complete_graph(5), bg.triangular_torus(30),
+              bg.triangular_torus(40)]
+    assert DENSE_LIMIT < graphs[1].n < graphs[2].n
+    return make_box(tmp_path, graphs, d=6, name="largest_last")
 
 
 @contextlib.contextmanager
@@ -661,17 +702,40 @@ def _deadline(seconds):
     ["decompose", "--alpha", "0.1", "--gap", "0.5"],
 ])
 def test_results_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
-    manifest = _two_tori_and_k5(tmp_path)
-    results = []
-    for workers in (1, 2):
-        monkeypatch.setattr(cli, "_worker_count", lambda items, w=workers: w)
-        out = tmp_path / f"w{workers}"
-        with _deadline(30):
-            assert main([*argv, "--input", manifest, "--out", str(out)]) == 0
-        meta = json.loads((out / "run_metadata.json").read_text())
-        assert meta["workers"] == workers
-        results.append(_results(out))
-    assert len(results[0]) == 4 and results[0] == results[1]
+    for build in (_two_tori_and_k5, _largest_last):
+        manifest = build(tmp_path)
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_worker_count", lambda items, w=workers: w)
+            out = tmp_path / f"{build.__name__}_w{workers}"
+            with _deadline(30):
+                assert main([*argv, "--input", manifest, "--out", str(out)]) == 0
+            meta = json.loads((out / "run_metadata.json").read_text())
+            assert meta["workers"] == workers
+            results.append(_results(out))
+        assert len(results[0]) == 4 and results[0] == results[1]
+        assert multiprocessing.active_children() == []
+
+
+def _log_start(log, i, item):
+    with open(log, "a") as fh:
+        fh.write(f"{i}\n")
+    time.sleep(0.5)  # so that one worker cannot take two items first
+    return i
+
+
+@forked
+def test_pool_starts_the_largest_graphs_first(tmp_path):
+    files, d = cli._graph_files(_largest_last(tmp_path))
+    assert [(f.n, f.d) for f in files] == [(5, 4), (900, 6), (1600, 6)]
+    assert d == 6
+    log = tmp_path / "started.txt"
+    with _deadline(30):
+        with cli._analyses(functools.partial(_log_start, log), files,
+                           2) as results:
+            assert list(results) == [0, 1, 2]  # still in index order
+    started = [int(line) for line in log.read_text().split()]
+    assert sorted(started[:2]) == [1, 2] and started[2:] == [0]
     assert multiprocessing.active_children() == []
 
 
@@ -707,6 +771,40 @@ def test_failure_in_a_worker_exits_and_leaves_no_process(
     assert multiprocessing.active_children() == []
 
 
+@forked
+def test_malformed_body_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
+    # The 513-vertex graph is parsed in a worker, after the torus before it
+    # has been analysed and written.
+    torus = bg.triangular_torus(40)
+    manifest = make_box(tmp_path, [torus, torus], d=6)
+    (tmp_path / "box" / "graph_0001.txt").write_text("513 2\n0 1\n1 2\n0 1\n")
+    with pytest.raises(DuplicateEdge) as exc:
+        bg.read_manifest(manifest)
+    monkeypatch.setattr(cli, "_worker_count", lambda items: 2)
+    out = tmp_path / "o"
+    with _deadline(30):
+        assert main(["spectrum", "--input", manifest, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"validation failure: {exc.value}\n"
+    assert multiprocessing.active_children() == []
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_metadata.json", "spectrum_0000.json"]
+
+
+@pytest.mark.parametrize("text", [
+    "", "513\n0 1\n", "513 two\n0 1\n", "-1 2\n0 1\n", "513 0\n0 1\n",
+], ids=["empty", "one-field", "not-an-int", "negative-n", "zero-d"])
+def test_bad_header_exits_2_before_any_file(tmp_path, capsys, text):
+    torus = bg.triangular_torus(40)
+    manifest = make_box(tmp_path, [torus, torus], d=6)
+    (tmp_path / "box" / "graph_0001.txt").write_text(text)
+    with pytest.raises(ValueError) as exc:
+        bg.read_manifest(manifest)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--input", manifest, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"validation failure: {exc.value}\n"
+    assert not out.exists()
+
+
 def _fail_first_then_wait(i, item):
     if i == 0:
         raise ValueError("item 0 fails")
@@ -727,8 +825,8 @@ def test_failure_in_a_worker_does_not_wait_for_the_others():
 def test_worker_count_rule(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    large = bg.cycle_graph(DENSE_LIMIT + 1)
-    small = bg.cycle_graph(DENSE_LIMIT)
+    large = cli._GraphFile("large.txt", DENSE_LIMIT + 1, 2)
+    small = cli._GraphFile("small.txt", DENSE_LIMIT, 2)
     forks = (sys.version_info < (3, 12)
              and "fork" in multiprocessing.get_all_start_methods())
     assert cli._worker_count([large] * 3 + [small]) == (3 if forks else 1)

@@ -482,6 +482,28 @@ def test_read_edge_list_matches_line_loop(tmp_path):
         assert read_outcome(bg.read_edge_list, path) == want
 
 
+def test_read_header_matches_read_edge_list(tmp_path):
+    # The header read gives the n and d of every file read_edge_list takes,
+    # and raises its error for every header it rejects: one that does not
+    # parse, a negative n or a d below 1.
+    path = tmp_path / "g.txt"
+    heads = HEAD_FAULTS + ["3 2", " 3  2\t", "-1 2", "3 0", "3 2\x0c0 1",
+                           "\x0c3 2", "3 2\r0 1", "3 2\r", "0 1"]
+    outcomes = set()
+    for head in heads:
+        for body in ("", "\n", "\n0 1\n1 2\n", "\n0 1\n0 1\n"):
+            path.write_bytes((head + body).encode())
+            got = read_outcome(graph_mod._read_header, path)
+            want = read_outcome(bg.read_edge_list, path)
+            if isinstance(want, bg.Graph):
+                assert got == (want.n, want.degree_bound), head + body
+                outcomes.add("graph")
+            elif got[0] is ValueError:
+                assert got == want, head + body
+                outcomes.add("bad header")
+    assert outcomes == {"graph", "bad header"}
+
+
 def test_manifest_roundtrip(tmp_path):
     box = bg.BoxSpace(
         graphs=[bg.complete_graph(3), bg.cycle_graph(5)],
