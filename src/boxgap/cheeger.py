@@ -19,6 +19,7 @@ from . import exhaustive
 from .errors import TooLargeForExact
 from .graph import (
     Graph,
+    Record,
     connected_components,
     induced_subgraph,
     sweep_profile,
@@ -36,21 +37,12 @@ def _exact(n: int) -> bool:
 
 
 @dataclass
-class CheegerReport:
+class CheegerReport(Record):
     h: float
     witness: tuple
     method: str  # "exact" | "sweep"
     lower_bound: float  # lambda_2 / 2
     upper_bound: float  # sqrt(2 d lambda_2)
-
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "witness": list(self.witness),
-            "method": self.method,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-        }
 
 
 def second_eigenvalue(g: Graph, tol: float = 1e-9) -> float:
@@ -190,7 +182,7 @@ def inner_expansion_exact(g: Graph, piece):
 
 
 @dataclass(frozen=True)
-class Evidence:
+class Evidence(Record):
     """A piece's inner expansion: an exact scan's value and witness tuple
     (None and () below two vertices), or a spectral lower bound, no witness."""
 

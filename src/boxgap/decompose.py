@@ -41,6 +41,7 @@ from .cheeger import _exact, induced_fiedler, piece_evidence
 from .errors import IterationCap
 from .graph import (
     Graph,
+    Record,
     ball_of_set,
     boundary_size,
     connected_components,
@@ -51,7 +52,7 @@ from .spectral import power_iterate
 
 
 @dataclass(frozen=True)
-class KunParams:
+class KunParams(Record):
     """Derived constants for the decomposition, recomputed from (c, d, alpha).
 
     c is the assumed Laplacian gap, d the degree bound, alpha the target
@@ -77,11 +78,12 @@ class KunParams:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         c_m = self.c / (2.0 * self.d)
-        target = self.alpha**2 / (5184.0 * self.d**2)
-        k = max(1, math.ceil(math.log(target) / math.log(1.0 - c_m)))
-        # Computed in log space: d^(3K+1) overflows a float for large K, and
-        # delta only serves as a reported diagnostic, never a gate. delta
-        # itself underflows to 0.0 there; log10_delta stays finite.
+        # K and delta are computed in log space: alpha^2 underflows to 0.0
+        # for alpha below about 2e-162, and d^(3K+1) overflows a float for
+        # large K. delta only serves as a reported diagnostic, never a gate;
+        # it underflows to 0.0 there, while log10_delta stays finite.
+        log_target = 2.0 * math.log(self.alpha) - math.log(5184.0 * self.d**2)
+        k = max(1, math.ceil(log_target / math.log(1.0 - c_m)))
         log_delta = (
             4.0 * math.log(self.alpha)
             - 4.0 * math.log(10.0)
@@ -93,19 +95,6 @@ class KunParams:
         object.__setattr__(self, "delta", math.exp(log_delta))
         object.__setattr__(self, "log10_delta", log_delta / math.log(10.0))
         object.__setattr__(self, "good_threshold", self.alpha**2 / 100.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "d": self.d,
-            "alpha": self.alpha,
-            "c_m": self.c_m,
-            "C": self.C,
-            "K": self.K,
-            "delta": self.delta,
-            "log10_delta": self.log10_delta,
-            "good_threshold": self.good_threshold,
-        }
 
 
 @dataclass
@@ -293,7 +282,7 @@ def find_sparse_cut(g: Graph, c: float, region=None):
 
 
 @dataclass
-class Decomposition:
+class Decomposition(Record):
     """Partition into a junk part and inner-expanding pieces."""
 
     junk: tuple
@@ -301,15 +290,11 @@ class Decomposition:
     steps: list  # chronological log of the construction
 
     def to_dict(self) -> dict:
-        return {
-            "junk": list(self.junk),
-            "pieces": [list(p) for p in self.pieces],
-            "steps": self.steps,
-        }
+        return {**super().to_dict(), "pieces": [list(p) for p in self.pieces]}
 
 
 @dataclass
-class PartitionCertificate:
+class PartitionCertificate(Record):
     """Post-hoc measurements of the decomposition guarantees."""
 
     junk_ratio: float
@@ -320,18 +305,6 @@ class PartitionCertificate:
     passed: bool
     alpha: float
     C: float
-
-    def to_dict(self) -> dict:
-        return {
-            "junk_ratio": self.junk_ratio,
-            "piece_sizes": self.piece_sizes,
-            "boundary_ratios": self.boundary_ratios,
-            "evidence": self.evidence,
-            "inconclusive": self.inconclusive,
-            "passed": self.passed,
-            "alpha": self.alpha,
-            "C": self.C,
-        }
 
 
 def certify_partition(
@@ -361,16 +334,8 @@ def certify_partition(
         # value None: no subset of at most half the piece exists, so C is met
         # vacuously (None, as math.inf would not survive strict JSON).
         meets = ev.value is None or ev.value >= params.C
-        evidence.append(
-            {
-                "piece": i,
-                "method": ev.method,
-                "value": ev.value,
-                "witness": None if ev.witness is None else list(ev.witness),
-                "conclusive": exact or meets,
-                "meets_C": meets,
-            }
-        )
+        evidence.append({"piece": i, **ev.to_dict(),
+                         "conclusive": exact or meets, "meets_C": meets})
         if not meets and (exact or ev.value <= 0):
             failed = True
         elif not meets:

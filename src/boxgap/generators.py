@@ -26,6 +26,7 @@ from .errors import (
 from .graph import (
     BoxSpace,
     Graph,
+    Record,
     _Spec,
     ball_of_set,
     build_graph,
@@ -241,15 +242,6 @@ class GluedExpander:
     alpha_ratio: float  # |T| / |Y|
     warn_alpha: bool  # alpha_ratio >= 1/2 voids the Cheeger estimate
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "bijection": [list(p) for p in self.bijection],
-            "loops": list(self.loops),
-            "alpha_ratio": self.alpha_ratio,
-            "warn_alpha": self.warn_alpha,
-        }
-
 
 def glued_expander(
     x_prime: Graph, y: Graph, t_set, seed: int = 0, d: int | None = None
@@ -381,19 +373,11 @@ def with_transposition(action: PermAction, label: str, i: int, j: int) -> PermAc
 
 
 @dataclass
-class SoficReport:
+class SoficReport(Record):
     good: tuple
     epsilon: float
     multiplicativity_failures: int
     fixed_point_failures: int
-
-    def to_dict(self) -> dict:
-        return {
-            "good": list(self.good),
-            "epsilon": self.epsilon,
-            "multiplicativity_failures": self.multiplicativity_failures,
-            "fixed_point_failures": self.fixed_point_failures,
-        }
 
 
 def sofic_verify(action: PermAction, relations, check_fixed) -> SoficReport:
@@ -498,19 +482,11 @@ class ApproxIsoWitness:
 
 
 @dataclass
-class ApproxIsoReport:
+class ApproxIsoReport(Record):
     ratios: list  # per index: dict with the four fractions
     verdict: bool
     tail_start: int
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ratios": self.ratios,
-            "verdict": self.verdict,
-            "tail_start": self.tail_start,
-            "tolerance": self.tolerance,
-        }
 
 
 _ISO_FAILURES = (

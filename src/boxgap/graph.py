@@ -32,7 +32,7 @@ import os
 import re
 import reprlib
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -468,6 +468,17 @@ class _Spec(dict):
 
     def __missing__(self, key):
         raise ValueError(f"{self.what} has no {key!r}")
+
+
+class Record:
+    """A dataclass whose JSON form is its fields, each under its own name,
+    a tuple value written as a list. A subclass overrides ``to_dict`` only
+    where its file differs from its fields."""
+
+    def to_dict(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in values.items()}
 
 
 def expect_items(value, kind, what: str) -> list:

@@ -32,6 +32,7 @@ from .generators import ApproxIsoWitness, WitnessEntry
 from .graph import (
     BoxSpace,
     Graph,
+    Record,
     ball_of_set,
     boundary_edges,
     build_graph,
@@ -89,7 +90,7 @@ def select_separated_edges(g: Graph, piece, r: int, count: int) -> list:
 
 
 @dataclass
-class RewireResult:
+class RewireResult(Record):
     new_graph: Graph
     piece_before: tuple
     piece: tuple  # after stranded-fragment removal
@@ -111,14 +112,9 @@ class RewireResult:
     def to_dict(self) -> dict:
         # The post-removal vertices go under "vertices", which leaves "piece"
         # free for the piece's index in its decomposition.
-        d = {
-            "vertices" if k == "piece" else k: v
-            for k, v in self.__dict__.items()
-            if k != "new_graph"
-        }
-        d["piece_before"] = list(self.piece_before)
-        d["vertices"] = list(self.piece)
-        d["removed_vertices"] = list(self.removed_vertices)
+        d = super().to_dict()
+        del d["new_graph"]
+        d["vertices"] = d.pop("piece")
         return d
 
 
@@ -217,9 +213,9 @@ def rewire_piece(
         budget_removed_ok=len(removed_vertices) <= (alpha / c_inner) * len(piece),
         degree_ok=degree_ok,
         connected=connected,
+        # The witness in the piece's own coordinates, 0 .. |piece| - 1.
         cheeger_evidence={
-            "method": evidence.method,
-            "value": evidence.value,
+            **evidence.to_dict(),
             "witness": None if evidence.witness is None
             else np.searchsorted(new_piece, evidence.witness).tolist(),
         },
@@ -227,7 +223,7 @@ def rewire_piece(
 
 
 @dataclass
-class GraphPipelineReport:
+class GraphPipelineReport(Record):
     index: int
     decomposition: dict
     certificate: dict
@@ -235,11 +231,6 @@ class GraphPipelineReport:
     skipped_pieces: list
     dropped_small_components: list
     kept_vertices: tuple
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["kept_vertices"] = list(self.kept_vertices)
-        return d
 
 
 @dataclass

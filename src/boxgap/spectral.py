@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegreeBoundTooSmall, NoConvergence
-from .graph import BoxSpace, Graph, block_labels
+from .graph import BoxSpace, Graph, Record, block_labels
 
 DENSE_LIMIT = 512  # exact dense solve at or below this dimension
 
@@ -43,23 +43,15 @@ def markov(g: Graph, d: int | None = None) -> sp.csr_matrix:
 
 
 @dataclass
-class SpectrumReport:
-    """Ascending eigenvalues with kernel dimension and the gap above it."""
+class SpectrumReport(Record):
+    """Ascending eigenvalues, as Python floats, with kernel dimension and
+    the gap above it."""
 
     eigenvalues: list
     kernel_dim: int
     gap: float
     method: str  # "exact-dense" | "iterative"
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "kernel_dim": self.kernel_dim,
-            "gap": self.gap,
-            "method": self.method,
-            "tol": self.tol,
-        }
 
 
 def _dense(n: int, k: int) -> bool:
@@ -122,6 +114,8 @@ def spectrum(mat: sp.csr_matrix, k: int | None = None, tol: float = 1e-9, *,
     n = mat.shape[0]
     if k is None:
         k = n
+    if k < 0:
+        raise ValueError(f"k={k} must be 0 or more")
     if k > n:
         raise ValueError(f"k={k} exceeds dimension {n}")
     if _dense(n, k):
@@ -181,6 +175,8 @@ def pinned_spectrum(g: Graph, mat: sp.csr_matrix, k: int | None = None,
     n = g.n
     if k is None:
         k = n if n <= DENSE_LIMIT else min(n, len(g.components) + 4)
+    if k < 0:
+        raise ValueError(f"k={k} must be 0 or more")
     kernel_dim = min(len(g.components) if kernel_dim is None else kernel_dim, k)
     if n > DENSE_LIMIT and k <= n:
         singles, blocks = _operator_blocks(g, mat)
@@ -214,14 +210,6 @@ class ExpanderReport:
     gaps: list
     min_gap: float
     threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "per_graph": self.per_graph,
-            "gaps": self.gaps,
-            "min_gap": self.min_gap,
-            "threshold": self.threshold,
-        }
 
 
 def expander_check(box: BoxSpace, c: float, tol: float = 1e-9) -> ExpanderReport:

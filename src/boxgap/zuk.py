@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DisconnectedLink, EdgeWithoutTriangle, EmptyLink
-from .graph import Graph, edge_keys, vertex_set
+from .graph import Graph, Record, edge_keys, vertex_set
 from .spectral import (
     SpectrumReport,
     _weighted_laplacian,
@@ -156,7 +156,7 @@ def link_lambda1(link: LinkGraph, tol: float = 1e-9) -> float:
 
 
 @dataclass
-class ZukCertificate:
+class ZukCertificate(Record):
     per_vertex_lambda1: dict
     all_links_connected: bool
     min_lambda: float
@@ -166,16 +166,13 @@ class ZukCertificate:
     subset: tuple = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "per_vertex_lambda1": {
-                str(k): v for k, v in sorted(self.per_vertex_lambda1.items())
-            },
-            "all_links_connected": self.all_links_connected,
-            "min_lambda": self.min_lambda,
-            "valid": self.valid,
-            "c": self.c,
-            "coverage": self.coverage,
+        # Vertex keys as strings, so a file's sorted keys run "10" before "2".
+        d = super().to_dict()
+        del d["subset"]
+        d["per_vertex_lambda1"] = {
+            str(k): v for k, v in sorted(self.per_vertex_lambda1.items())
         }
+        return d
 
 
 def zuk_certificate(g: Graph, subset=None, tol: float = 1e-9) -> ZukCertificate:
@@ -291,14 +288,6 @@ class ZukGapCheck:
     passed: bool | None
     c: float
     gap: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "c": self.c,
-            "gap": self.gap,
-        }
 
 
 def verify_zuk_gap(g: Graph, tol: float = 1e-9) -> ZukGapCheck:

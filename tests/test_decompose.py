@@ -8,6 +8,7 @@ import boxgap as bg
 from boxgap import cheeger, decompose
 from boxgap.cheeger import EXACT_CAP
 from boxgap.decompose import markov_level_set
+from boxgap.rewire import alpha_feasible
 
 from conftest import bridged_k4_pair, fresh_copy, random_bounded_graph
 
@@ -48,6 +49,17 @@ def test_kun_params_log10_delta():
     q = bg.KunParams(c=12, d=8, alpha=0.9)
     assert q.delta == pytest.approx(6.62e-33, rel=1e-3)
     assert 10**q.log10_delta == pytest.approx(q.delta, rel=1e-12)
+
+
+def test_kun_params_alpha_below_float_square():
+    # alpha**2 underflows to 0.0 here, yet the expanderize gate lets this
+    # alpha through; K comes from log(alpha), as log10_delta does.
+    p = bg.KunParams(c=3.9, d=2, alpha=1e-170)
+    assert alpha_feasible(p.alpha, p.C, p.d)
+    log_target = 2 * math.log(1e-170) - math.log(5184 * 2**2)
+    assert p.K * math.log(1 - p.c_m) <= log_target
+    assert (p.K - 1) * math.log(1 - p.c_m) > log_target
+    assert math.isfinite(p.log10_delta) and p.good_threshold == 0.0
 
 
 def test_level_set_indicator():

@@ -399,6 +399,17 @@ def test_spectrum_report_json_roundtrip():
     assert d["method"] == "exact-dense"
 
 
+@pytest.mark.parametrize("n", [6, DENSE_LIMIT + 2])
+def test_negative_k_is_refused(n):
+    # A dense solve would list every value but the largest and report the
+    # last one listed as the gap; ARPACK would refuse k without naming it.
+    g = bg.cycle_graph(n)
+    with pytest.raises(ValueError, match="k=-1"):
+        bg.graph_spectrum(g, k=-1)
+    with pytest.raises(ValueError, match="k=-1"):
+        bg.spectrum(bg.laplacian(g), k=-1, kernel_dim=1)
+
+
 def _weighted_block(rng, size, chords, diag_share):
     """Dense PSD block: weighted Laplacian of a random connected graph (a
     path plus chords, weights in [0.5, 2]) plus a nonnegative diagonal on a
