@@ -58,7 +58,7 @@ from .graph import (
     write_manifest,
 )
 from .rewire import alpha_feasible, expanderize, separation_radius
-from .spectral import DENSE_LIMIT, graph_spectrum, markov, pinned_spectrum
+from .spectral import DENSE_LIMIT, graph_spectrum, markov, spectrum
 from .zuk import delta_tau_spectrum, zuk_certificate
 
 EXIT_OK = 0
@@ -375,9 +375,10 @@ def cmd_spectrum(args) -> int:
         g = read_edge_list(item.path)
         delta_rep = graph_spectrum(g, tol=args.tol)
         k_markov = g.n if g.n <= DENSE_LIMIT else 8
-        # Above DENSE_LIMIT one component at a time, as graph_spectrum solves
-        # the Laplacian, so a value shared by components is listed per copy.
-        m_rep = pinned_spectrum(
+        # The Markov operator has no kernel to pin. Like the Laplacian, it is
+        # solved one component at a time above DENSE_LIMIT, so a value
+        # shared by components is listed per copy.
+        m_rep = spectrum(
             g, markov(g, d), k_markov, args.tol, kernel_dim=0
         ) if g.n else None
         payload = {

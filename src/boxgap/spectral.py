@@ -98,49 +98,14 @@ def eigenpairs(mat: sp.csr_matrix, k: int, tol: float = 1e-9):
                     driver="evr", overwrite_a=True)
 
 
-def spectrum(mat: sp.csr_matrix, k: int | None = None, tol: float = 1e-9, *,
-             kernel_dim: int) -> SpectrumReport:
-    """Report the k smallest eigenvalues of a symmetric sparse matrix: one
-    dense ``eigvalsh`` of the whole matrix under the dense/iterative rule,
-    restarted Krylov otherwise.
-
-    The caller states the kernel dimension (for a graph Laplacian, the
-    component count): no tolerance can tell a near-zero cluster from the
-    kernel, least of all from Krylov residuals. The gap is the entry just
-    above the kernel, 0.0 when none is listed. The iterative path can list
-    a repeated eigenvalue once (torus m=48: its 6-fold lambda_2); a
-    connected graph's gap, the entry above its simple kernel, holds.
-    """
-    n = mat.shape[0]
-    if k is None:
-        k = n
-    if k < 0:
-        raise ValueError(f"k={k} must be 0 or more")
-    if k > n:
-        raise ValueError(f"k={k} exceeds dimension {n}")
-    if _dense(n, k):
-        evs = np.linalg.eigvalsh(mat.toarray())[:k]
-        used = "exact-dense"
-    else:
-        evs, _ = iterative_eigenpairs(mat, k, tol)
-        used = "iterative"
-    gap = float(evs[kernel_dim]) if kernel_dim < len(evs) else 0.0
-    return SpectrumReport(
-        eigenvalues=[float(v) for v in evs],
-        kernel_dim=kernel_dim,
-        gap=gap,
-        method=used,
-        tol=tol,
-    )
-
-
 def _operator_blocks(g: Graph, mat: sp.csr_matrix):
     """Connected blocks of the off-diagonal support of mat, an operator on g.
 
     Returns (singles, blocks): the vertices that are blocks of their own, as
     one array, and the other blocks as sorted index arrays in order of
     smallest member. When mat has an off-diagonal entry on exactly the edges
-    of g, the blocks are g's cached components.
+    of g, the blocks are g's cached components. ``spectrum`` solves mat one
+    block at a time above DENSE_LIMIT.
     """
     support = sp.csr_matrix(mat - sp.diags(mat.diagonal()))
     support.eliminate_zeros()
@@ -154,54 +119,73 @@ def _operator_blocks(g: Graph, mat: sp.csr_matrix):
     return np.flatnonzero(~big), np.split(members, np.cumsum(sizes[sizes > 1]))[:-1]
 
 
-def pinned_spectrum(g: Graph, mat: sp.csr_matrix, k: int | None = None,
-                    tol: float = 1e-9, kernel_dim: int | None = None) -> SpectrumReport:
-    """Spectrum of mat, an operator on g, with the given kernel dimension
-    (None: g's component count; 0 for the Markov operator).
+def _smallest(mat: sp.csr_matrix, k: int, tol: float):
+    """The min(k, dimension) smallest eigenvalues of one block, ascending,
+    and whether Lanczos (not a dense ``eigvalsh``) found them."""
+    k = min(k, mat.shape[0])
+    if _dense(mat.shape[0], k):
+        return np.linalg.eigvalsh(mat.toarray())[:k], False
+    return iterative_eigenpairs(mat, k, tol)[0], True
+
+
+def spectrum(g: Graph, mat: sp.csr_matrix, k: int | None = None, tol: float = 1e-9,
+             kernel_dim: int | None = None) -> SpectrumReport:
+    """The k smallest eigenvalues of mat, a symmetric operator on g, above a
+    kernel of the given dimension (None: g's component count; 0 for the
+    Markov operator), clamped to k.
 
     k defaults to every eigenvalue up to DENSE_LIMIT vertices and to the
-    kernel plus four above that. Above DENSE_LIMIT, unless mat's
-    off-diagonal support is one block covering every vertex, the values of
-    the blocks of that support are merged, which is exact because mat is
-    block-diagonal over them: a single-vertex block is its diagonal entry,
-    every other block is solved as ``spectrum`` solves it alone, so the
-    kernel keeps its multiplicity. A value repeated inside one block can
-    still be listed once. For the Laplacian, and for Δτ of a graph whose
-    every edge lies in a triangle, the blocks are g's components. Δτ of a
-    graph with edges in no triangle has more blocks; its listed kernel then
-    holds every block's zero, so a gap of 0.0 (to rounding) means the
-    triangle-weight graph is disconnected.
+    kernel plus four above that; k = 0 is answered without a solve. No
+    tolerance can tell a near-zero cluster from the kernel, least of all
+    from Krylov residuals, so the kernel is stated, not measured. The gap
+    is the entry just above the kernel, 0.0 when none is listed.
+
+    Up to DENSE_LIMIT, or when mat's off-diagonal support is one block
+    covering every vertex, the whole of mat is solved once. Otherwise the
+    values of the blocks of that support (``_operator_blocks``) are merged,
+    which is exact because mat is block-diagonal over them: a single-vertex
+    block is its diagonal entry and every other block is solved alone, so
+    the kernel keeps its multiplicity. Each solve is dense or restarted
+    Lanczos under the dense/iterative rule. Lanczos can list a value
+    repeated inside one block once (torus m=48: its 6-fold lambda_2); a
+    connected graph's gap, the entry above its simple kernel, holds. For
+    the Laplacian, and for Δτ of a graph whose every edge lies in a
+    triangle, the blocks are g's components. Δτ of a graph with edges in no
+    triangle has more blocks; its listed kernel then holds every block's
+    zero, so a gap of 0.0 (to rounding) means the triangle-weight graph is
+    disconnected.
     """
     n = g.n
     if k is None:
         k = n if n <= DENSE_LIMIT else min(n, len(g.components) + 4)
     if k < 0:
         raise ValueError(f"k={k} must be 0 or more")
+    if k > n:
+        raise ValueError(f"k={k} exceeds dimension {n}")
     kernel_dim = min(len(g.components) if kernel_dim is None else kernel_dim, k)
-    if n > DENSE_LIMIT and k <= n:
-        singles, blocks = _operator_blocks(g, mat)
-        if len(blocks) != 1 or len(singles):
-            parts = [
-                spectrum(mat[idx][:, idx], k=min(k, len(idx)), tol=tol, kernel_dim=1)
-                for idx in blocks
-            ]
-            evs = np.sort(np.concatenate(
-                [mat.diagonal()[singles]] + [p.eigenvalues for p in parts]
-            ), kind="stable")[:k].tolist()
-            return SpectrumReport(
-                eigenvalues=evs,
-                kernel_dim=kernel_dim,
-                gap=evs[kernel_dim] if kernel_dim < k else 0.0,
-                method="iterative" if any(p.method == "iterative" for p in parts)
-                else "exact-dense",
-                tol=tol,
-            )
-    return spectrum(mat, k=k, tol=tol, kernel_dim=kernel_dim)
+    singles, blocks = [], [mat]  # the whole of mat, not copied
+    if k == 0:
+        blocks = []
+    elif n > DENSE_LIMIT:
+        singles, idx = _operator_blocks(g, mat)
+        if len(idx) != 1 or len(singles):
+            blocks = (mat[b][:, b] for b in idx)
+    parts = [_smallest(block, k, tol) for block in blocks]
+    evs = np.sort(np.concatenate(
+        [mat.diagonal()[singles]] + [values for values, _ in parts]
+    ), kind="stable")[:k].tolist()
+    return SpectrumReport(
+        eigenvalues=evs,
+        kernel_dim=kernel_dim,
+        gap=evs[kernel_dim] if kernel_dim < k else 0.0,
+        method="iterative" if any(lanczos for _, lanczos in parts) else "exact-dense",
+        tol=tol,
+    )
 
 
 def graph_spectrum(g: Graph, k: int | None = None, tol: float = 1e-9) -> SpectrumReport:
     """Laplacian spectrum with the kernel pinned to the component count."""
-    return pinned_spectrum(g, laplacian(g), k, tol)
+    return spectrum(g, laplacian(g), k, tol)
 
 
 @dataclass

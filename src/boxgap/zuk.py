@@ -29,7 +29,7 @@ from .spectral import (
     SpectrumReport,
     _weighted_laplacian,
     laplacian,
-    pinned_spectrum,
+    spectrum,
 )
 
 
@@ -240,19 +240,18 @@ def delta_tau(g: Graph) -> sp.csr_matrix:
 
 
 def delta_tau_spectrum(g: Graph, tol: float = 1e-9) -> SpectrumReport:
-    """Spectrum of the triangle-weighted Laplacian, kernel_dim pinned to g's
-    component count.
+    """Spectrum of the triangle-weighted Laplacian, through ``spectrum``
+    with kernel_dim pinned to g's component count.
 
-    Δτ is split along its own weight support, the graph of the edges that
-    lie in a triangle, and each block is solved alone (up to DENSE_LIMIT
-    vertices one dense solve of the whole), so every block's zero is
-    listed. A gap of 0.0 (to rounding) on a connected g means the
-    triangle-weight graph is disconnected: Margulis graphs, where almost no
-    edge lies in a triangle, list only zeros. A valid Żuk certificate
-    implies every edge lies in a triangle, so there the blocks are g's
-    components.
+    Δτ's blocks are those of its own weight support, the graph of the edges
+    that lie in a triangle; above DENSE_LIMIT each is solved alone, so every
+    block's zero is listed. A gap of 0.0 (to rounding) on a connected g
+    means the triangle-weight graph is disconnected: Margulis graphs, where
+    almost no edge lies in a triangle, list only zeros. A valid Żuk
+    certificate implies every edge lies in a triangle, so there the blocks
+    are g's components.
     """
-    return pinned_spectrum(g, delta_tau(g), tol=tol)
+    return spectrum(g, delta_tau(g), tol=tol)
 
 
 def sandwich_check(

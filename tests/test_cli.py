@@ -24,7 +24,7 @@ import boxgap as bg
 from boxgap import cli
 from boxgap.cli import _json_chunks, build_parser, main
 from boxgap.errors import DegreeExceeded, DuplicateEdge, NoConvergence
-from boxgap.spectral import DENSE_LIMIT, pinned_spectrum
+from boxgap.spectral import DENSE_LIMIT
 
 
 def make_box(tmp_path, graphs, d, name="box"):
@@ -70,13 +70,13 @@ def test_spectrum_markov_lists_each_component_block(tmp_path):
     assert np.allclose(got["eigenvalues"], want, rtol=0, atol=1e-9)
     assert np.sum(np.abs(want - 0.4375) <= 1e-9) == 4
     assert got["kernel_dim"] == 0 and got["gap"] == got["eigenvalues"][0]
-    whole = bg.spectrum(bg.markov(margulis, 8), k=8, kernel_dim=0).to_dict()
+    whole = bg.spectrum(margulis, bg.markov(margulis, 8), k=8, kernel_dim=0).to_dict()
     got = json.loads((out / "spectrum_0001.json").read_text())["markov"]
     assert got == json.loads(json.dumps(whole))
 
 
-def test_spectrum_markov_record_is_pinned_spectrum_without_kernel(tmp_path):
-    # The CLI's Markov report is pinned_spectrum with kernel_dim=0: on a
+def test_spectrum_markov_record_is_library_spectrum_without_kernel(tmp_path):
+    # The CLI's Markov report is spectrum with kernel_dim=0: on a
     # disconnected graph above DENSE_LIMIT, one block at a time.
     torus = bg.triangular_torus(17)
     pair = bg.disjoint_union(torus, torus, d=8)
@@ -85,7 +85,7 @@ def test_spectrum_markov_record_is_pinned_spectrum_without_kernel(tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--input", manifest, "--out", str(out)]) == 0
     got = json.loads((out / "spectrum_0000.json").read_text())["markov"]
-    want = pinned_spectrum(pair, bg.markov(pair, 8), k=8, kernel_dim=0)
+    want = bg.spectrum(pair, bg.markov(pair, 8), k=8, kernel_dim=0)
     # Each 289-vertex block is small enough for a dense solve of its own.
     assert want.kernel_dim == 0 and want.method == "exact-dense"
     assert got == json.loads(json.dumps(want.to_dict()))

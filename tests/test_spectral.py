@@ -13,7 +13,6 @@ from boxgap.spectral import (
     DENSE_LIMIT,
     eigenpairs,
     iterative_eigenpairs,
-    pinned_spectrum,
 )
 
 from conftest import random_bounded_graph
@@ -70,23 +69,23 @@ def test_spectrum_c8_gap():
 
 def test_spectrum_zero_operator():
     g = bg.build_graph(5, [], 2)
-    rep = bg.spectrum(bg.laplacian(g), kernel_dim=5)
+    rep = bg.spectrum(g, bg.laplacian(g), kernel_dim=5)
     assert rep.kernel_dim == 5
     assert rep.gap == 0.0
     assert rep.eigenvalues == [0.0] * 5
 
 
 def test_spectrum_k_validation():
-    op = bg.laplacian(bg.cycle_graph(4))
+    g = bg.cycle_graph(4)
     with pytest.raises(ValueError):
-        bg.spectrum(op, k=5, kernel_dim=1)
+        bg.spectrum(g, bg.laplacian(g), k=5, kernel_dim=1)
 
 
 def test_dense_vs_iterative_agree():
     g = bg.margulis_graph(7)
     lap = bg.laplacian(g)
     comps = len(bg.connected_components(g))
-    dense = bg.spectrum(lap, k=6, kernel_dim=comps)
+    dense = bg.spectrum(g, lap, k=6, kernel_dim=comps)
     assert dense.method == "exact-dense"
     evs, _ = iterative_eigenpairs(lap, 6, 1e-10)
     assert np.allclose(dense.eigenvalues, evs, atol=1e-7)
@@ -107,8 +106,9 @@ def test_dense_iterative_rule_edges():
         (DENSE_LIMIT + 1, DENSE_LIMIT, "exact-dense"),
         (DENSE_LIMIT + 1, DENSE_LIMIT + 1, "exact-dense"),
     ]:
-        lap = bg.laplacian(_connected_random_graph(n))
-        rep = bg.spectrum(lap, k=k, kernel_dim=1)
+        g = _connected_random_graph(n)
+        lap = bg.laplacian(g)
+        rep = bg.spectrum(g, lap, k=k, kernel_dim=1)
         assert rep.method == method, (n, k)
         want = np.linalg.eigvalsh(lap.toarray())[:k]
         assert np.allclose(rep.eigenvalues, want, rtol=0, atol=1e-9)
@@ -407,7 +407,45 @@ def test_negative_k_is_refused(n):
     with pytest.raises(ValueError, match="k=-1"):
         bg.graph_spectrum(g, k=-1)
     with pytest.raises(ValueError, match="k=-1"):
-        bg.spectrum(bg.laplacian(g), k=-1, kernel_dim=1)
+        bg.spectrum(g, bg.laplacian(g), k=-1, kernel_dim=1)
+
+
+@pytest.mark.parametrize("n", [6, DENSE_LIMIT + 2])
+def test_zero_k_is_answered_without_a_solve(n, monkeypatch):
+    # The same empty record on both sides of DENSE_LIMIT; ARPACK would
+    # refuse k = 0.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("k = 0 reached a solver")
+
+    monkeypatch.setattr(spectral, "iterative_eigenpairs", no_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    g = bg.cycle_graph(n)
+    empty = {"eigenvalues": [], "kernel_dim": 0, "gap": 0.0,
+             "method": "exact-dense", "tol": 1e-9}
+    assert bg.graph_spectrum(g, k=0).to_dict() == empty
+    assert bg.spectrum(g, bg.markov(g), k=0, kernel_dim=0).to_dict() == empty
+
+
+def test_kernel_dim_is_clamped_to_k():
+    g = bg.cycle_graph(6)
+    rep = bg.spectrum(g, bg.laplacian(g), k=1, kernel_dim=3)
+    assert rep.kernel_dim == 1
+    assert rep.gap == 0.0
+    assert len(rep.eigenvalues) == 1 and abs(rep.eigenvalues[0]) <= 1e-9
+
+
+def test_markov_of_a_torus_pair_lists_each_copy():
+    # Above DENSE_LIMIT each torus is solved alone, so 0.4375, an
+    # eigenvalue of each copy's Markov operator twice, is listed four times.
+    torus = bg.triangular_torus(24)
+    pair = bg.disjoint_union(torus, torus, d=8)
+    assert pair.n > DENSE_LIMIT
+    op = bg.markov(pair, 8)
+    rep = bg.spectrum(pair, op, k=8, kernel_dim=0)
+    want = np.linalg.eigvalsh(op.toarray())[:8]
+    assert np.allclose(rep.eigenvalues, want, rtol=0, atol=1e-9)
+    assert np.sum(np.abs(np.array(rep.eigenvalues) - 0.4375) <= 1e-9) == 4
+    assert rep.kernel_dim == 0 and rep.gap == rep.eigenvalues[0]
 
 
 def _weighted_block(rng, size, chords, diag_share):
@@ -456,7 +494,7 @@ def _block_operator(rng, bridged):
 
 
 @pytest.mark.parametrize("bridged", [False, True])
-def test_pinned_spectrum_block_split_matches_dense(bridged):
+def test_spectrum_block_split_matches_dense(bridged):
     rng = np.random.default_rng(41)
     for _ in range(3):
         g, op, dense = _block_operator(rng, bridged)
@@ -464,7 +502,7 @@ def test_pinned_spectrum_block_split_matches_dense(bridged):
         assert len(g.components) == (1 if bridged else 13)
         want = np.linalg.eigvalsh(dense)
         for k in (5, 12, 40):
-            rep = pinned_spectrum(g, op, k=k)
+            rep = bg.spectrum(g, op, k=k)
             assert rep.method == "iterative"
             assert np.allclose(rep.eigenvalues, want[:k], rtol=0, atol=1e-8)
             assert rep.kernel_dim == min(len(g.components), k)
