@@ -229,8 +229,7 @@ def glue_pair(g1: Graph, g2: Graph, v1: int, v2: int, d: int | None = None) -> G
     edges = np.concatenate(
         (g1.edge_array(), g2.edge_array() + g1.n, [[v1, g1.n + v2]])
     )
-    return build_graph(g1.n + g2.n, edges, d,
-                       allow_loops=g1.allows_loops or g2.allows_loops)
+    return build_graph(g1.n + g2.n, edges, d, allow_loops=True)
 
 
 @dataclass

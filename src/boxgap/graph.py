@@ -55,9 +55,9 @@ class Graph:
     searches row u and ``has_edges`` searches the row-major keys once for
     many pairs; ``has_edge`` and the degrees raise VertexOutOfRange for a
     vertex outside [0, n), and ``has_edges`` answers False. Build graphs
-    with ``build_graph``, which validates symmetry and the degree bound.
-    Two graphs are equal when they have the same vertex count, edges,
-    loops, degree bound and loop flag.
+    with ``build_graph``, which validates symmetry and the degree bound
+    and alone decides whether loops are allowed. Two graphs are equal when
+    they have the same vertex count, edges, loops and degree bound.
     """
 
     n: int
@@ -65,7 +65,6 @@ class Graph:
     indices: np.ndarray
     loops: tuple
     degree_bound: int
-    allows_loops: bool = False
 
     def __post_init__(self):
         for name in ("indptr", "indices"):
@@ -74,7 +73,7 @@ class Graph:
             object.__setattr__(self, name, arr)
 
     def _key(self) -> tuple:
-        return (self.n, self.loops, self.degree_bound, self.allows_loops,
+        return (self.n, self.loops, self.degree_bound,
                 self.indptr.tobytes(), self.indices.tobytes())
 
     def __eq__(self, other):
@@ -84,6 +83,11 @@ class Graph:
 
     def __hash__(self):
         return hash(self._key())
+
+    @property
+    def allows_loops(self) -> bool:
+        """Whether the graph has a loop, read off ``loops``."""
+        return bool(self.loops)
 
     def _check(self, *vs) -> None:
         for v in vs:
@@ -291,7 +295,6 @@ def build_graph(n, edges, d, allow_loops=False) -> Graph:
         indices=cols,
         loops=tuple(loops.tolist()),
         degree_bound=d,
-        allows_loops=bool(allow_loops),
     )
 
 
@@ -394,7 +397,6 @@ def induced_subgraph(g: Graph, s):
         indices=new[keep],
         loops=tuple(loops[loops >= 0].tolist()),
         degree_bound=g.degree_bound,
-        allows_loops=g.allows_loops,
     )
     return sub, vs
 
@@ -404,8 +406,7 @@ def disjoint_union(g1: Graph, g2: Graph, d: int | None = None) -> Graph:
     if d is None:
         d = max(g1.degree_bound, g2.degree_bound)
     edges = np.concatenate((g1.edge_array(), g2.edge_array() + g1.n))
-    return build_graph(g1.n + g2.n, edges, d,
-                       allow_loops=g1.allows_loops or g2.allows_loops)
+    return build_graph(g1.n + g2.n, edges, d, allow_loops=True)
 
 
 @dataclass
@@ -419,7 +420,10 @@ class BoxSpace:
     def __post_init__(self):
         for i, g in enumerate(self.graphs):
             if g.max_degree() > self.d:
-                raise DegreeExceeded(i, g.max_degree(), self.d)
+                v = next(v for v in range(g.n) if g.degree(v) > self.d)
+                exc = DegreeExceeded(v, g.degree(v), self.d)
+                exc.args = (f"graph {i}: {exc}",)
+                raise exc
         if self.labels is not None and len(self.labels) != len(self.graphs):
             raise ValueError("labels must align with graphs")
 
@@ -562,17 +566,12 @@ def _parse_lines(path, text):
 def read_edge_list(path) -> Graph:
     """Read an edge-list file. The body is parsed in one bulk call; any text
     that call does not take goes through the line loop, which accepts the
-    same files and reports the error with its line number."""
+    same files and reports the error with its line number. Loops are
+    allowed; a repeated one raises DuplicateEdge like any repeated edge."""
     with open(path) as fh:
         text = fh.read()
-    parsed = _parse_bulk(text)
-    if parsed is not None:
-        n, d, edges = parsed
-        loops = bool((edges[:, 0] == edges[:, 1]).any())
-    else:
-        n, d, edges = _parse_lines(path, text)
-        loops = any(u == v for u, v in edges)
-    return build_graph(n, edges, d, allow_loops=loops)
+    n, d, edges = _parse_bulk(text) or _parse_lines(path, text)
+    return build_graph(n, edges, d, allow_loops=True)
 
 
 def _read_header(path) -> tuple:

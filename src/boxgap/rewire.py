@@ -155,7 +155,7 @@ def rewire_piece(
     new_graph = g  # with no boundary edges nothing is edited
 
     def rebuild(edges):
-        return build_graph(g.n, edges, g.degree_bound, allow_loops=g.allows_loops)
+        return build_graph(g.n, edges, g.degree_bound, allow_loops=True)
 
     if bedges:
         f_edges = select_separated_edges(g, piece, r, len(bedges))
@@ -265,7 +265,7 @@ def expanderize(
         for j, piece in enumerate(decomp.pieces):
             try:
                 res = rewire_piece(work, piece, params.C, params.alpha)
-            except (HypothesisFailed, InsufficientSeparatedEdges, ValueError) as exc:
+            except (HypothesisFailed, InsufficientSeparatedEdges) as exc:
                 skipped.append({"piece": j, "reason": str(exc)})
                 continue
             work = res.new_graph

@@ -346,6 +346,47 @@ def test_generate_seed_flag(tmp_path):
     assert box.graphs[0] != box.graphs[1]
 
 
+@pytest.mark.parametrize("family, params, build", [
+    ("complete", {"n": 5}, lambda: bg.complete_graph(5)),
+    ("path", {"n": 7}, lambda: bg.path_graph(7)),
+    ("triangular_torus", {"m": 5}, lambda: bg.triangular_torus(5)),
+    ("cayley", {"group": {"kind": "sl2", "p": 3}, "gens": "elementary"},
+     lambda: bg.cayley_graph(bg.SL2Prime(3), bg.sl2_elementary_generators(3))),
+])
+def test_generate_family_matches_library(tmp_path, family, params, build):
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps({"family": family, "params": params}))
+    out = tmp_path / "gen"
+    assert main(["generate", "--input", str(spath), "--out", str(out)]) == 0
+    assert bg.read_manifest(str(out / "manifest.json")).graphs == [build()]
+
+
+def test_expanderize_skipping_every_piece_writes_an_empty_graph(tmp_path):
+    # Each of two Margulis 24 copies joined by two bridges is a piece with
+    # two boundary edges and room for one separated interior edge: both
+    # are skipped, the output graph has no vertex, and approx-iso against
+    # the input says false.
+    m = bg.margulis_graph(24)
+    g = bg.build_graph(2 * m.n, np.concatenate(
+        (m.edge_array(), m.edge_array() + m.n, [[0, 576], [127, 703]])), 9)
+    manifest = make_box(tmp_path, [g], d=9)
+    out = tmp_path / "exp"
+    assert main(["expanderize", "--input", manifest, "--out", str(out),
+                 "--alpha", "0.9", "--gap", "12",
+                 "--allow-infeasible-alpha"]) == 0
+    rep = json.loads((out / "expanderize_0000.json").read_text())
+    reason = "only 1 of 2 separated interior edges available"
+    assert rep["skipped_pieces"] == [{"piece": 0, "reason": reason},
+                                     {"piece": 1, "reason": reason}]
+    assert rep["piece_outcomes"] == [] and rep["kept_vertices"] == []
+    assert (out / "graphs" / "graph_0000.txt").read_text() == "0 9\n"
+    iso = tmp_path / "iso"
+    assert main(["approx-iso", "--input", manifest,
+                 "--input2", str(out / "graphs" / "manifest.json"),
+                 "--witness", str(out / "witness.json"), "--out", str(iso)]) == 0
+    assert json.loads((iso / "approx_iso.json").read_text())["verdict"] is False
+
+
 def test_generate_then_expanderize_roundtrip(tmp_path):
     spec = [{"family": "bridged_margulis_pair", "params": {"n": 4}}]
     spath = tmp_path / "spec.json"
@@ -421,6 +462,7 @@ def _cayley(group, gens):
     ({"family": "cycle"}, "params has no 'n'"),
     ({"family": "glued_expander", "params": {"x_prime": {"params": {}}}},
      "params.x_prime has no 'family'"),
+    ({"family": "x", "params": {}}, "unknown family 'x'"),
 ])
 def test_generate_malformed_spec_exits_2(tmp_path, capsys, spec, names):
     spath = tmp_path / "spec.json"

@@ -380,6 +380,34 @@ def test_kun_partition_deterministic():
     assert c1.to_dict() == c2.to_dict()
 
 
+def test_kun_partition_demotes_a_piece_with_too_much_boundary():
+    # Margulis 20 with a path 0 - 400 - 401 hung off it: the Margulis side
+    # is a good cut, the final piece {400, 401} has boundary 1 >= 0.5 * 2
+    # and is demoted to junk.
+    m = bg.margulis_graph(20)
+    path = [[0, 400], [400, 401]]
+    g = bg.build_graph(402, np.concatenate((m.edge_array(), path)), 9)
+    decomp, cert = bg.kun_partition(g, bg.KunParams(c=12, d=9, alpha=0.5))
+    assert [s["type"] for s in decomp.steps] == ["good", "final", "demoted"]
+    assert decomp.steps[-1]["piece"] == [400, 401]
+    assert decomp.pieces == [tuple(range(400))]
+    assert decomp.junk == (400, 401)
+    assert cert.passed
+
+
+def test_certificate_fails_on_a_disconnected_piece():
+    # Two triangles taken as one piece: one triangle has no boundary, so the
+    # exact evidence is 0 and the certificate fails conclusively.
+    tri = bg.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 2)
+    decomp = decompose.Decomposition(junk=(), pieces=[tuple(range(6))], steps=[])
+    cert = decompose.certify_partition(tri, decomp,
+                                       bg.KunParams(c=1, d=2, alpha=0.9))
+    ev = cert.evidence[0]
+    assert (ev["method"], ev["value"]) == ("exact", 0.0)
+    assert ev["conclusive"] and not ev["meets_C"]
+    assert not cert.passed and cert.inconclusive == []
+
+
 def test_certificate_inner_expansion_exact_scan():
     p = bg.KunParams(c=4, d=5, alpha=0.1)
     two = bg.disjoint_union(bg.complete_graph(6), bg.complete_graph(6))

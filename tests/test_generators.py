@@ -400,6 +400,17 @@ def test_glued_expander_reproducible():
     assert sorted(a.graph.edges()) == sorted(b.graph.edges())
 
 
+def test_glued_expander_without_loops_reads_back_equal(tmp_path):
+    # With T empty and |X'| = |Y| the matching touches every vertex, so no
+    # vertex takes a loop, and the graph equals its own files read back.
+    g = bg.glued_expander(bg.cycle_graph(4), bg.cycle_graph(4), [], seed=0).graph
+    assert g.loops == ()
+    bg.write_edge_list(g, tmp_path / "g.txt")
+    assert bg.read_edge_list(tmp_path / "g.txt") == g
+    manifest = bg.write_manifest(bg.BoxSpace(graphs=[g], d=3), tmp_path / "box")
+    assert bg.read_manifest(manifest).graphs == [g]
+
+
 def test_glued_expander_not_enough_room():
     with pytest.raises(NotEnoughRoom):
         bg.glued_expander(bg.complete_graph(3), bg.cycle_graph(8), ())

@@ -174,8 +174,8 @@ def test_core_matches_set_oracles(small_corpus):
             assert neighbour_rows(sub) == tuple(
                 tuple(sorted(pos[v] for v in adj[u] if v in pos)) for u in s
             )
-            assert (sub.degree_bound, sub.allows_loops) == (
-                g.degree_bound, g.allows_loops)
+            assert sub.degree_bound == g.degree_bound
+            assert sub.allows_loops == bool(sub.loops)
 
 
 @settings(max_examples=200, deadline=None)
@@ -520,6 +520,31 @@ def test_manifest_roundtrip(tmp_path):
 def test_boxspace_validates_degree():
     with pytest.raises(DegreeExceeded):
         bg.BoxSpace(graphs=[bg.complete_graph(5)], d=3)
+
+
+def test_boxspace_degree_error_names_the_vertex_and_the_graph():
+    with pytest.raises(DegreeExceeded) as exc:
+        bg.BoxSpace(graphs=[bg.cycle_graph(5), bg.complete_graph(5)], d=3)
+    assert (exc.value.vertex, exc.value.degree, exc.value.bound) == (0, 4, 3)
+    assert str(exc.value) == "graph 1: vertex 0 has degree 4 > bound 3"
+
+
+def test_a_graph_is_its_edges():
+    """The fields are the vertex count, the CSR rows, the loops and the
+    degree bound; whether loops are allowed is read off the loops, so a
+    subgraph that leaves every loop out equals the same edges built anew."""
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(bg.Graph)] == [
+        "n", "indptr", "indices", "loops", "degree_bound"]
+    g = loop_graph()
+    sub, _ = bg.induced_subgraph(g, (1, 3, 4, 5))
+    for h in (g, sub, bg.cycle_graph(5)):
+        assert h.allows_loops == bool(h.loops)
+    assert not sub.allows_loops
+    assert sub == bg.build_graph(4, list(sub.edges()), g.degree_bound)
+    with pytest.raises(DuplicateEdge):
+        bg.build_graph(2, [(0, 1), (1, 1)], 2)
 
 
 def test_vertex_set_validation():

@@ -618,6 +618,35 @@ def test_expanderize_drops_small_components():
     assert rep.ratios[0]["vertices_x2"] == 1.0
 
 
+def test_expanderize_output_without_loops_reads_back_equal(tmp_path):
+    # The looped vertex beside Margulis 4 is a component of one vertex,
+    # dropped with its loop, so the output graph has none and equals its
+    # own files read back.
+    m = bg.margulis_graph(4)
+    g = bg.build_graph(17, np.concatenate((m.edge_array(), [[16, 16]])), 8,
+                       allow_loops=True)
+    res = bg.expanderize(bg.BoxSpace(graphs=[g], d=8),
+                         bg.KunParams(c=4, d=8, alpha=0.9), min_component=2)
+    assert res.reports[0].dropped_small_components == [[16]]
+    out = res.boxspace.graphs[0]
+    assert out.n == 16 and out.loops == ()
+    manifest = bg.write_manifest(res.boxspace, tmp_path / "out")
+    assert bg.read_manifest(manifest).graphs == [out]
+
+
+def test_expanderize_propagates_a_value_error(monkeypatch):
+    # kun_partition's pieces always meet rewire_piece's preconditions, so a
+    # ValueError is a fault to report, not a piece to skip.
+    def fail(*args):
+        raise ValueError("rewire_piece fault")
+
+    monkeypatch.setattr(rewire_mod, "rewire_piece", fail)
+    g = bg.disjoint_union(bg.complete_graph(6), bg.complete_graph(3), d=5)
+    with pytest.raises(ValueError, match="rewire_piece fault"):
+        bg.expanderize(bg.BoxSpace(graphs=[g], d=5),
+                       bg.KunParams(c=4, d=5, alpha=0.2))
+
+
 def test_expanderize_junky_margulis_pair():
     m = bg.margulis_graph(6)
     pair = bg.glue_pair(m, m, 0, 0, d=8)
