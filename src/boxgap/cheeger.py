@@ -5,7 +5,9 @@ The Cheeger constant used throughout is vertex-normalized, h = min |∂S|/|S|
 over nonempty S with |S| <= n/2. The spectral reference value for the
 sandwich is the second-smallest Laplacian eigenvalue counted with
 multiplicity (0 for a disconnected graph, the gap for a connected one),
-which keeps h >= lambda/2 valid on disconnected inputs where h = 0.
+which keeps h >= lambda/2 valid on disconnected inputs where h = 0. One
+predicate, ``_connected``, decides which graphs get that answer: below two
+vertices or above one component, h = 0 and lambda_2 = 0.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ import numpy as np
 
 from . import exhaustive
 from .errors import TooLargeForExact
-from .graph import (
-    Graph,
-    Record,
-    connected_components,
-    induced_subgraph,
-    sweep_profile,
-    vertex_set,
-)
+from .graph import Graph, Record, induced_subgraph, sweep_profile, vertex_set
 from .spectral import eigenpairs, laplacian
 
 EXACT_CAP = 24
@@ -45,13 +40,24 @@ class CheegerReport(Record):
     upper_bound: float  # sqrt(2 d lambda_2)
 
 
+def _connected(g: Graph) -> bool:
+    """The one degenerate-graph rule: a graph with fewer than two vertices
+    or more than one component has h = 0 and lambda_2 = 0."""
+    return g.n >= 2 and len(g.components) == 1
+
+
+def _zero_report(g: Graph, method: str) -> CheegerReport:
+    """The h = 0 report of a graph that is not ``_connected``: the smallest
+    component is the witness (none below two vertices), both bounds are 0."""
+    witness = min(g.components, key=lambda c: (len(c), c)) if g.n >= 2 else ()
+    return CheegerReport(0.0, witness, method, 0.0, 0.0)
+
+
 def second_eigenvalue(g: Graph, tol: float = 1e-9) -> float:
     """Second-smallest Laplacian eigenvalue, multiplicity counted (exactly 0
-    for a disconnected graph). For a connected graph it is the lambda_2 of
-    ``_fiedler_order``, from the same solve, bit for bit."""
-    if g.n < 2 or len(connected_components(g)) > 1:
-        return 0.0
-    return _fiedler_order(g, tol)[0]
+    for a graph that is not ``_connected``). For a connected graph it is the
+    lambda_2 of ``_fiedler_order``, from the same solve, bit for bit."""
+    return _fiedler_order(g, tol)[0] if _connected(g) else 0.0
 
 
 def _bounds(g: Graph, lam: float):
@@ -59,24 +65,17 @@ def _bounds(g: Graph, lam: float):
     return lam / 2.0, math.sqrt(2.0 * g.degree_bound * lam)
 
 
-def _smallest_component(comps) -> tuple:
-    return min(comps, key=lambda c: (len(c), c))
-
-
 def cheeger_exact(g: Graph) -> CheegerReport:
     """Exact Cheeger constant by exhaustive subset scan.
 
-    Disconnected graphs short-circuit to h = 0 with the smallest component
-    as witness; connected graphs above the cap raise TooLargeForExact.
+    A graph that is not ``_connected`` gets the h = 0 report at any size;
+    connected graphs above the cap raise TooLargeForExact.
     """
-    comps = connected_components(g)
-    connected = g.n >= 2 and len(comps) == 1
-    if connected and not _exact(g.n):
+    if not _connected(g):
+        return _zero_report(g, "exact")
+    if not _exact(g.n):
         raise TooLargeForExact(g.n, EXACT_CAP)
     lower, upper = _bounds(g, second_eigenvalue(g))
-    if not connected:
-        witness = _smallest_component(comps) if g.n >= 2 else ()
-        return CheegerReport(0.0, witness, "exact", lower, upper)
     ratio, witness = exhaustive.min_ratio_subset(g, range(g.n), g.n // 2)
     return CheegerReport(float(ratio), witness, "exact", lower, upper)
 
@@ -115,22 +114,18 @@ def induced_fiedler(g: Graph, vs: tuple, tol: float = 1e-9):
 def cheeger_sweep(g: Graph, tol: float = 1e-9) -> CheegerReport:
     """Fiedler sweep upper bound on the Cheeger constant.
 
-    On disconnected graphs the answer is exactly 0 (one component is the
-    witness), so the sweep runs only on connected inputs. Among the
+    A graph that is not ``_connected`` gets the h = 0 report, so the sweep
+    runs only on connected inputs of two or more vertices. Among the
     prefixes with the least ratio, the cut whose smaller side has the fewest
     vertices wins, then the one whose sorted smaller side comes first (at
     k = n/2 both sides compete); that side is the witness. So the witness
     does not depend on the sign of the Fiedler vector.
     """
-    comps = connected_components(g)
-    if len(comps) > 1:
-        lower, upper = _bounds(g, second_eigenvalue(g, tol))
-        return CheegerReport(0.0, _smallest_component(comps), "sweep", lower, upper)
+    if not _connected(g):
+        return _zero_report(g, "sweep")
     lam, order = _fiedler_order(g, tol)
     lower, upper = _bounds(g, lam)
     n = g.n
-    if n < 2:
-        return CheegerReport(0.0, (), "sweep", lower, upper)
     sizes = np.arange(1, n)
     ratios = sweep_profile(g, order)[: n - 1] / np.minimum(sizes, n - sizes)
     h = ratios[np.argmin(ratios)]
@@ -146,8 +141,8 @@ def cheeger_sweep(g: Graph, tol: float = 1e-9) -> CheegerReport:
 
 
 def cheeger_report(g: Graph, tol: float = 1e-9) -> CheegerReport:
-    """Exact report if n < 2, n <= EXACT_CAP or g is disconnected, else sweep."""
-    exact = g.n < 2 or _exact(g.n) or len(connected_components(g)) > 1
+    """Exact report if n <= EXACT_CAP or g is not ``_connected``, else sweep."""
+    exact = _exact(g.n) or not _connected(g)
     return cheeger_exact(g) if exact else cheeger_sweep(g, tol)
 
 

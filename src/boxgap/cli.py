@@ -464,7 +464,7 @@ def cmd_zuk(args) -> int:
     def analyze(i, item):
         g = read_edge_list(item.path)
         try:
-            cert = zuk_certificate(g, tol=args.tol).to_dict()
+            cert = zuk_certificate(g).to_dict()
         except DisconnectedLink as exc:
             cert = {
                 "valid": False,
@@ -685,7 +685,7 @@ _COMMANDS = (
      _PIPELINE),
     ("expanderize", cmd_expanderize, "decompose, rewire and prune",
      _PIPELINE + ("--min-component", "--allow-infeasible-alpha")),
-    ("zuk", cmd_zuk, "link-graph gap certificates", ("--tol",)),
+    ("zuk", cmd_zuk, "link-graph gap certificates", ()),
     ("generate", cmd_generate, "emit graphs from {family, params, seed}",
      ("--seed",)),
     ("sofic", cmd_sofic, "good-set count of a partial action", ()),

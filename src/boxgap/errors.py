@@ -137,12 +137,6 @@ class DisconnectedLink(BoxgapError):
         self.vertex = vertex
 
 
-class EmptyLink(BoxgapError):
-    def __init__(self, vertex):
-        super().__init__(f"link graph of vertex {vertex} is empty")
-        self.vertex = vertex
-
-
 class EdgeWithoutTriangle(BoxgapError):
     def __init__(self, edge):
         super().__init__(f"edge {edge} lies in no triangle")

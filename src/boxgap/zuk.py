@@ -5,7 +5,9 @@ For a vertex x, the link is the graph induced on its neighbors; a link edge
 an edge equals the degree of y inside the link of x. The certificate checks
 the smallest positive eigenvalue of every link's random-walk Laplacian: when
 each link is connected and the minimum exceeds 1/2, the triangle-weighted
-Laplacian has a gap of at least c = 2 - 1/min.
+Laplacian has a gap of at least c = 2 - 1/min. Whether a link is connected
+is decided once, on its boolean adjacency (``_links_connected``); the
+eigensolve only supplies lambda_1, and no tolerance enters either.
 
 The certificate handles links in one batched pass over vertex chunks of
 LINK_CHUNK: the neighbour rows come from the CSR arrays, link adjacency from
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DisconnectedLink, EdgeWithoutTriangle, EmptyLink
+from .errors import DisconnectedLink, EdgeWithoutTriangle
 from .graph import Graph, Record, edge_keys, vertex_set
 from .spectral import (
     SpectrumReport,
@@ -102,16 +104,16 @@ def _links_connected(a: np.ndarray) -> np.ndarray:
     return reach[:, 0, :].all(axis=1)
 
 
-def _link_spectra(a: np.ndarray):
-    """Two smallest eigenvalues of I - D^(-1/2) A D^(-1/2), the symmetric
+def _link_spectra(a: np.ndarray) -> np.ndarray:
+    """Second-smallest eigenvalue of I - D^(-1/2) A D^(-1/2), the symmetric
     form of the random-walk Laplacian, for every link of a (c, m, m) stack
-    whose links have no isolated vertex; one ``eigvalsh`` call."""
+    of connected links: its lambda_1, as the kernel is one-dimensional. One
+    ``eigvalsh`` call."""
     m = a.shape[1]
     a = a.astype(np.float64)
     dinv = 1.0 / np.sqrt(a.sum(axis=2))
     sym = np.eye(m) - (dinv[:, :, None] * a) * dinv[:, None, :]
-    evs = np.linalg.eigvalsh(sym)
-    return evs[:, 0], evs[:, 1]
+    return np.linalg.eigvalsh(sym)[:, 1]
 
 
 def link_graph(g: Graph, x: int) -> LinkGraph:
@@ -134,25 +136,17 @@ def link_graph(g: Graph, x: int) -> LinkGraph:
     )
 
 
-def link_lambda1(link: LinkGraph, tol: float = 1e-9) -> float:
-    """First positive eigenvalue of the link's random-walk Laplacian.
-
-    Computed from the symmetric normalization I - D^(-1/2) A D^(-1/2), which
-    has the same spectrum; the kernel of a connected link is one-dimensional
-    so the answer is the second-smallest eigenvalue.
-    """
-    m = len(link.vertices)
-    if m == 0:
-        raise EmptyLink(link.base)
+def link_lambda1(link: LinkGraph) -> float:
+    """First positive eigenvalue of the link's random-walk Laplacian, as
+    ``_link_spectra`` computes it. A link that is not connected, empty and
+    one-vertex links included, raises DisconnectedLink."""
     if not link.connected:
         raise DisconnectedLink(link.base)
+    m = len(link.vertices)
     a = np.zeros((1, m, m), dtype=bool)
     for u, v in link.edges:
         a[0, u, v] = a[0, v, u] = True
-    lam0, lam1 = _link_spectra(a)
-    if abs(lam0[0]) > 100 * tol:
-        raise DisconnectedLink(link.base)
-    return float(lam1[0])
+    return float(_link_spectra(a)[0])
 
 
 @dataclass
@@ -175,17 +169,14 @@ class ZukCertificate(Record):
         return d
 
 
-def zuk_certificate(g: Graph, subset=None, tol: float = 1e-9) -> ZukCertificate:
+def zuk_certificate(g: Graph, subset=None) -> ZukCertificate:
     """Certificate that min over the subset of link lambda_1 exceeds 1/2.
 
     Every link of every vertex must be connected (the hypothesis covers the
     whole graph, not just the inspected subset); DisconnectedLink is raised
     otherwise, at the first such vertex, before any eigensolve of its chunk.
-    A subset link whose kernel is not one-dimensional (|lambda_0| above
-    100 tol) also raises DisconnectedLink, at the first such subset vertex,
-    once every link is known to be connected. With subset = all vertices a
-    valid certificate claims the full gap for the triangle-weighted
-    Laplacian.
+    With subset = all vertices a valid certificate claims the full gap for
+    the triangle-weighted Laplacian.
 
     The subset goes through ``vertex_set``, so a repeated vertex counts once.
 
@@ -198,7 +189,6 @@ def zuk_certificate(g: Graph, subset=None, tol: float = 1e-9) -> ZukCertificate:
     keys = edge_keys(g)
     size = np.diff(g.indptr)
     lambda1 = np.zeros(g.n)
-    off_kernel = g.n  # first subset vertex with |lambda_0| > 100 tol
     for lo in range(0, g.n, LINK_CHUNK):
         xs = np.arange(lo, min(lo + LINK_CHUNK, g.n))
         stacks = []
@@ -211,12 +201,7 @@ def zuk_certificate(g: Graph, subset=None, tol: float = 1e-9) -> ZukCertificate:
         for ys, a in stacks:
             keep = wanted[ys]
             if keep.any():
-                lam0, lam1 = _link_spectra(a[keep])
-                lambda1[ys[keep]] = lam1
-                bad = ys[keep][np.abs(lam0) > 100 * tol]
-                off_kernel = min(off_kernel, int(bad.min(initial=g.n)))
-    if off_kernel < g.n:
-        raise DisconnectedLink(off_kernel)
+                lambda1[ys[keep]] = _link_spectra(a[keep])
     lam = dict(zip(vertices, lambda1[list(vertices)].tolist()))
     min_lambda = min(lam.values()) if lam else 0.0
     valid = bool(lam) and min_lambda > 0.5
@@ -298,7 +283,7 @@ def verify_zuk_gap(g: Graph, tol: float = 1e-9) -> ZukGapCheck:
     Test-facing API: no command or other library function calls it; the
     tests do.
     """
-    cert = zuk_certificate(g, tol=tol)
+    cert = zuk_certificate(g)
     if not cert.valid:
         return ZukGapCheck(applicable=False, passed=None, c=cert.c, gap=None)
     rep = delta_tau_spectrum(g, tol=tol)

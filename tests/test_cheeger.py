@@ -44,6 +44,35 @@ def test_exact_disconnected():
     assert rep.witness == (0, 1, 2)
 
 
+DEGENERATE = {
+    "empty": (lambda: bg.build_graph(0, [], 2), ()),
+    "one-vertex": (lambda: bg.build_graph(1, [], 2), ()),
+    "two-isolated": (lambda: bg.build_graph(2, [], 2), (0,)),
+    "two-triangles": (lambda: bg.disjoint_union(bg.complete_graph(3),
+                                                bg.complete_graph(3)), (0, 1, 2)),
+    # 72 vertices: above EXACT_CAP, so only the degenerate rule keeps it exact.
+    "margulis-pair": (lambda: bg.disjoint_union(bg.margulis_graph(6),
+                                                bg.margulis_graph(6)),
+                      tuple(range(36))),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_graphs_get_one_zero_report(monkeypatch, name):
+    """Below two vertices or above one component: h = 0, lambda_2 = 0, the
+    smallest component (none below two vertices) as witness and both bounds
+    0, from every entry point, without an eigensolve."""
+    build, witness = DEGENERATE[name]
+    g = build()
+    monkeypatch.setattr(cheeger_mod, "eigenpairs", None)
+    assert cheeger_mod.second_eigenvalue(g) == 0.0
+    for report, method in ((bg.cheeger_exact, "exact"),
+                           (bg.cheeger_sweep, "sweep"),
+                           (cheeger_mod.cheeger_report, "exact")):
+        rep = report(g)
+        assert rep == bg.CheegerReport(0.0, witness, method, 0.0, 0.0)
+
+
 def test_exact_matches_brute_oracle(small_corpus):
     for g in small_corpus:
         if g.n < 2:

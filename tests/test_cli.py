@@ -121,7 +121,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     pipeline = {"--alpha", "--gap"}
     expected = {
         "spectrum": {"--tol"},
-        "zuk": {"--tol"},
+        "zuk": set(),
         "cheeger": {"--tol"},
         "decompose": pipeline,
         "expanderize": pipeline | {"--min-component", "--allow-infeasible-alpha"},
@@ -173,7 +173,7 @@ def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys):
     # residual check, and -1 to be written into the report as given.
     manifest = make_box(tmp_path, [bg.octahedron()], d=4)
     out = tmp_path / "out"
-    for command in ("spectrum", "cheeger", "zuk"):
+    for command in ("spectrum", "cheeger"):
         argv = [command, "--input", manifest, "--out", str(out)]
         for tol in ("nan", "inf", "-inf", "-1", "-1e-300"):
             with pytest.raises(SystemExit) as exc:
@@ -229,6 +229,24 @@ def test_zuk_command_octahedron_and_c5(tmp_path):
     c5 = json.loads((out / "zuk_0001.json").read_text())
     assert c5["valid"] is False
     assert "diagnostic" in c5
+
+
+def test_zuk_verdict_takes_no_tolerance(tmp_path, capsys):
+    # --tol 0 used to turn the octahedron's 4-cycle links "not connected".
+    manifest = make_box(tmp_path, [bg.octahedron(), bg.triangular_torus(6)], d=6)
+    out = tmp_path / "out"
+    assert main(["zuk", "--input", manifest, "--out", str(out)]) == 0
+    octa = json.loads((out / "zuk_0000.json").read_text())
+    assert octa["valid"] and octa["all_links_connected"]
+    assert octa["min_lambda"] == pytest.approx(1.0, abs=1e-9)
+    torus = json.loads((out / "zuk_0001.json").read_text())
+    assert torus["all_links_connected"] and not torus["valid"]
+    for tol in ("0", "1e-9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["zuk", "--input", manifest, "--out", str(tmp_path / "o"),
+                  "--tol", tol])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_decompose_command(tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -152,13 +153,15 @@ def test_zuk_certificate_disconnected_link():
 
 
 def test_link_lambda1_empty_and_singleton_links():
-    from boxgap.errors import EmptyLink
-
+    # One rule for links below two vertices, as in the certificate.
     isolated = bg.build_graph(3, [(1, 2)], 2)
-    with pytest.raises(EmptyLink):
-        bg.link_lambda1(bg.link_graph(isolated, 0))
-    with pytest.raises(DisconnectedLink):
-        bg.link_lambda1(bg.link_graph(isolated, 1))  # one-vertex link
+    for x in (0, 1):  # an empty link, then a one-vertex link
+        with pytest.raises(DisconnectedLink) as exc:
+            bg.link_lambda1(bg.link_graph(isolated, x))
+        assert exc.value.vertex == x
+    with pytest.raises(DisconnectedLink) as exc:
+        bg.zuk_certificate(isolated)
+    assert exc.value.vertex == 0
 
 
 def test_zuk_certificate_subset_must_still_cover_links():
@@ -251,10 +254,10 @@ def test_certified_graphs_meet_their_gap():
             assert rep.gap >= cert.c - 1e-9
 
 
-def reference_certificate(g, subset=None, tol=1e-9):
+def reference_certificate(g, subset=None):
     """Per-link oracle: each link built by walking the neighbour tuples and
     checked by a Python search, then one eigvalsh call per link; returns
-    per_vertex_lambda1 or raises what the per-link loop raises."""
+    per_vertex_lambda1 or raises what the per-link search raises."""
     adj = neighbour_rows(g)
     nbrs = [tuple(v for v in adj[x] if v != x) for x in range(g.n)]
     mats = []
@@ -279,8 +282,6 @@ def reference_certificate(g, subset=None, tol=1e-9):
         a = mats[x]
         dinv = 1.0 / np.sqrt(a.sum(axis=1))
         evs = np.linalg.eigvalsh(np.eye(len(a)) - (dinv[:, None] * a) * dinv[None, :])
-        if abs(evs[0]) > 100 * tol:
-            raise DisconnectedLink(x)
         lam[x] = float(evs[1])
     return lam
 
@@ -328,15 +329,33 @@ def test_certificate_matches_per_link_oracle(small_corpus, monkeypatch, chunk):
             subsets.append(tuple(rng.choice(g.n, size=int(rng.integers(0, g.n + 1)),
                                             replace=False).tolist()))
         for subset in subsets:
-            # At tol = 1e-18 the kernel check fails on some links, whose
-            # computed |lambda_0| lies between 1e-17 and 4e-16, and not others.
-            for tol in (1e-9, 1e-18):
-                kwargs = {"subset": subset, "tol": tol}
-                want = certificate_outcome(reference_certificate, g, **kwargs)
-                got = certificate_outcome(bg.zuk_certificate, g, **kwargs)
-                assert got == want, (g.n, subset, tol)
-                outcomes.add(type(got).__name__)
+            want = certificate_outcome(reference_certificate, g, subset=subset)
+            got = certificate_outcome(bg.zuk_certificate, g, subset=subset)
+            assert got == want, (g.n, subset)
+            outcomes.add(type(got).__name__)
     assert outcomes == {"dict", "tuple"}
+
+
+def test_connected_links_never_raise(small_corpus):
+    """Connectivity is decided once, exactly: a graph whose links the BFS
+    oracle finds connected gets a certificate, and no tolerance can reach
+    the verdict (computed |lambda_0| reaches 1.1e-15 on these links, so a
+    float kernel check at 100 tol would call some disconnected below
+    tol = 1e-17)."""
+    for fn in (bg.zuk_certificate, bg.link_lambda1):
+        assert "tol" not in inspect.signature(fn).parameters
+    certified = 0
+    for g in zuk_oracle_graphs(small_corpus):
+        try:
+            want = reference_certificate(g)
+        except DisconnectedLink:
+            continue
+        cert = bg.zuk_certificate(g)
+        assert cert.all_links_connected and cert.per_vertex_lambda1 == want
+        for x in range(g.n):
+            assert bg.link_lambda1(bg.link_graph(g, x)) == want[x]
+        certified += 1
+    assert certified >= 20
 
 
 def test_certificate_eigensolves_once_per_link_size_and_chunk(monkeypatch):
