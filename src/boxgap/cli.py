@@ -46,6 +46,7 @@ from .errors import BoxgapError, DisconnectedLink, NoConvergence
 from .generators import ApproxIsoWitness, PermAction, approx_iso_check, cyclic_action
 from .graph import (
     BoxSpace,
+    _ROW_BLOCK,
     _manifest_entries,
     _read_header,
     _Spec,
@@ -118,8 +119,10 @@ def _json_chunks(obj, level: int = 0):
     whose values are all scalars has no nesting, so one C-encoder call with
     the item separator ``","`` plus the newline and indent gives its body,
     and json itself sorts, coerces keys and raises (where the C module is
-    missing, json's Python encoder gives the same text). A container of 2-int
-    lists or tuples (an edge list) is joined in one step. Any other
+    missing, json's Python encoder gives the same text). A list or tuple of
+    2-int lists or tuples (an edge list) yields one ``%`` format per block
+    of _ROW_BLOCK pairs, so no string is made per pair and no piece holds
+    more than a block; ``%d`` prints an exact int as json does. Any other
     container yields its brackets, separators and keys and recurses, so no
     piece holds the text of a nested container. A cyclic container raises
     RecursionError where json raises ValueError.
@@ -143,14 +146,15 @@ def _json_chunks(obj, level: int = 0):
     else:
         values = obj
     yield opening + inner
-    if (types <= {list, tuple} and set(map(len, values)) == {2}
-            and set(map(type, chain.from_iterable(values))) == {int}):
+    if (not is_dict and types <= {list, tuple} and set(map(len, obj)) == {2}
+            and set(map(type, chain.from_iterable(obj))) == {int}):
         deeper = inner + "  "
-        pair = "[" + deeper + "{}," + deeper + "{}" + inner + "]"
-        texts = starmap(pair.format, values)
-        if is_dict:
-            texts = [_key_text(k) + ": " + t for (k, _), t in zip(items, texts)]
-        yield sep.join(texts)
+        pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+        for lo in range(0, len(obj), _ROW_BLOCK):
+            if lo:
+                yield sep
+            rows = obj[lo:lo + _ROW_BLOCK]
+            yield sep.join([pair] * len(rows)) % tuple(chain.from_iterable(rows))
     else:
         for j, v in enumerate(values):
             if j:

@@ -439,12 +439,16 @@ class WitnessEntry:
 def _edge_pairs(value, what: str) -> np.ndarray:
     """value as an (m, 2) int64 array if it is a list of 2-element lists of
     int64 integers (bools excluded), else a ValueError naming the first
-    entry that is not."""
+    entry that is not. The types and lengths are checked as sets, and the
+    array is filled from the flattened pairs in one ``np.fromiter`` call,
+    which raises OverflowError for an integer past int64; the pairs are
+    walked one by one only to find the entry to name."""
     pairs = expect(value, list, what)
     if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
             and set(map(type, itertools.chain.from_iterable(pairs))) <= {int}):
         try:
-            return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            return np.fromiter(itertools.chain.from_iterable(pairs),
+                               dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
         except OverflowError:
             pass
     j = next(j for j, p in enumerate(pairs)

@@ -17,10 +17,11 @@ for as long as the graph lives. Vertex subsets are plain
 sorted tuples of indices. Disconnected graphs are first class throughout;
 distance across components is treated as infinite and never compared.
 
-Edge-list files are parsed in one bulk ``np.loadtxt`` call when their text
-holds only digits, signs, spaces, tabs and newlines; any other text, and
-any body that call rejects, goes through a line loop that accepts the same
-files and names the offending line.
+Edge-list files are written _ROW_BLOCK rows per ``%`` format, and parsed
+in one bulk ``np.loadtxt`` call when their text holds only digits, signs,
+spaces, tabs and newlines; any other text, and any body that call rejects,
+goes through a line loop that accepts the same files and names the
+offending line.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from scipy.sparse.csgraph import connected_components as _csgraph_components
 from .errors import DegreeExceeded, DuplicateEdge, VertexOutOfRange
 
 VertexSet = tuple  # sorted tuple of vertex indices
+
+_ROW_BLOCK = 4096  # rows formatted per % call in text output; bounds memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,10 +503,16 @@ def expect_items(value, kind, what: str) -> list:
 
 
 def write_edge_list(g: Graph, path) -> None:
+    """Write g as the header line "n d" and one "u v" line per row of
+    ``edge_array``. Each block of _ROW_BLOCK rows is one ``%`` format and
+    one write, so no string or call is made per edge and the text in
+    memory stays one block long."""
+    e = g.edge_array()
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.degree_bound}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        for lo in range(0, len(e), _ROW_BLOCK):
+            rows = e[lo:lo + _ROW_BLOCK]
+            fh.write(("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 # Text of only digits, signs, spaces, tabs and newlines: there the lines are

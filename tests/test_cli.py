@@ -24,6 +24,7 @@ import boxgap as bg
 from boxgap import cli
 from boxgap.cli import _json_chunks, build_parser, main
 from boxgap.errors import DegreeExceeded, DuplicateEdge, NoConvergence
+from boxgap.graph import _ROW_BLOCK
 from boxgap.spectral import DENSE_LIMIT
 
 
@@ -588,6 +589,20 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, entries, names, command):
      "(edge None): duplicate vertices in witness"),
     ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[0, 1], [1, 0]]}]},
      "(edge (1, 0)): edge repeated"),
+    # Whole error texts: bools and floats are not vertices, and a pair entry
+    # just past int64 either way is named as given.
+    ({"entries": [{**_WITNESS_ENTRY, "vertices_x": [0, True]}]},
+     "entries[0].vertices_x[1] must be an integer, got True"),
+    ({"entries": [{**_WITNESS_ENTRY, "vertices_x2": [False, 1]}]},
+     "entries[0].vertices_x2[0] must be an integer, got False"),
+    ({"entries": [{**_WITNESS_ENTRY, "vertices_x": [0, 1.5]}]},
+     "entries[0].vertices_x[1] must be an integer, got 1.5"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[0, 1], [2**63, 0]]}]},
+     "entries[0].edges_x[1] must be a pair of int64 integers, "
+     "got [9223372036854775808, 0]"),
+    ({"entries": [{**_WITNESS_ENTRY, "edges_x": [[-2**63 - 1, 0]]}]},
+     "entries[0].edges_x[0] must be a pair of int64 integers, "
+     "got [-9223372036854775809, 0]"),
 ])
 def test_approx_iso_malformed_witness_exits_2(tmp_path, capsys, witness, names):
     manifest = make_box(tmp_path, [bg.path_graph(2)], d=1)
@@ -1072,6 +1087,17 @@ def test_write_json_matches_json_dumps(obj):
         cli._write_json(path, obj, "0123abcd")
         with open(path) as fh:
             assert fh.read() == want + "\n"
+
+
+@pytest.mark.parametrize("rows", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+def test_json_text_of_pair_lists_at_block_boundaries(rows):
+    # A list of int pairs is formatted one block of rows at a time; the
+    # hypothesis strategies above never reach a second block.
+    pairs = [[j, -3 * j - 2**40] for j in range(rows)]
+    _assert_same_json(pairs)
+    _assert_same_json(tuple(map(tuple, pairs)))
+    _assert_same_json({"edges_x": pairs, "vertices_x": list(range(rows))})
+    _assert_same_json({"nested": [pairs, pairs[:1]]})
 
 
 def test_write_json_streams(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import boxgap as bg
+import boxgap.graph as graph_mod
 from boxgap.errors import (
     DegreeExceeded,
     IdentityGenerator,
@@ -684,6 +685,22 @@ def test_approx_iso_refuses_a_fold_and_repeated_edges(g, entry, message):
     assert str(exc.value).endswith(message)
 
 
+@pytest.mark.parametrize("vertices_x, vertices_x2, named", [
+    ((0, 7, -3), (0, 1, 2), 7),  # the first in witness order, not the smallest
+    ((5, 4), (0, 1), 5),
+    ((0, 1), (2**70, 1), 2**70),  # past int64, named as given
+    ((0, 1), (-1, 9), -1),
+])
+def test_approx_iso_names_the_first_vertex_out_of_range(vertices_x, vertices_x2,
+                                                        named):
+    box = bg.BoxSpace(graphs=[bg.cycle_graph(4)], d=2)
+    entry = bg.WitnessEntry(vertices_x, vertices_x2, ())
+    with pytest.raises(VertexOutOfRange) as exc:
+        bg.approx_iso_check(box, box, bg.ApproxIsoWitness([entry]))
+    assert exc.value.vertex == named and type(exc.value.vertex) is int
+    assert str(exc.value) == f"vertex {named} out of range [0, 4)"
+
+
 def test_approx_iso_tail_verdict():
     graphs = [bg.cycle_graph(8)] * 8
     box = bg.BoxSpace(graphs=graphs, d=2)
@@ -766,6 +783,19 @@ def test_witness_json_roundtrip():
     back = bg.ApproxIsoWitness.from_dict(w.to_dict())
     assert back.entries[0].vertices_x == (0, 1)
     assert back.entries[0].edges_x.tolist() == [[0, 1]]
+
+
+def test_witness_json_roundtrip_past_one_block():
+    # from_dict fills the array from the flattened pairs in one call; a list
+    # longer than the writer's block of rows comes back row for row.
+    g = bg.cycle_graph(graph_mod._ROW_BLOCK + 3)
+    edges = g.edge_array()
+    vs = tuple(range(g.n))
+    w = bg.ApproxIsoWitness([bg.WitnessEntry(vs, vs[::-1], edges)])
+    back = bg.ApproxIsoWitness.from_dict(w.to_dict()).entries[0]
+    assert back.edges_x.dtype == np.int64 and back.edges_x.shape == edges.shape
+    assert np.array_equal(back.edges_x, edges)
+    assert back.vertices_x == vs and back.vertices_x2 == vs[::-1]
 
 
 def test_core_density_trivial_cases():

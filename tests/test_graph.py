@@ -380,6 +380,25 @@ def test_edge_list_roundtrip(tmp_path):
     assert bg.read_edge_list(path) == g
 
 
+def _line_by_line_text(g):
+    """The edge-list text one f-string per edge, the writer's reference."""
+    return f"{g.n} {g.degree_bound}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+
+
+@pytest.mark.parametrize("g", [
+    bg.build_graph(4, [(0, 0), (0, 1), (2, 3), (3, 3)], 3, allow_loops=True),
+    bg.build_graph(0, [], 1),
+    bg.build_graph(6, [(1, 4)], 2),  # isolated vertices
+    bg.cycle_graph(graph_mod._ROW_BLOCK),  # exactly one block of rows
+    bg.cycle_graph(2 * graph_mod._ROW_BLOCK + 1),  # three blocks, one row in the last
+], ids=["loops", "empty", "isolated", "one-block", "three-blocks"])
+def test_edge_list_text_matches_line_by_line(tmp_path, g):
+    path = tmp_path / "g.txt"
+    bg.write_edge_list(g, path)
+    assert path.read_text() == _line_by_line_text(g)
+    assert bg.read_edge_list(path) == g
+
+
 def test_edge_list_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("3\n")
@@ -552,6 +571,28 @@ def test_vertex_set_validation():
     assert bg.vertex_set(g, [3, 1, 1]) == (1, 3)
     with pytest.raises(VertexOutOfRange):
         bg.vertex_set(g, [4])
+    # Other input kinds give a sorted tuple of Python ints too.
+    for vertices, want in [
+        ((3, 0, 3), (0, 3)),
+        ({3, 0}, (0, 3)),
+        ((v for v in [3, 2]), (2, 3)),
+        (np.array([2, 1], dtype=np.uint64), (1, 2)),
+        ([], ()),
+        (np.array([], dtype=np.int64), ()),
+    ]:
+        got = bg.vertex_set(g, vertices)
+        assert got == want and all(type(v) is int for v in got)
+    # The smallest vertex out of range is named, in any input kind.
+    for vertices, named in [
+        ([9, 7, 1], 7),
+        ([8, -2, -1, 3], -2),
+        (np.array([9, 7, 1], dtype=np.int32), 7),
+        (np.array([1, 2**63], dtype=np.uint64), 2**63),
+        ([2**70, 3], 2**70),
+    ]:
+        with pytest.raises(VertexOutOfRange) as exc:
+            bg.vertex_set(g, vertices)
+        assert str(exc.value) == f"vertex {named} out of range [0, 4)"
 
 
 def test_vertex_set_rejects_non_integers():
@@ -565,6 +606,7 @@ def test_vertex_set_rejects_non_integers():
         ([0, "1"], "'1'"),
         (np.array([False, True]), "np.False_"),
         (np.array([1.0, 2.0]), "np.float64(1.0)"),
+        (np.array([[1, 2]]), "array([1, 2])"),
     ]:
         with pytest.raises(ValueError, match=re.escape(f"vertex {first} ")):
             bg.vertex_set(g, bad)
@@ -576,4 +618,6 @@ def test_vertex_set_rejects_non_integers():
         bg.vertex_set(g, [np.int64(6), 1])
     for ok in (range(1, 5), [4, 1, 2, 4], np.array([4, 1, 2], dtype=np.int32),
                np.array([4, 1, 2], dtype=np.int64), [np.int32(2), np.uint8(1), 4]):
-        assert bg.vertex_set(g, ok) == tuple(sorted(set(int(v) for v in ok)))
+        got = bg.vertex_set(g, ok)
+        assert got == tuple(sorted(set(int(v) for v in ok)))
+        assert all(type(v) is int for v in got)
