@@ -53,11 +53,11 @@ def _zero_report(g: Graph, method: str) -> CheegerReport:
     return CheegerReport(0.0, witness, method, 0.0, 0.0)
 
 
-def second_eigenvalue(g: Graph, tol: float = 1e-9) -> float:
+def second_eigenvalue(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue, multiplicity counted (exactly 0
     for a graph that is not ``_connected``). For a connected graph it is the
     lambda_2 of ``_fiedler_order``, from the same solve, bit for bit."""
-    return _fiedler_order(g, tol)[0] if _connected(g) else 0.0
+    return _fiedler_order(g)[0] if _connected(g) else 0.0
 
 
 def _bounds(g: Graph, lam: float):
@@ -90,20 +90,20 @@ def _fiedler_order(sub: Graph, tol: float = 1e-9):
     return float(vals[1]), order
 
 
-def induced_fiedler(g: Graph, vs: tuple, tol: float = 1e-9):
+def induced_fiedler(g: Graph, vs: tuple):
     """(lambda_2, order) of the subgraph induced on vs, a sorted tuple of g's
     vertices used as given: lambda_2 as ``second_eigenvalue`` gives it and,
     when that subgraph is connected, its ``_fiedler_order`` as a read-only
-    int64 array of g's vertices (else None). Each (vs, tol) is solved once
-    per graph and kept in ``g.memo``."""
-    key = ("fiedler", vs, tol)
+    int64 array of g's vertices (else None). Each vs is solved once per
+    graph and kept in ``g.memo``."""
+    key = ("fiedler", vs)
     pair = g.memo.get(key)
     if pair is None:
         sub, _ = induced_subgraph(g, vs)
         if len(sub.components) > 1:
             pair = 0.0, None
         else:
-            lam, local = _fiedler_order(sub, tol)
+            lam, local = _fiedler_order(sub)
             order = np.array(vs, dtype=np.int64)[local]
             order.flags.writeable = False
             pair = lam, order

@@ -472,6 +472,7 @@ def cmd_zuk(args) -> int:
         except DisconnectedLink as exc:
             cert = {
                 "valid": False,
+                "all_links_connected": False,
                 "min_lambda": None,
                 "c": None,
                 "coverage": None,

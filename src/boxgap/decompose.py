@@ -179,13 +179,13 @@ def coarea_bound(g: Graph, f, a: float, b: float, d: int | None = None) -> float
     return 4.0 * d**2 / (a**2 * (b - a) ** 2) * drift * norm**3
 
 
-def markov_level_set(g: Graph, t_set, k: int, d: int,
-                     a: float = 1.0 / 3.0, b: float = 2.0 / 3.0) -> LevelSetCut:
-    """Level-set cut of the K-step Markov smoothing of an indicator."""
+def markov_level_set(g: Graph, t_set, k: int, d: int) -> LevelSetCut:
+    """Level-set cut of the K-step Markov smoothing of an indicator, in the
+    band (1/3, 2/3)."""
     chi = np.zeros(g.n)
     chi[list(t_set)] = 1.0
     f = power_iterate(g, chi, k, d)
-    return level_set_cut(g, f, a, b)
+    return level_set_cut(g, f, 1.0 / 3.0, 2.0 / 3.0)
 
 
 @dataclass(frozen=True)

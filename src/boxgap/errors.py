@@ -105,16 +105,6 @@ class NotEnoughRoom(BoxgapError):
         self.available = available
 
 
-class NoDegreeHeadroom(BoxgapError):
-    def __init__(self, vertex, degree, bound):
-        super().__init__(
-            f"vertex {vertex} has degree {degree}, no headroom under bound {bound}"
-        )
-        self.vertex = vertex
-        self.degree = degree
-        self.bound = bound
-
-
 class UnknownLabel(BoxgapError):
     def __init__(self, label):
         super().__init__(f"unknown generator label {label!r}")

@@ -18,7 +18,6 @@ from .errors import (
     IdentityGenerator,
     NotAnIsomorphism,
     NotEnoughRoom,
-    NoDegreeHeadroom,
     NotSymmetric,
     UnknownLabel,
     VertexOutOfRange,
@@ -243,26 +242,20 @@ class GluedExpander:
 
 
 def glued_expander(
-    x_prime: Graph, y: Graph, t_set, seed: int = 0, d: int | None = None
+    x_prime: Graph, y: Graph, t_set, seed: int = 0
 ) -> GluedExpander:
     """Wire y minus an exempt set T onto x' by a seeded random matching.
 
     The output is the disjoint union (x' first, then y) with one matching
     edge per vertex of Y \\ T and a loop on every vertex left untouched, so
-    every degree grows by exactly one. The output degree bound defaults to
-    one more than the larger input bound. Raises NotEnoughRoom when x'
-    cannot absorb the matching and NoDegreeHeadroom when a vertex has no
-    room under an explicit bound d.
+    every degree grows by exactly one, and the output degree bound is one
+    more than the larger input bound. Raises NotEnoughRoom when x' cannot
+    absorb the matching.
     """
     t_set = vertex_set(y, t_set)
     movers = sorted(set(range(y.n)) - set(t_set))
     if len(movers) > x_prime.n:
         raise NotEnoughRoom(len(movers), x_prime.n)
-    d_out = d if d is not None else max(x_prime.degree_bound, y.degree_bound) + 1
-    for g, off in ((x_prime, 0), (y, x_prime.n)):
-        for v in range(g.n):
-            if g.degree(v) + 1 > d_out:
-                raise NoDegreeHeadroom(v + off, g.degree(v), d_out)
     rng = np.random.default_rng(seed)
     targets = rng.permutation(x_prime.n)[: len(movers)]
     sources = x_prime.n + np.array(movers, dtype=np.int64)
@@ -275,7 +268,8 @@ def glued_expander(
         np.stack((sources, targets), axis=1),
         np.stack((loops, loops), axis=1),
     ))
-    graph = build_graph(len(matched), edges, d_out, allow_loops=True)
+    d = max(x_prime.degree_bound, y.degree_bound) + 1
+    graph = build_graph(len(matched), edges, d, allow_loops=True)
     bijection = tuple(zip(sources.tolist(), targets.tolist()))
     loops = tuple(loops.tolist())
     ratio = len(t_set) / y.n if y.n else 0.0

@@ -436,11 +436,6 @@ class BoxSpace:
     def sizes(self) -> list:
         return [g.n for g in self.graphs]
 
-    def monotone_sizes(self) -> bool:
-        """Whether |X_i| is non-decreasing. Reported, never enforced."""
-        sz = self.sizes()
-        return all(a <= b for a, b in zip(sz, sz[1:]))
-
 
 # ---------------------------------------------------------------------------
 # JSON input entries

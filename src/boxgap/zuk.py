@@ -20,13 +20,13 @@ a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DisconnectedLink, EdgeWithoutTriangle
-from .graph import Graph, Record, edge_keys, vertex_set
+from .graph import Graph, Record, edge_keys
 from .spectral import (
     SpectrumReport,
     _weighted_laplacian,
@@ -154,38 +154,31 @@ class ZukCertificate(Record):
     per_vertex_lambda1: dict
     all_links_connected: bool
     min_lambda: float
-    valid: bool  # min_lambda > 1/2 strictly, all inspected links connected
+    valid: bool  # min_lambda > 1/2 strictly, all links connected
     c: float  # 2 - 1/min_lambda
-    coverage: float  # |Y| / n
-    subset: tuple = field(default=(), repr=False)
+    coverage: float  # 1.0, the whole graph (0.0 when n = 0)
 
     def to_dict(self) -> dict:
         # Vertex keys as strings, so a file's sorted keys run "10" before "2".
         d = super().to_dict()
-        del d["subset"]
         d["per_vertex_lambda1"] = {
             str(k): v for k, v in sorted(self.per_vertex_lambda1.items())
         }
         return d
 
 
-def zuk_certificate(g: Graph, subset=None) -> ZukCertificate:
-    """Certificate that min over the subset of link lambda_1 exceeds 1/2.
+def zuk_certificate(g: Graph) -> ZukCertificate:
+    """Certificate that min over all vertices of link lambda_1 exceeds 1/2.
 
-    Every link of every vertex must be connected (the hypothesis covers the
-    whole graph, not just the inspected subset); DisconnectedLink is raised
+    The criterion speaks of the link of every vertex, so every link is
+    solved. Every link must be connected; DisconnectedLink is raised
     otherwise, at the first such vertex, before any eigensolve of its chunk.
-    With subset = all vertices a valid certificate claims the full gap for
-    the triangle-weighted Laplacian.
-
-    The subset goes through ``vertex_set``, so a repeated vertex counts once.
+    A valid certificate claims the full gap for the triangle-weighted
+    Laplacian.
 
     Links are handled LINK_CHUNK vertices at a time: per chunk, one stack of
     adjacency matrices and one ``eigvalsh`` call per link size.
     """
-    vertices = vertex_set(g, subset) if subset is not None else tuple(range(g.n))
-    wanted = np.zeros(g.n, dtype=bool)
-    wanted[list(vertices)] = True
     keys = edge_keys(g)
     size = np.diff(g.indptr)
     lambda1 = np.zeros(g.n)
@@ -199,22 +192,18 @@ def zuk_certificate(g: Graph, subset=None) -> ZukCertificate:
         if any(len(ys) for ys in cut):
             raise DisconnectedLink(int(np.concatenate(cut).min()))
         for ys, a in stacks:
-            keep = wanted[ys]
-            if keep.any():
-                lambda1[ys[keep]] = _link_spectra(a[keep])
-    lam = dict(zip(vertices, lambda1[list(vertices)].tolist()))
+            lambda1[ys] = _link_spectra(a)
+    lam = dict(enumerate(lambda1.tolist()))
     min_lambda = min(lam.values()) if lam else 0.0
     valid = bool(lam) and min_lambda > 0.5
     c = 2.0 - 1.0 / min_lambda if min_lambda > 0 else 0.0
-    coverage = len(vertices) / g.n if g.n else 0.0
     return ZukCertificate(
         per_vertex_lambda1=lam,
         all_links_connected=True,
         min_lambda=min_lambda,
         valid=valid,
         c=c,
-        coverage=coverage,
-        subset=vertices,
+        coverage=1.0 if g.n else 0.0,
     )
 
 

@@ -230,6 +230,8 @@ def test_zuk_command_octahedron_and_c5(tmp_path):
     c5 = json.loads((out / "zuk_0001.json").read_text())
     assert c5["valid"] is False
     assert "diagnostic" in c5
+    # A disconnected link's record says so; the field is not always true.
+    assert c5["all_links_connected"] is False
 
 
 def test_zuk_verdict_takes_no_tolerance(tmp_path, capsys):

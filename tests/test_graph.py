@@ -533,7 +533,6 @@ def test_manifest_roundtrip(tmp_path):
     back = bg.read_manifest(mpath)
     assert back.sizes() == [3, 5]
     assert back.labels == ["a", "b"]
-    assert back.monotone_sizes()
 
 
 def test_boxspace_validates_degree():

@@ -50,8 +50,6 @@ OVERRIDES = {
     # new_graph is the edited graph itself; the post-removal piece is
     # written as "vertices", leaving "piece" for its decomposition index.
     bg.RewireResult: ({"new_graph", "piece"}, {"vertices"}),
-    # The inspected subset is an input, not a result.
-    bg.ZukCertificate: ({"subset"}, set()),
     # A step record names the lemma's sets T and U and spreads the cut.
     bg.ReplaceOutcome: ({"t_set", "cut", "good", "density_t"},
                         {"T", "U", "threshold", "empty_band", "boundary_U",

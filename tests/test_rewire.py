@@ -347,11 +347,11 @@ def test_rewire_matches_set_reference(monkeypatch):
 
 def memo_answer(g, key):
     """What the producer of a memo key computes on g, arrays as bytes."""
-    producer, vs, arg = key
+    producer, vs, *arg = key
     if producer == "fiedler":
-        answer = induced_fiedler(g, vs, arg)
+        answer = induced_fiedler(g, vs)
     else:
-        answer = exhaustive.min_ratio_subset(g, vs, arg)
+        answer = exhaustive.min_ratio_subset(g, vs, *arg)
     return [x.tobytes() if isinstance(x, np.ndarray) else x for x in answer]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import boxgap as bg
 import boxgap.zuk as zuk_mod
-from boxgap.errors import DisconnectedLink, EdgeWithoutTriangle, VertexOutOfRange
+from boxgap.errors import DisconnectedLink, EdgeWithoutTriangle
 
 from conftest import neighbour_rows, random_triangle_graph
 
@@ -147,6 +147,30 @@ def test_zuk_certificate_torus_borderline():
     assert not cert.valid  # strict inequality required
 
 
+def relabelled(g, rng):
+    """g with its vertices renamed by a random permutation."""
+    perm = rng.permutation(g.n)
+    return bg.build_graph(g.n, perm[g.edge_array()], g.degree_bound)
+
+
+def test_whole_graph_certificate_under_relabelling():
+    """Relabelling changes no verdict: every link of triangular_torus(12)
+    is a 6-cycle, lambda_1 = 1/2 exactly, so the certificate is invalid;
+    the octahedron's links are 4-cycles, lambda_1 = 1, valid with c = 1."""
+    rng = np.random.default_rng(1)
+    torus = bg.triangular_torus(12)
+    for _ in range(40):
+        cert = bg.zuk_certificate(relabelled(torus, rng))
+        assert not cert.valid
+        assert abs(cert.min_lambda - 0.5) <= 1e-9
+        assert cert.coverage == 1.0 and cert.all_links_connected
+    octa = bg.zuk_certificate(bg.octahedron())
+    assert octa.valid and abs(octa.c - 1.0) <= 1e-12
+    for _ in range(40):
+        cert = bg.zuk_certificate(relabelled(bg.octahedron(), rng))
+        assert cert.valid and abs(cert.c - octa.c) <= 1e-12
+
+
 def test_zuk_certificate_disconnected_link():
     with pytest.raises(DisconnectedLink):
         bg.zuk_certificate(bg.cycle_graph(5))
@@ -162,29 +186,6 @@ def test_link_lambda1_empty_and_singleton_links():
     with pytest.raises(DisconnectedLink) as exc:
         bg.zuk_certificate(isolated)
     assert exc.value.vertex == 0
-
-
-def test_zuk_certificate_subset_must_still_cover_links():
-    # links outside the subset are still part of the hypothesis
-    g = bg.glue_pair(bg.complete_graph(4), bg.cycle_graph(5), 0, 0, d=4)
-    with pytest.raises(DisconnectedLink):
-        bg.zuk_certificate(g, subset=(1, 2, 3))
-
-
-def test_zuk_certificate_subset_is_a_vertex_set():
-    g = bg.octahedron()
-    for bad in ([-1], [6], [0, 6]):
-        with pytest.raises(VertexOutOfRange):
-            bg.zuk_certificate(g, subset=bad)
-    for bad in ([1.7], [True], [0, np.float64(2.0)]):
-        with pytest.raises(ValueError):
-            bg.zuk_certificate(g, subset=bad)
-    once = bg.zuk_certificate(g, subset=[0])
-    twice = bg.zuk_certificate(g, subset=[0, 0])
-    assert twice.to_dict() == once.to_dict() and twice.subset == (0,)
-    assert twice.coverage == 1 / 6
-    mixed = bg.zuk_certificate(g, subset=[np.int64(3), 1, 3])
-    assert mixed.subset == (1, 3) and mixed.coverage == 2 / 6
 
 
 def test_delta_tau_k4():
@@ -254,7 +255,7 @@ def test_certified_graphs_meet_their_gap():
             assert rep.gap >= cert.c - 1e-9
 
 
-def reference_certificate(g, subset=None):
+def reference_certificate(g):
     """Per-link oracle: each link built by walking the neighbour tuples and
     checked by a Python search, then one eigvalsh call per link; returns
     per_vertex_lambda1 or raises what the per-link search raises."""
@@ -278,17 +279,16 @@ def reference_certificate(g, subset=None):
             raise DisconnectedLink(x)
         mats.append(a)
     lam = {}
-    for x in (sorted(subset) if subset is not None else range(g.n)):
-        a = mats[x]
+    for x, a in enumerate(mats):
         dinv = 1.0 / np.sqrt(a.sum(axis=1))
         evs = np.linalg.eigvalsh(np.eye(len(a)) - (dinv[:, None] * a) * dinv[None, :])
         lam[x] = float(evs[1])
     return lam
 
 
-def certificate_outcome(certify, g, **kwargs):
+def certificate_outcome(certify, g):
     try:
-        got = certify(g, **kwargs)
+        got = certify(g)
     except DisconnectedLink as exc:
         return "DisconnectedLink", exc.vertex, exc.args
     return got.per_vertex_lambda1 if isinstance(got, bg.ZukCertificate) else got
@@ -317,22 +317,16 @@ def zuk_oracle_graphs(small_corpus):
 @pytest.mark.parametrize("chunk", [1, 5, None])
 def test_certificate_matches_per_link_oracle(small_corpus, monkeypatch, chunk):
     """Byte-equal lambda_1 per vertex, and the same exception for the same
-    vertex, over whole graphs, subsets and chunk sizes that split them
-    (None keeps the module's chunk size)."""
+    vertex, over whole graphs and chunk sizes that split them (None keeps
+    the module's chunk size)."""
     if chunk is not None:
         monkeypatch.setattr(zuk_mod, "LINK_CHUNK", chunk)
-    rng = np.random.default_rng(37)
     outcomes = set()
     for g in zuk_oracle_graphs(small_corpus):
-        subsets = [None]
-        if g.n:
-            subsets.append(tuple(rng.choice(g.n, size=int(rng.integers(0, g.n + 1)),
-                                            replace=False).tolist()))
-        for subset in subsets:
-            want = certificate_outcome(reference_certificate, g, subset=subset)
-            got = certificate_outcome(bg.zuk_certificate, g, subset=subset)
-            assert got == want, (g.n, subset)
-            outcomes.add(type(got).__name__)
+        want = certificate_outcome(reference_certificate, g)
+        got = certificate_outcome(bg.zuk_certificate, g)
+        assert got == want, g.n
+        outcomes.add(type(got).__name__)
     assert outcomes == {"dict", "tuple"}
 
 
