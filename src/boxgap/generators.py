@@ -141,35 +141,38 @@ def cayley_graph(group, gens) -> Graph:
 def _map_edges(nv: int, u: np.ndarray, images) -> np.ndarray:
     """Each edge {u, v} once, for v over the image arrays of maps applied
     to the vertices u, fixed points dropped, as a sorted (m, 2) array."""
-    u = np.tile(u, len(images))
-    v = np.asarray(images, dtype=np.int64).ravel()
-    keep = u != v
-    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
-    keys = np.sort(lo * nv + hi)
+    keys = np.empty((len(images), len(u)), dtype=np.int64)
+    for row, v in zip(keys, images):
+        np.minimum(u, v, out=row)
+        row *= nv
+        row += np.maximum(u, v)
+        row[u == v] = -1  # a fixed point: no edge
+    keys = keys.ravel()
+    keys.sort()
+    # Drop repeated keys; the prepended -1 makes the -1s repeats too.
     keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique hashes, slower here
-    return np.column_stack(np.divmod(keys, nv))
+    edges = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, nv, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 def margulis_graph(n: int) -> Graph:
     """Expander family on the n x n torus, degree at most 8.
 
     Vertex (x, y) is joined to (x+-y, y), (x, y+-x), (x+-1, y), (x, y+-1),
-    with duplicate pairs and fixed points collapsed away.
+    with duplicate pairs and fixed points collapsed away. The eight maps
+    are four pairs of mutual inverses, and {u, f(u)} runs over the same
+    edges as {u, f^-1(u)}, so only (x+y, y), (x, y+x), (x+1, y) and
+    (x, y+1) are applied.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    x, y = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    images = [
-        ((x + y) % n, y),
-        ((x - y) % n, y),
-        (x, (y + x) % n),
-        (x, (y - x) % n),
-        ((x + 1) % n, y),
-        ((x - 1) % n, y),
-        (x, (y + 1) % n),
-        (x, (y - 1) % n),
-    ]
-    edges = _map_edges(n * n, x * n + y, [px * n + py for px, py in images])
+    u = np.arange(n * n, dtype=np.int64)
+    x, y = np.divmod(u, n)
+    images = ((x + y) % n * n + y, x * n + (y + x) % n,
+              (x + 1) % n * n + y, x * n + (y + 1) % n)
+    edges = _map_edges(n * n, u, images)
+    del u, x, y, images  # free before the build, which sets the peak
     return build_graph(n * n, edges, 8)
 
 

@@ -35,6 +35,7 @@ import reprlib
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +45,7 @@ from .errors import DegreeExceeded, DuplicateEdge, VertexOutOfRange
 
 VertexSet = tuple  # sorted tuple of vertex indices
 
-_ROW_BLOCK = 4096  # rows formatted per % call in text output; bounds memory
+_ROW_BLOCK = 4096  # rows per block of edges() and text output; bounds memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +119,15 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """Each edge once as a row (u, v) with u <= v, ordered by u then v,
         loops included: an (m, 2) int64 array that ``build_graph`` takes."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        # int32 like indices, so no int64 array twice the result's length
+        rows = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
         upper = self.indices > rows
-        u, v = rows[upper], self.indices[upper].astype(np.int64)
-        at = np.searchsorted(u, self.loops)  # (x, x) goes first in row x
-        return np.stack((np.insert(u, at, self.loops),
-                         np.insert(v, at, self.loops)), axis=1)
+        u, v = rows[upper], self.indices[upper]
+        del rows, upper
+        if self.loops:
+            at = np.searchsorted(u, self.loops)  # (x, x) goes first in row x
+            u, v = np.insert(u, at, self.loops), np.insert(v, at, self.loops)
+        return np.stack((u, v), axis=1, dtype=np.int64)
 
     def has_edges(self, pairs: np.ndarray) -> np.ndarray:
         """Whether each row (u, v) of an (m, 2) int64 array, in either
@@ -142,9 +146,10 @@ class Graph:
         return found
 
     def edges(self):
-        """``edge_array`` as (u, v) tuples of Python ints."""
-        e = self.edge_array()
-        return zip(e[:, 0].tolist(), e[:, 1].tolist())
+        """``edge_array`` as (u, v) tuples of Python ints, converted one
+        block of _ROW_BLOCK rows at a time."""
+        return chain.from_iterable(zip(*rows.T.tolist())
+                                   for rows in _row_blocks(self))
 
     @property
     def num_edges(self) -> int:
@@ -193,6 +198,14 @@ class Graph:
         return tuple(tuple(c.tolist()) for c in np.split(members, ends)[:-1])
 
 
+def _row_blocks(g: Graph):
+    """Yield ``g.edge_array()`` in blocks of _ROW_BLOCK rows, so a caller that
+    turns rows into Python objects or text holds one block of them."""
+    e = g.edge_array()
+    for lo in range(0, len(e), _ROW_BLOCK):
+        yield e[lo:lo + _ROW_BLOCK]
+
+
 def edge_keys(g: Graph) -> np.ndarray:
     """The row-major keys u * n + v of g's loop-free pairs (u, v), sorted,
     as the CSR arrays list them, closed by n * n, which is no pair's key: a
@@ -234,12 +247,35 @@ def vertex_set(g: Graph, vertices) -> VertexSet:
 def int64_pairs(pairs, n: int) -> np.ndarray:
     """A list of (u, v) pairs as an int64 array, or an int64 array as it
     is; a vertex past int64 becomes -1 or n, which is out of range all the
-    same."""
+    same. A list or tuple longer than _ROW_BLOCK is converted one block at
+    a time, because numpy's conversion holds twice its result besides."""
     try:
+        if isinstance(pairs, (list, tuple)) and len(pairs) > _ROW_BLOCK:
+            return _int64_blocks(pairs)
         return np.asarray(pairs, dtype=np.int64)
     except OverflowError:
         return np.array([[min(max(x, -1), n) for x in uv] for uv in pairs],
                         dtype=np.int64)
+
+
+def _int64_blocks(pairs) -> np.ndarray:
+    """``np.asarray(pairs, dtype=np.int64)``, filled one block of _ROW_BLOCK
+    entries at a time. Entries that do not all convert, or not all to one
+    shape, are converted whole, so numpy raises what it raises for them."""
+    out = None
+    for lo in range(0, len(pairs), _ROW_BLOCK):
+        try:
+            block = np.asarray(pairs[lo:lo + _ROW_BLOCK], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            break
+        if out is None:
+            out = np.empty((len(pairs), *block.shape[1:]), dtype=np.int64)
+        elif block.shape[1:] != out.shape[1:]:
+            break
+        out[lo:lo + _ROW_BLOCK] = block
+    else:
+        return out
+    return np.asarray(pairs, dtype=np.int64)
 
 
 def _check_size(n, d) -> None:
@@ -249,26 +285,23 @@ def _check_size(n, d) -> None:
         raise ValueError("degree bound must be positive")
 
 
-def build_graph(n, edges, d, allow_loops=False) -> Graph:
-    """Build a validated graph from an edge list.
-
-    ``edges`` is an iterable of (u, v) pairs or an (m, 2) integer ndarray,
-    which is used as it is, with no Python list in between. Raises
-    VertexOutOfRange, DuplicateEdge or DegreeExceeded, with Python ints in
-    the payload. The first offending edge in input order decides between
-    the first two: a vertex out of range, a repeated edge in either
-    orientation, or a loop that is repeated or not allowed. Degrees are
-    checked once every edge is valid. Equal edge sets give equal graphs.
-    """
-    _check_size(n, d)
+def _pairs(edges, n: int) -> np.ndarray:
+    """The edges given to ``build_graph`` as an (m, 2) int64 array: an
+    integer ndarray as it is, or widened, and pairs through int64_pairs."""
     if isinstance(edges, np.ndarray):
-        given = e = edges.astype(np.int64, casting="safe", copy=False)
+        e = edges.astype(np.int64, casting="safe", copy=False)
     else:
-        given = list(edges)
-        e = int64_pairs(given, n)
+        e = int64_pairs(edges, n)
     if e.size and e.shape[1:] != (2,):
         raise ValueError("edges must be (u, v) pairs")
-    e = e.reshape(-1, 2)
+    return e.reshape(-1, 2)
+
+
+def _first_bad(given, n: int, allow_loops: bool) -> Exception:
+    """The error for the first edge of given, in input order, that has a
+    vertex out of range, repeats an earlier edge in either orientation, or
+    is a loop that is not allowed. There must be one."""
+    e = _pairs(given, n)
     lo, hi = e.min(axis=1), e.max(axis=1)
     outside = (lo < 0) | (hi >= n)
     # Every later copy of a key is bad; a key of an edge outside the range
@@ -276,26 +309,60 @@ def build_graph(n, edges, d, allow_loops=False) -> Graph:
     bad = np.ones(len(e), dtype=bool)
     bad[np.unique(lo * n + hi, return_index=True)[1]] = False
     bad |= outside | ((lo == hi) & (not allow_loops))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if outside[i]:
-            u, v = (int(x) for x in given[i])
-            raise VertexOutOfRange(v if 0 <= u < n else u, n)
-        raise DuplicateEdge((int(lo[i]), int(hi[i])))
-    is_loop = lo == hi
-    loops = np.sort(lo[is_loop])
-    lo, hi = lo[~is_loop], hi[~is_loop]
-    keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
-    rows, cols = np.divmod(keys, max(n, 1))
-    row_len = np.bincount(rows, minlength=n)
-    deg = row_len + np.bincount(loops, minlength=n)
+    i = int(np.argmax(bad))
+    if outside[i]:
+        u, v = (int(x) for x in given[i])
+        return VertexOutOfRange(v if 0 <= u < n else u, n)
+    return DuplicateEdge((int(lo[i]), int(hi[i])))
+
+
+def build_graph(n, edges, d, allow_loops=False) -> Graph:
+    """Build a validated graph from an edge list.
+
+    ``edges`` is an iterable of (u, v) pairs or an (m, 2) integer ndarray;
+    a list, tuple or ndarray is read as it is, with no copy of it. Raises
+    VertexOutOfRange, DuplicateEdge or DegreeExceeded, with Python ints in
+    the payload. The first offending edge in input order decides between
+    the first two: a vertex out of range, a repeated edge in either
+    orientation, or a loop that is repeated or not allowed. Degrees are
+    checked once every edge is valid. Equal edge sets give equal graphs.
+    """
+    _check_size(n, d)
+    # An error names given[i], so any other iterable is made a list first.
+    given = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+    e = _pairs(given, n)
+    if e.size and (e.min() < 0 or e.max() >= n):
+        raise _first_bad(given, n, allow_loops)
+    loop = e[:, 0] == e[:, 1]
+    loops = np.sort(e[loop, 0])
+    if loops.size:
+        if not allow_loops or (loops[1:] == loops[:-1]).any():
+            raise _first_bad(given, n, allow_loops)
+        e = e[~loop]
+    del loop
+    # Both orientations of every edge as keys row * n + col, sorted once:
+    # a repeated edge repeats a key, and the sorted keys are the CSR rows.
+    m = len(e)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(e[:, 0], n, out=keys[:m])
+    keys[:m] += e[:, 1]
+    np.multiply(e[:, 1], n, out=keys[m:])
+    keys[m:] += e[:, 0]
+    del e
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        raise _first_bad(given, n, allow_loops)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    deg = np.diff(indptr)
+    deg[loops] += 1
     if (deg > d).any():
         v = int(np.argmax(deg > d))
         raise DegreeExceeded(v, int(deg[v]), d)
+    np.remainder(keys, max(n, 1), out=keys)
     return Graph(
         n=n,
-        indptr=np.concatenate(([0], np.cumsum(row_len))),
-        indices=cols,
+        indptr=indptr,
+        indices=keys,
         loops=tuple(loops.tolist()),
         degree_bound=d,
     )
@@ -502,11 +569,9 @@ def write_edge_list(g: Graph, path) -> None:
     ``edge_array``. Each block of _ROW_BLOCK rows is one ``%`` format and
     one write, so no string or call is made per edge and the text in
     memory stays one block long."""
-    e = g.edge_array()
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.degree_bound}\n")
-        for lo in range(0, len(e), _ROW_BLOCK):
-            rows = e[lo:lo + _ROW_BLOCK]
+        for rows in _row_blocks(g):
             fh.write(("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -101,6 +103,9 @@ def test_build_errors():
     with pytest.raises(VertexOutOfRange) as exc:
         bg.build_graph(3, [(0, 1), (2, 2**70)], 2)  # past int64
     assert exc.value.vertex == 2**70
+    past = [(0, 1), (2, 2**70)]
+    for given in (tuple(past), (e for e in past)):
+        assert outcome(bg.build_graph, 3, given, 2) == outcome(bg.build_graph, 3, past, 2)
     # Random lists with injected faults raise what the reference raises.
     rng = np.random.default_rng(29)
     kinds = set()
@@ -113,6 +118,11 @@ def test_build_errors():
             for loops in (False, True):
                 want = outcome(reference_build, n, edges, bound, loops)
                 got = outcome(bg.build_graph, n, edges, bound, allow_loops=loops)
+                # A tuple is read as given and a generator is made a list;
+                # either way an error names the same edge.
+                for given in (tuple(edges), (e for e in edges)):
+                    assert outcome(bg.build_graph, n, given, bound,
+                                   allow_loops=loops) == got
                 array = np.array(edges, dtype=np.int64).reshape(-1, 2)
                 as_array = outcome(bg.build_graph, n, array, bound, allow_loops=loops)
                 assert as_array == got
@@ -397,6 +407,73 @@ def test_edge_list_text_matches_line_by_line(tmp_path, g):
     bg.write_edge_list(g, path)
     assert path.read_text() == _line_by_line_text(g)
     assert bg.read_edge_list(path) == g
+
+
+ROW_BLOCK = graph_mod._ROW_BLOCK
+
+
+@pytest.mark.parametrize("g", [
+    bg.path_graph(ROW_BLOCK),
+    bg.path_graph(ROW_BLOCK + 1),
+    bg.path_graph(ROW_BLOCK + 2),
+    bg.build_graph(ROW_BLOCK, [(v, v + 1) for v in range(ROW_BLOCK - 1)]
+                   + [(v, v) for v in range(0, ROW_BLOCK, 3)], 3, allow_loops=True),
+    bg.build_graph(0, [], 1),
+], ids=["block-minus-one", "one-block", "block-plus-one", "loops", "empty"])
+def test_edges_by_blocks(g):
+    # edges() converts edge_array() one block of rows at a time; the blocks
+    # join into its rows, in order, as tuples of Python ints.
+    got = list(g.edges())
+    assert got == [tuple(row) for row in g.edge_array().tolist()]
+    assert all(type(x) is int for e in got for x in e)
+
+
+def test_int64_pairs_by_blocks():
+    # A list or tuple longer than a block is converted a block at a time;
+    # the array, and the error for entries that do not all convert to one
+    # shape, are those of one np.asarray call.
+    n = 2 * ROW_BLOCK + 1
+    pairs = [(v, v * 7 % n) for v in range(n)]
+    for given in (pairs, tuple(pairs)):
+        got = graph_mod.int64_pairs(given, n)
+        assert got.dtype == np.int64 and np.array_equal(got, np.asarray(pairs))
+    for bad in [(1,), 7, (0, None), ("x", 1)]:
+        faulty = pairs[:ROW_BLOCK + 3] + [bad] + pairs[ROW_BLOCK + 4:]
+        with pytest.raises((TypeError, ValueError)) as want:
+            np.asarray(faulty, dtype=np.int64)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            graph_mod.int64_pairs(faulty, n)
+    # A vertex past int64 in a later block is clamped as in a short list.
+    assert graph_mod.int64_pairs(pairs + [(0, 2**70)], n)[-1].tolist() == [0, n]
+
+
+def _traced_peak(f):
+    """f() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_and_edge_listing_memory():
+    # Traced peaks, numpy buffers included, as multiples of the result's
+    # bytes: the CSR arrays of a graph, the array of edge_array(). Each
+    # bound sits between the code that copied whole graphs (peaks of 17x,
+    # 9.1x, 11.8x, 4.1x and 5.8x, in the order below) and the copy-free,
+    # block-wise code (5.2x, 3.2x, 3.8x, 1.5x and 2.3x).
+    g, peak = _traced_peak(lambda: bg.margulis_graph(64))
+    csr = g.indptr.nbytes + g.indices.nbytes
+    assert peak < 8 * csr
+    e = g.edge_array()
+    pairs = list(g.edges())
+    for edges, bound in ((e, 5), (pairs, 6)):
+        built, peak = _traced_peak(lambda: bg.build_graph(g.n, edges, 8))
+        assert built == g and peak < bound * csr
+    again, peak = _traced_peak(g.edge_array)
+    assert np.array_equal(again, e) and peak < 2.5 * e.nbytes
+    listed, peak = _traced_peak(lambda: deque(g.edges(), maxlen=1))
+    assert listed[0] == pairs[-1] and peak < 4 * e.nbytes
 
 
 def test_edge_list_errors(tmp_path):
